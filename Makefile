@@ -4,19 +4,11 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke test-process test-economics bench-smoke bench-full lint
+.PHONY: test smoke test-economics bench-smoke bench-full lint
 
 # The tier-1 gate: the full test + benchmark suite.
 test:
 	$(PYTHON) -m pytest -x -q
-
-# Tier-1 with the process backend forced for every default-backend
-# slice_many call (csr kernel, fused saturation on) — the lane that
-# proves backend choice never changes results.  Speedup pins that need
-# >= 2 cores self-skip on small runners.
-test-process:
-	REPRO_SLICE_BACKEND=process REPRO_KERNEL=csr REPRO_BATCH_SATURATION=on \
-		$(PYTHON) -m pytest tests -x -q
 
 # The fast subset (seconds, not minutes) for edit-run loops.
 smoke:

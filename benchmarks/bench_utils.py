@@ -32,24 +32,17 @@ BENCH_RECORDS = []
 def run_metadata():
     """The environment fields every benchmark record carries, so the
     ``BENCH_<n>.json`` trail is comparable across machines and PRs:
-    cpu count, active saturation kernel, and python version."""
+    cpu count and python version."""
     import platform
 
-    from repro import kernelcfg
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "kernel": kernelcfg.resolve_kernel(None),
-        "python": platform.python_version(),
-    }
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version()}
 
 
 def record_bench(name, **fields):
     """File one benchmark's measurements (speedups, wall times, sizes —
     whatever the benchmark pins) for the JSON emitter, stamped with
-    :func:`run_metadata` (explicit fields win, so a benchmark that
-    exercises a specific ``kernel``/``backend`` can say so).  A no-op
-    beyond an append: benchmarks stay runnable without the emitter."""
+    :func:`run_metadata` (explicit fields win).  A no-op beyond an
+    append: benchmarks stay runnable without the emitter."""
     record = {"benchmark": name}
     record.update(run_metadata())
     record.update(fields)

@@ -1,80 +1,42 @@
-"""The CSR saturation kernel's performance pin.
+"""Fig. 13 through the runtime kernels, checked against the reference.
 
-The ``csr`` kernel (:mod:`repro.pds.kernel`, :mod:`repro.fsa.intops`)
-exists for exactly one reason: to run Prestar and the MRD automaton
-chain at flat-array speed.  This benchmark pins the claim on the
-worst-case workload the paper provides — the Fig. 13 exponential family,
-whose k=10 instance pushes the determinize/minimize chain through
-thousands of subset states — and simultaneously re-asserts the kernels'
-byte-identity on that instance, so the speedup can never silently come
-from computing something cheaper.
-
-The pinned quantity is ``prestar_seconds + automaton_seconds``: the
-saturation plus the MRD chain, the two stages the kernel reimplements.
-(Read-out and encoding are kernel-independent and dominated by Python
-object churn either way.)  Measured speedup at k=10 is ~8-11x; the pin
-at 3x leaves room for CI noise while still failing loudly if the int
-paths ever fall back to the object implementations.
+The Fig. 13 exponential family is the worst case the paper provides:
+its k=10 instance pushes the determinize/minimize chain through
+thousands of subset states.  This benchmark runs it through
+:func:`repro.core.specialize.specialization_slice` — the int-kernel
+Prestar and fused MRD chain — and requires the result to be
+byte-identical to the reference pipeline of :mod:`tests.reference_oracle`
+(object Prestar, object determinize/minimize): same ``a1`` and ``a6``
+payloads, same state counts.  The wall time of the kernel-covered
+stages goes to :func:`bench_utils.record_bench`.
 """
 
-from bench_utils import print_table, record_bench
+from bench_utils import record_bench
 from repro.core import specialization_slice
 from repro.fsa.serialize import automaton_to_payload
 from repro.workloads.exponential import exponential_program
 
-#: the Fig. 13 instance the pin runs on — large enough that the MRD
-#: chain dominates (seconds, not milliseconds), small enough for tier-1.
+from tests.reference_oracle import reference_slice
+
+#: the Fig. 13 instance — large enough that the MRD chain dominates.
 K = 10
 
-#: the ISSUE's floor: csr must beat object by at least this factor on
-#: the kernel-covered stages.
-MIN_SPEEDUP = 3.0
 
-
-def _run(kernel):
-    # A fresh SDG per kernel: the shared Poststar and PDS-compile caches
-    # live on the graph/encoding, and the pin must time two cold runs.
+def test_fig13_matches_reference_oracle():
     _program, _info, sdg = exponential_program(K)
-    result = specialization_slice(
-        sdg, sdg.print_criterion(), contexts="empty", kernel=kernel
-    )
+    result = specialization_slice(sdg, sdg.print_criterion(), contexts="empty")
     stats = result.stats
-    assert stats["kernel"] == kernel
-    return result, stats["prestar_seconds"] + stats["automaton_seconds"]
-
-
-def test_csr_kernel_speedup_on_fig13():
-    object_result, object_core = _run("object")
-    csr_result, csr_core = _run("csr")
-
-    # The speedup is only meaningful if both kernels did the same work:
-    # identical MRD automata (hence identical slices downstream) and
-    # identical state-count instrumentation.
-    assert automaton_to_payload(object_result.a6) == automaton_to_payload(
-        csr_result.a6
-    )
-    for key in ("a1_states", "a3_states", "a4_states", "a6_states"):
-        assert object_result.stats[key] == csr_result.stats[key], key
-    assert csr_result.stats["kernel_worklist_pops"] > 0
-    assert csr_result.stats["kernel_rules_compiled"] > 0
-
-    speedup = object_core / csr_core
+    assert stats["kernel_worklist_pops"] > 0
+    assert stats["kernel_rules_compiled"] > 0
     record_bench(
-        "csr_kernel_fig13",
-        speedup=speedup,
-        object_seconds=object_core,
-        csr_seconds=csr_core,
-        min_speedup=MIN_SPEEDUP,
+        "fig13_kernel_core",
+        k=K,
+        core_seconds=stats["prestar_seconds"] + stats["automaton_seconds"],
     )
-    print_table(
-        "CSR kernel — Fig. 13 k=%d (prestar + MRD seconds)" % K,
-        ["kernel", "core seconds", "speedup"],
-        [
-            ("object", "%.3f" % object_core, "1.00x"),
-            ("csr", "%.3f" % csr_core, "%.2fx" % speedup),
-        ],
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        "csr kernel is only %.2fx faster than object on fig13 k=%d "
-        "(pinned floor: %.1fx)" % (speedup, K, MIN_SPEEDUP)
-    )
+
+    _program, _info, fresh = exponential_program(K)
+    expected = reference_slice(fresh, fresh.print_criterion(), "empty", trim=False)
+    assert automaton_to_payload(result.a1) == automaton_to_payload(expected.a1)
+    assert automaton_to_payload(result.a6) == automaton_to_payload(expected.a6)
+    assert stats["a6_states"] == len(expected.a6.states)
+    assert result.version_counts() == expected.version_counts()

@@ -2,28 +2,24 @@
 half.
 
 The acceptance bar for the ``__sats__`` table: answering a criterion
-the store has *never seen* against a warm front half must be at least
-2x faster when the shared ``Poststar(entry_main)`` artifact is
-persisted than when ``__sats__`` has been cleared — because the warm
-path loads the relocatable artifact (and any Prestar sibling whose key
-matches) instead of re-saturating, leaving only the new criterion's
-own Prestar to compute.
+the store has *never seen* against a warm front half must cost at most
+half the saturation work when the shared ``Poststar(entry_main)``
+artifact is persisted than when ``__sats__`` has been cleared —
+because the warm path loads the relocatable artifact (and any Prestar
+sibling whose key matches) instead of re-saturating, leaving only the
+new criterion's own Prestar to compute.  Work is counted in kernel
+worklist pops, which are deterministic; the wall times of both paths
+go to :func:`bench_utils.record_bench`.
 
 The subject program is a mutually recursive call web: Poststar has to
 saturate a rich context language, while the measured criterion's
 backward cone is a single trivial assignment — the shape a slicing
 service sees when a user asks about one new program point.
-
-Skip-safe on timer noise like the other benches: when the cold
-saturation is too fast to measure reliably, the pin is skipped rather
-than flaking.
 """
 
 import os
 import shutil
 import time
-
-import pytest
 
 from bench_utils import record_bench
 from repro.core import executable_program
@@ -31,9 +27,8 @@ from repro.engine import SlicingSession
 from repro.lang import pretty
 from repro.store import SliceStore
 
-MIN_SPEEDUP = 2.0
-#: below this, the no-sats run is inside timer noise; skip the pin.
-MIN_MEASURABLE_SECONDS = 0.003
+#: the warm path may pop at most this share of the cleared path's pops
+MAX_POP_SHARE = 0.5
 RUNS = 3
 
 WIDTH, DEPTH, FAN = 5, 5, 4
@@ -116,27 +111,23 @@ def test_persisted_poststar_speeds_up_new_criterion(tmp_path):
         executable_program(reference).program
     )
 
-    if cold_seconds < MIN_MEASURABLE_SECONDS:
-        pytest.skip(
-            "cold saturation finished in %.4fs — inside timer noise"
-            % cold_seconds
-        )
-    speedup = cold_seconds / warm_seconds
+    warm_pops = warm_session.stats["kernel_worklist_pops"]
+    cold_pops = cold_session.stats["kernel_worklist_pops"]
     record_bench(
         "saturation_store",
-        speedup=speedup,
+        speedup=cold_seconds / warm_seconds,
         cold_seconds=cold_seconds,
         warm_seconds=warm_seconds,
-        min_speedup=MIN_SPEEDUP,
+        warm_pops=warm_pops,
+        cold_pops=cold_pops,
     )
     print(
-        "\nnew criterion on warm front half: with __sats__ %.4fs, "
-        "cleared %.4fs -> %.1fx" % (warm_seconds, cold_seconds, speedup)
+        "\nnew criterion on warm front half: with __sats__ %.4fs (%d pops), "
+        "cleared %.4fs (%d pops)" % (warm_seconds, warm_pops, cold_seconds, cold_pops)
     )
-    assert speedup >= MIN_SPEEDUP, (
-        "a persisted Poststar must make a new criterion at least %.0fx "
-        "faster (got %.2fx: %.4fs with __sats__ vs %.4fs cleared)"
-        % (MIN_SPEEDUP, speedup, warm_seconds, cold_seconds)
+    assert 0 < warm_pops <= MAX_POP_SHARE * cold_pops, (
+        "a persisted Poststar must spare a new criterion the Poststar "
+        "saturation (%d pops with __sats__ vs %d cleared)" % (warm_pops, cold_pops)
     )
 
 

@@ -33,9 +33,10 @@ automaton key / sorted configuration set for the other criterion forms;
 see :mod:`repro.engine.canonical`).  ``open_session`` itself caches
 sessions by a hash of the source text, so a mutated source always gets
 a fresh session and can never observe stale SDG or automaton results.
-``slice_many`` fans independent criteria out over a thread pool against
-the shared read-only encoding, or over a process pool with
-``backend="process"``.  The batch CLI::
+``slice_many`` saturates a batch's cold criteria in one fused kernel
+pass (whenever at least two are cold) and fans the rest of the work out
+over a thread pool against the shared read-only encoding.  The batch
+CLI::
 
     python -m repro slice-batch prog.tc --prints all --jobs 4
 
@@ -94,11 +95,11 @@ def load_source(source):
 
 
 _session_lock = threading.Lock()
-_session_cache = {}  # (sha256(source), cache dir, kernel) -> SlicingSession, insertion-ordered
+_session_cache = {}  # (sha256(source), cache dir) -> SlicingSession, insertion-ordered
 _SESSION_CACHE_MAX = 32
 
 
-def open_session(source, cache_dir=None, kernel=None):
+def open_session(source, cache_dir=None):
     """Open (or return the cached) :class:`repro.engine.SlicingSession`
     for ``source``.
 
@@ -110,32 +111,20 @@ def open_session(source, cache_dir=None, kernel=None):
 
     With ``cache_dir``, the session is backed by the persistent
     :class:`repro.store.SliceStore` there: the front half is loaded
-    from disk when warm and slice results survive process restarts.
-
-    ``kernel`` picks the saturation/automaton kernel the session runs on
-    (``"object"`` or ``"csr"``; default the ``REPRO_KERNEL`` environment
-    knob — see :mod:`repro.kernelcfg`).  Kernels are byte-identical, so
-    the choice is part of the cache key only to keep each session's
-    ``kernel_*`` stat counters meaningful."""
-    from repro import kernelcfg
+    from disk when warm and slice results survive process restarts."""
     from repro.engine import SlicingSession
     from repro.store import SliceStore, source_hash
 
     store = SliceStore(cache_dir) if cache_dir is not None else None
-    kernel = kernelcfg.resolve_kernel(kernel)
     # One hash implementation for the in-memory session cache and the
     # on-disk store (repro.store.source_hash), so the two layers can
     # never disagree about which sources are "the same program".
-    key = (
-        source_hash(source),
-        store.cache_dir if store is not None else None,
-        kernel,
-    )
+    key = (source_hash(source), store.cache_dir if store is not None else None)
     with _session_lock:
         session = _session_cache.get(key)
     if session is not None:
         return session
-    session = SlicingSession(source, store=store, kernel=kernel)
+    session = SlicingSession(source, store=store)
     with _session_lock:
         # A concurrent opener may have won the race; keep its session so
         # callers converge on one memo table.

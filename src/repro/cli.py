@@ -9,24 +9,21 @@ Commands:
 * ``slice-batch`` — many criteria in one session: load the program
   once, slice w.r.t. each requested print statement (``--prints
   0,2,5`` or ``--prints all``) through a shared
-  :class:`repro.engine.SlicingSession`, fanning out over ``--jobs``
-  workers (``--backend thread`` or ``process``), and report
+  :class:`repro.engine.SlicingSession` (cold criteria saturate in one
+  fused pass, the rest fans out over ``--jobs`` threads), and report
   per-criterion sizes plus cache stats.  ``--cache-dir DIR`` backs the
   session with the persistent on-disk store, so re-running the batch
   in a new process answers from disk.  ``--reuse-from PREV_FILE``
   opens the session for a previous revision of the file and
   incrementally updates it to the current text (unchanged procedures
   keep their PDGs and saturations; see
-  :mod:`repro.engine.incremental`).  ``--kernel {object,csr}`` picks
-  the saturation kernel (default the ``REPRO_KERNEL`` environment
-  knob; byte-identical results either way, see
-  :mod:`repro.kernelcfg`).
+  :mod:`repro.engine.incremental`).
 * ``cache``     — manage the persistent store: ``cache stats``
   (``--json`` for machine-readable output; both forms break entries
   and bytes down per table, including the ``__procs__`` and
-  ``__sats__`` shared tables, and report the active saturation kernel
-  plus this process's kernel counters) and ``cache clear`` (all honor
-  ``--cache-dir``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
+  ``__sats__`` shared tables; the JSON adds this process's kernel
+  counters) and ``cache clear`` (all honor ``--cache-dir``, default
+  ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
 * ``mono``      — the same criterion, Binkley's monovariant slice.
 * ``remove``    — feature removal from a statement matched by
   ``--feature TEXT`` (substring of the statement's label).
@@ -35,7 +32,10 @@ Commands:
   ``input()`` statements.
 
 The CLI is a thin veneer over the library API; each command returns the
-text it prints so tests can drive it directly.
+text it prints so tests can drive it directly.  User errors — a TinyC
+lex, parse, or semantic error, or a file that cannot be read — print
+one ``FILE:LINE:COL: message`` (or ``FILE: message``) line to stderr
+and exit with status 2; internal errors keep their traceback.
 """
 
 import argparse
@@ -52,13 +52,26 @@ from repro.core import (
     specialization_slice,
 )
 from repro.lang import check, parse, pretty
+from repro.lang.errors import TinyCError
 from repro.lang.interp import run_program
 from repro.sdg import build_sdg
 
 
+class UserError(Exception):
+    """A user mistake :func:`main` reports as one line and exit code 2."""
+
+
+def _read(path):
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UserError("%s: cannot read: %s" % (path, reason))
+
+
 def _load(path):
-    with open(path) as handle:
-        source = handle.read()
+    source = _read(path)
     program = parse(source)
     info = check(program)
     if info.has_indirect_calls:
@@ -114,8 +127,7 @@ def cmd_slice_batch(args):
 
     import repro
 
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read(args.file)
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("error: --jobs must be at least 1")
     update = None
@@ -126,16 +138,12 @@ def cmd_slice_batch(args):
         try:
             with open(args.reuse_from) as handle:
                 previous = handle.read()
-            session = repro.open_session(
-                previous, cache_dir=args.cache_dir, kernel=args.kernel
-            )
+            session = repro.open_session(previous, cache_dir=args.cache_dir)
             update = session.update_source(source)
         except Exception as exc:
             raise SystemExit("error: --reuse-from update failed: %s" % exc)
     else:
-        session = repro.open_session(
-            source, cache_dir=args.cache_dir, kernel=args.kernel
-        )
+        session = repro.open_session(source, cache_dir=args.cache_dir)
     prints = session.sdg.print_call_vertices()
     if not prints:
         raise SystemExit("error: the program has no print statements")
@@ -150,12 +158,7 @@ def cmd_slice_batch(args):
     t0 = time.perf_counter()
     try:
         # Range validation lives in the engine's criterion resolution.
-        results = session.slice_many(
-            criteria,
-            max_workers=args.jobs,
-            backend=args.backend,
-            batch_saturation=args.batch_saturation,
-        )
+        results = session.slice_many(criteria, max_workers=args.jobs)
     except ValueError as exc:
         raise SystemExit("error: %s" % exc)
     elapsed = time.perf_counter() - t0
@@ -180,12 +183,8 @@ def cmd_slice_batch(args):
         )
     )
     lines.append(
-        "kernel: %s (%d rules compiled, %d worklist pops)"
-        % (
-            stats["kernel"],
-            stats["kernel_rules_compiled"],
-            stats["kernel_worklist_pops"],
-        )
+        "kernel: %d rules compiled, %d worklist pops"
+        % (stats["kernel_rules_compiled"], stats["kernel_worklist_pops"])
     )
     if stats.get("fused_batches"):
         lines.append(
@@ -194,18 +193,6 @@ def cmd_slice_batch(args):
                 stats["fused_criteria"],
                 stats["fused_batches"],
                 "" if stats["fused_batches"] == 1 else "es",
-            )
-        )
-    if stats.get("fused_process_batches"):
-        lines.append(
-            "fused process: %d worker sub-batch%s (sizes %s); "
-            "compiled-PDS payload hits/misses %d/%d"
-            % (
-                stats["fused_process_batches"],
-                "" if stats["fused_process_batches"] == 1 else "es",
-                ",".join(str(n) for n in stats["fused_process_subbatch_sizes"]),
-                stats.get("pds_payload_hits", 0),
-                stats.get("pds_payload_misses", 0),
             )
         )
     if update is not None:
@@ -250,18 +237,15 @@ _TABLE_LABELS = {
 
 
 def cmd_cache(args):
-    from repro import kernelcfg
     from repro.pds.kernel import KERNEL_TOTALS
     from repro.store import open_store
 
     store = open_store(args.cache_dir)
     if args.cache_command == "stats":
         stats = store.stats()
-        # The saturation kernel in effect and this process's kernel
-        # counters ride along so batch drivers scraping the JSON see
-        # which kernel produced the entries they are about to reuse.
+        # This process's kernel counters ride along for batch drivers
+        # scraping the JSON.
         stats["kernel"] = {
-            "name": kernelcfg.resolve_kernel(None),
             "rules_compiled": KERNEL_TOTALS["rules_compiled"],
             "worklist_pops": KERNEL_TOTALS["worklist_pops"],
             "compile_hits": KERNEL_TOTALS["compile_hits"],
@@ -280,7 +264,6 @@ def cmd_cache(args):
             "entries:      %d" % stats["entries"],
             "total bytes:  %d" % stats["total_bytes"],
             "size cap:     %d" % stats["max_bytes"],
-            "kernel:       %s" % stats["kernel"]["name"],
             "lifetime:     %d evictions, %d compactions, %d index records pruned"
             % (
                 stats["lifetime"]["evictions"],
@@ -382,13 +365,6 @@ def build_parser():
     )
     p_batch.add_argument("--jobs", type=int, default=None)
     p_batch.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="worker pool kind (process = true CPU parallelism; "
-        "default: the REPRO_SLICE_BACKEND env knob, thread when unset)",
-    )
-    p_batch.add_argument(
         "--cache-dir",
         default=None,
         help="back the session with the persistent slice store at DIR",
@@ -400,22 +376,6 @@ def build_parser():
         metavar="PREV_FILE",
         help="incrementally update the session for PREV_FILE (a previous "
         "revision of FILE) instead of building from scratch",
-    )
-    p_batch.add_argument(
-        "--kernel",
-        choices=("object", "csr"),
-        default=None,
-        help="saturation kernel (default: $REPRO_KERNEL or 'object'; "
-        "results are byte-identical either way)",
-    )
-    p_batch.add_argument(
-        "--batch-saturation",
-        dest="batch_saturation",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="fuse the batch's cold saturations into one csr kernel "
-        "pass (default: $REPRO_BATCH_SATURATION or 'auto'; results "
-        "are byte-identical either way)",
     )
     p_batch.set_defaults(func=cmd_slice_batch)
 
@@ -461,9 +421,22 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    output = args.func(args)
+    try:
+        output = args.func(args)
+    except TinyCError as exc:
+        where = args.file
+        if exc.line is not None:
+            where += ":%d:%d" % (exc.line, exc.col or 0)
+        return _user_error("%s: %s" % (where, exc.message))
+    except UserError as exc:
+        return _user_error(str(exc))
     print(output)
     return 0
+
+
+def _user_error(line):
+    print(line, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ Three constructors cover the paper's usage:
 
 import itertools
 
-from repro import kernelcfg
 from repro.fsa import FiniteAutomaton, intersection
+from repro.fsa.intops import query_view_int
 from repro.pds import poststar
 
 _fresh = itertools.count(1)
@@ -65,25 +65,24 @@ def configs_criterion(encoding, configs):
     return automaton
 
 
-def reachable_configs_automaton(encoding, kernel=None, stats=None):
+def reachable_configs_automaton(encoding, stats=None):
     """An automaton for *all* configurations reachable in the unrolled
     SDG from ``(entry_main, ε)`` — the language
     ``Poststar[P](entry_main)`` used by Alg. 2 line 5 and by the
     reslicing check.  Criterion-independent, so cached per encoding
-    (``kernel``/``stats`` reach the saturation only on the cold
-    compute; both kernels cache structurally identical automata)."""
+    (``stats`` reaches the saturation only on the cold compute)."""
     cached = getattr(encoding, "_reachable_configs", None)
     if cached is not None:
         return cached
     sdg = encoding.sdg
     entry_main = sdg.entry_vertex["main"]
     query = empty_stack_criterion(encoding, [entry_main])
-    result = poststar(encoding.pds, query, kernel=kernel, stats=stats)
+    result = poststar(encoding.pds, query, stats=stats)
     encoding._reachable_configs = result
     return result
 
 
-def reachable_query_view(encoding, kernel=None, stats=None):
+def reachable_query_view(encoding, stats=None):
     """The reachable-configuration language as a trimmed single-initial
     query view (:func:`as_query_view` of
     :func:`reachable_configs_automaton`) — criterion-independent, so
@@ -95,34 +94,26 @@ def reachable_query_view(encoding, kernel=None, stats=None):
     """
     cached = getattr(encoding, "_reachable_view", None)
     if cached is None:
-        cached = as_query_view(
-            reachable_configs_automaton(encoding, kernel=kernel, stats=stats),
-            encoding,
-            kernel=kernel,
-        )
+        reachable = reachable_configs_automaton(encoding, stats=stats)
+        cached = as_query_view(reachable, encoding)
         encoding._reachable_view = cached
     return cached
 
 
-def reachable_contexts_criterion(encoding, vids, kernel=None):
+def reachable_contexts_criterion(encoding, vids):
     """Accepts ``{(v, w) : v in vids, (v, w) reachable}`` — the "slice
     from every calling context of these vertices" criterion.
 
     Built by intersecting the reachable-configuration language with
     ``vids · Γ_c*`` and rebasing the initial state back onto the control
-    location so the result is a valid Prestar query automaton.
+    location so the result is a valid Prestar query automaton.  The
+    object product only explores pairs reachable from the criterion
+    vertices, which measured 3-4.5x faster than an int-codec product
+    that re-encodes the whole reachable view per criterion.
     """
-    reachable_view = reachable_query_view(encoding, kernel=kernel)
+    reachable_view = reachable_query_view(encoding)
     broad = all_contexts_criterion(encoding, vids)
-    if kernelcfg.resolve_kernel(kernel) == kernelcfg.CSR:
-        # The product against the program-sized reachable view is the
-        # read-out path's hot spot; the packed-row twin builds the same
-        # trimmed automaton over bitsets.
-        from repro.fsa.intops import intersection_int
-
-        product = intersection_int(reachable_view, broad)
-    else:
-        product = intersection(reachable_view, broad).trim()
+    product = intersection(reachable_view, broad).trim()
     if not product.states:
         # The criterion vertices are unreachable from main (dead code):
         # the slice is empty.  Return a valid query accepting nothing.
@@ -130,22 +121,12 @@ def reachable_contexts_criterion(encoding, vids, kernel=None):
     return rebase_initial(product, encoding.main_location)
 
 
-def as_query_view(automaton, encoding, kernel=None):
+def as_query_view(automaton, encoding):
     """Restrict a P-automaton to the language read from the main control
-    location: same transitions, single initial state ``p``, trimmed.
-    On the ``csr`` kernel the restriction runs over packed rows
-    (:func:`repro.fsa.intops.query_view_int`) — identical result, no
+    location: same transitions, single initial state ``p``, trimmed —
+    over packed rows (:func:`repro.fsa.intops.query_view_int`), with no
     object-by-object copy of the saturation automaton."""
-    if kernelcfg.resolve_kernel(kernel) == kernelcfg.CSR:
-        from repro.fsa.intops import query_view_int
-
-        return query_view_int(automaton, encoding.main_location)
-    view = FiniteAutomaton(initials=[encoding.main_location])
-    for state in automaton.finals:
-        view.add_final(state)
-    for (src, symbol, dst) in automaton.transitions():
-        view.add_transition(src, symbol, dst)
-    return view.trim()
+    return query_view_int(automaton, encoding.main_location)
 
 
 def rebase_initial(automaton, new_initial):

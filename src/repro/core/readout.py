@@ -56,7 +56,7 @@ class SpecializedPDG(object):
         )
 
 
-def read_out_sdg(source_sdg, a6, encoding, with_summary=False, kernel=None):
+def read_out_sdg(source_sdg, a6, encoding, with_summary=False):
     """Construct the specialized SDG from the MRD automaton.
 
     Returns ``(R, pdgs, bindings, map_back_vertex, map_back_site)``:
@@ -68,20 +68,9 @@ def read_out_sdg(source_sdg, a6, encoding, with_summary=False, kernel=None):
     * ``map_back_vertex`` — new vid -> original vid (the mapping ``MC``
       of Defn. 2.9, vertex part);
     * ``map_back_site`` — new site label -> original site label.
-
-    ``kernel`` selects how the opening trim runs: on ``csr`` the
-    reachability sweep happens on packed rows (``trim_int``), which
-    matters when the MRD automaton arrives un-trimmed from a fused
-    saturation pass.  The trimmed automaton is identical either way.
     """
-    from repro import kernelcfg
-
-    if kernelcfg.resolve_kernel(kernel) == kernelcfg.CSR:
-        from repro.fsa.intops import trim_int
-
-        a6 = trim_int(a6)
-    else:
-        a6 = a6.trim()
+    # The object trim: an int-codec trim measured 10-27% slower here.
+    a6 = a6.trim()
     result = SystemDependenceGraph()
     if not a6.states:
         return result, {}, {}, {}, {}

@@ -12,15 +12,13 @@ Step 5 (pretty-printing R as source text) lives in
 
 import time
 
-from repro import kernelcfg
 from repro.core.criteria import (
     as_query_view,
     empty_stack_criterion,
     reachable_contexts_criterion,
 )
 from repro.core.readout import read_out_sdg
-from repro.fsa import determinize, remove_epsilon, reverse
-from repro.fsa.minimize import minimize
+from repro.fsa import determinize, intops, minimize, remove_epsilon, reverse
 from repro.pds import encode_sdg, prestar
 
 
@@ -96,7 +94,7 @@ class SpecializationResult(object):
         return self.pdgs[callee_state].name
 
 
-def resolve_criterion(encoding, criterion, contexts="reachable", kernel=None):
+def resolve_criterion(encoding, criterion, contexts="reachable"):
     """Turn a criterion — a prepared query automaton or an iterable of
     PDG vertex ids — into the query automaton ``A0``.
 
@@ -105,22 +103,18 @@ def resolve_criterion(encoding, criterion, contexts="reachable", kernel=None):
     vertices (the wc/go style criterion); ``"empty"`` slices from the
     vertices with the empty stack only (the Fig. 9 style criterion —
     vertices must then be in ``main``).
-
-    ``kernel`` selects the saturation kernel for the shared Poststar a
-    ``"reachable"`` completion may have to run (see
-    :mod:`repro.kernelcfg`).
     """
     if hasattr(criterion, "add_transition"):
         return criterion
     vids = sorted(criterion)
     if contexts == "reachable":
-        return reachable_contexts_criterion(encoding, vids, kernel=kernel)
+        return reachable_contexts_criterion(encoding, vids)
     if contexts == "empty":
         return empty_stack_criterion(encoding, vids)
     raise ValueError("contexts must be 'reachable' or 'empty'")
 
 
-def specialization_slice(sdg, criterion, contexts="reachable", a1=None, kernel=None):
+def specialization_slice(sdg, criterion, contexts="reachable", a1=None):
     """Run Algorithm 1.
 
     Args:
@@ -133,17 +127,13 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None, kernel=N
             :class:`repro.engine.SlicingSession` memo passes this so a
             repeated criterion skips re-saturation); must correspond to
             ``criterion``.
-        kernel: the saturation/automaton kernel (:mod:`repro.kernelcfg`;
-            default: the ``REPRO_KERNEL`` environment knob).  Under
-            ``"csr"``, Prestar runs on the flat integer kernel and
-            lines 4–8 run as one fused pass over the int codec —
-            structurally identical output, so ``result`` is
-            byte-for-byte the same either way.
+
+    Prestar runs on the flat integer kernel and lines 4–8 as one fused
+    pass over the int codec (:func:`repro.fsa.intops.mrd_int`).
 
     Returns:
         a :class:`SpecializationResult`.
     """
-    kernel = kernelcfg.resolve_kernel(kernel)
     result = SpecializationResult()
     result.source_sdg = sdg
 
@@ -151,37 +141,33 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None, kernel=N
     encoding = encode_sdg(sdg)
     result.encoding = encoding
 
-    a0 = resolve_criterion(encoding, criterion, contexts, kernel=kernel)
+    a0 = resolve_criterion(encoding, criterion, contexts)
     result.criterion = a0
 
     t1 = time.perf_counter()
     kernel_stats = {}
     if a1 is None:
-        a1 = prestar(encoding.pds, a0, kernel=kernel, stats=kernel_stats)
+        a1 = prestar(encoding.pds, a0, stats=kernel_stats)
     result.a1 = a1
     t2 = time.perf_counter()
 
     # Lines 4-8: the five automaton operations, instrumented separately
     # so experiments can report determinize input/output sizes (§4.2).
-    view = as_query_view(a1, encoding, kernel=kernel)
-    fused = None
-    if kernel == kernelcfg.CSR:
-        from repro.fsa.intops import mrd_int
-
-        # One fused pass (reverse; determinize; minimize; reverse) over
-        # the int codec; falls back below iff the view has epsilon
-        # transitions, which saturation views never do.
-        fused = mrd_int(view)
+    view = as_query_view(a1, encoding)
+    # One fused pass (reverse; determinize; minimize; reverse) over the
+    # int codec; falls back below iff the view has epsilon transitions,
+    # which saturation views never do.
+    fused = intops.mrd_int(view)
     if fused is not None:
         a6, a3_states, a4_states = fused
         a2_states = len(view.states)
     else:
         a2 = reverse(view)
-        a2 = remove_epsilon(a2, kernel=kernel) if a2.has_epsilon() else a2
-        a3 = determinize(a2, kernel=kernel)
-        a4 = minimize(a3, kernel=kernel)
+        a2 = remove_epsilon(a2) if a2.has_epsilon() else a2
+        a3 = determinize(a2)
+        a4 = minimize(a3)
         a5 = reverse(a4)
-        a6 = remove_epsilon(a5, kernel=kernel) if a5.has_epsilon() else a5
+        a6 = remove_epsilon(a5) if a5.has_epsilon() else a5
         a2_states = len(a2.states)
         a3_states = len(a3.states)
         a4_states = len(a4.states)
@@ -189,7 +175,7 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None, kernel=N
     t3 = time.perf_counter()
 
     r_sdg, pdgs, bindings, map_back_vertex, map_back_site = read_out_sdg(
-        sdg, a6, encoding, kernel=kernel
+        sdg, a6, encoding
     )
     t4 = time.perf_counter()
 
@@ -199,7 +185,6 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None, kernel=N
     result.map_back_vertex = map_back_vertex
     result.map_back_site = map_back_site
     result.stats = {
-        "kernel": kernel,
         "encode_seconds": t1 - t0,
         "prestar_seconds": t2 - t1,
         "automaton_seconds": t3 - t2,

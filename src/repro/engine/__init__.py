@@ -2,13 +2,13 @@
 
 * :mod:`repro.engine.session` — :class:`SlicingSession`: shared
   parse/SDG/encoding/saturation, per-criterion memoization, optional
-  persistent-store backing, and the ``slice_many`` batch driver with
-  thread and process backends.
+  persistent-store backing, and the ``slice_many`` batch driver (one
+  fused saturation pass, then a thread pool).
 * :mod:`repro.engine.artifacts` — :class:`SaturationArtifact`: the
   relocatable (trimmed automaton + canonical key + per-procedure
   ownership footprint) form every saturation takes — the single
   representation shared by the session memo, the store's ``__sats__``
-  table, process-pool workers, and incremental invalidation.
+  table, cross-revision discovery, and incremental invalidation.
 * :mod:`repro.engine.canonical` — canonical cache keys for criterion
   specs and saturations, plus the stable digests the on-disk store
   names entries by.

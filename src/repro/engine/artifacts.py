@@ -7,8 +7,8 @@ inside one session's memo; the store could not persist it, process-pool
 workers re-saturated it, and the incremental layer re-derived its
 procedure ownership by trimming at every update.  A
 :class:`SaturationArtifact` packages the saturation once, in the form
-all five consumers — memo, store, pool workers, ``update_source``
-survival, and cross-revision discovery
+all four consumers — memo, store, ``update_source`` survival, and
+cross-revision discovery
 (:func:`repro.engine.incremental.discover_artifacts`, which replays
 the survival decision from the store's per-revision saturation
 indexes with no live donor session) — need:
@@ -45,8 +45,8 @@ Artifacts pickle deterministically: ``__getstate__`` renders the
 automaton through :func:`repro.fsa.serialize.automaton_to_payload` and
 then collapses equal values to one representative object
 (:func:`_intern_values`), so equal artifacts serialize to equal bytes
-in any interpreter — the property the ``__sats__`` store table and the
-process backend rely on.  The interning pass matters because pickle
+in any interpreter — the property the ``__sats__`` store table, shared
+by every process opening the same cache directory, relies on.  The interning pass matters because pickle
 memoizes by object *identity*: a product state like ``('m', 'm')``
 pairs the criterion module's ``'m'`` with an ``'m'`` that may have been
 unpickled from a store-loaded Poststar, and whether those are one

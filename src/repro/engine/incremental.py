@@ -34,7 +34,8 @@ front half assemblable from per-procedure parts and teaches
     PDS is unchanged, the old encoding and *every* saturation artifact
     are kept (footprints re-addressed onto the new content keys), and
     slice / feature-removal / cleanup results survive whenever their
-    footprint avoids every changed procedure;
+    footprint avoids every changed procedure (surviving rendered slices
+    are re-pointed at the new parse's statement uids);
   - **slow path** — dependence structure changed: the PDS is
     re-encoded, and a saturation artifact is kept (relocated through
     the renumbering maps) only when its footprint avoids every changed
@@ -669,12 +670,6 @@ def update_session(session, new_source):
         for name, value in counts.items():
             session._stats[name] += value
 
-    # Re-pin the compiled PDS: on the fast path the encoding object is
-    # unchanged and this is a counted cache hit; otherwise the new
-    # encoding compiles here, once, instead of inside the first
-    # saturation after the edit.
-    session._hold_compiled()
-
     if session.store is not None:
         if not session.store.has_program(new_hash):
             # Persist the bundle the way a cold build would: without
@@ -758,6 +753,10 @@ def _prune_memo(
     }
     kept_result_keys = {"slice": set(), "feature": set()}
     poststar_kept = False
+    # Rendered slices that survive keep their text but must name the new
+    # parse's statements (its uids are fresh), through the numbering the
+    # fast path verified identical.
+    uid_map = _stmt_uid_map(session.sdg, new_sdg) if fast else {}
 
     def done(future):
         return future.done() and future.exception() is None
@@ -841,16 +840,39 @@ def _prune_memo(
             # Rides its slice's fate; not counted separately (the
             # results_* counters tally logical results).
             if key in kept_result_keys["slice"]:
+                _retarget_executable(future.result(), uid_map)
                 new_futures[(cache_kind, key)] = future
         elif cache_kind == "feature_clean":
             # The §7 cleanup pair rides its feature removal's fate.
             if key in kept_result_keys["feature"]:
+                for executable in future.result():
+                    _retarget_executable(executable, uid_map)
                 new_futures[(cache_kind, key)] = future
                 counts["results_kept"] += 1
             else:
                 counts["results_dropped"] += 1
 
     return new_futures, counts
+
+
+def _stmt_uid_map(old_sdg, new_sdg):
+    """Old statement uid -> new statement uid, matched through the
+    statements' vertex ids (identical across a fast-path update)."""
+    new_uid = {vid: uid for uid, vid in new_sdg.vertex_of_stmt.items()}
+    return {
+        uid: new_uid[vid]
+        for uid, vid in old_sdg.vertex_of_stmt.items()
+        if vid in new_uid
+    }
+
+
+def _retarget_executable(executable, uid_map):
+    """Point a surviving :class:`ExecutableSlice`'s ``stmt_map`` at the
+    new parse's statement uids (a fresh dict, swapped in whole, like the
+    surviving results' front-half references above)."""
+    executable.stmt_map = {
+        new: uid_map.get(old, old) for new, old in executable.stmt_map.items()
+    }
 
 
 def _finish(session, t0, fast, noop, **extra):

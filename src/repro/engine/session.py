@@ -15,8 +15,8 @@ front half:
   memoized as a relocatable
   :class:`repro.engine.artifacts.SaturationArtifact` (trimmed
   automaton + canonical key + per-procedure ownership footprint), the
-  one representation the memo, the store's ``__sats__`` table, the
-  process backend, and the incremental layer all share;
+  one representation the memo, the store's ``__sats__`` table, and
+  the incremental layer all share;
 * full :class:`SpecializationResult`s, feature removals, and the §7
   cleanup pass are memoized per canonicalized criterion (see
   :mod:`repro.engine.canonical`), so resubmitting a criterion is a
@@ -27,13 +27,10 @@ front half:
   so a fresh process answering a repeated batch does no saturation
   work at all — and one answering a *new* criterion against a warm
   front half loads the Poststar artifact instead of re-saturating;
-* :meth:`SlicingSession.slice_many` fans independent criteria out over
-  a thread pool (``backend="thread"``, sharing the read-only encoding)
-  or a process pool (``backend="process"``, each worker rebuilding or
-  store-loading the front half once and computing true CPU-parallel
-  slices), deduplicating identical criteria either way; warm
-  saturation artifacts are shipped to the workers so none of them
-  re-saturates what the parent already knows;
+* :meth:`SlicingSession.slice_many` saturates the batch's cold
+  criteria in one fused kernel pass whenever at least two are cold,
+  then fans the per-criterion MRD and read-out out over a thread pool
+  sharing the read-only encoding, deduplicating identical criteria;
 * :meth:`SlicingSession.update_source` re-points the session at an
   edited text in place: per-procedure content keys decide which PDGs
   are rebuilt, and memo entries are invalidated as a pure function of
@@ -46,9 +43,8 @@ concurrent submissions of the same criterion compute it exactly once.
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
-from repro import kernelcfg
 from repro.core.criteria import configs_criterion
 from repro.core.executable import executable_program
 from repro.core.specialize import resolve_criterion, specialization_slice
@@ -94,26 +90,16 @@ class SlicingSession(object):
             key), or None.
         store: the attached :class:`SliceStore`, or None.
         program / info / sdg / encoding: the shared front half.
-        kernel: the saturation/automaton kernel every query runs on
-            (:mod:`repro.kernelcfg`; default the ``REPRO_KERNEL``
-            environment knob).  Kernels are byte-identical, so this
-            never affects results, memo keys, or store entries — only
-            speed and the ``kernel_*`` counters in :attr:`stats`.
+        kernel: the saturation kernel every query runs on — always
+            ``"csr"`` (:mod:`repro.pds.kernel`); kept so reports can
+            name it.
     """
 
-    def __init__(
-        self,
-        source=None,
-        program=None,
-        info=None,
-        sdg=None,
-        store=None,
-        kernel=None,
-        compiled_payload=None,
-    ):
+    kernel = "csr"
+
+    def __init__(self, source=None, program=None, info=None, sdg=None, store=None):
         t0 = time.perf_counter()
         self.store = store
-        self.kernel = kernelcfg.resolve_kernel(kernel)
         self.source_hash = None
         self._proc_keys = None  # per-procedure content keys, computed lazily
         self.last_update = None  # summary of the most recent update_source
@@ -155,6 +141,8 @@ class SlicingSession(object):
             # keeps it).
             store.put_program(self.source_hash, sdg)
         self._lock = threading.Lock()
+        self._compile_lock = threading.Lock()
+        self._compiled_pds = None  # the PDS _hold_compiled last ran for
         self._futures = {}  # (cache kind, criterion key) -> Future
         # Query automata built by a fused batch pass, stashed for the
         # per-criterion slice compute so criterion construction runs
@@ -163,7 +151,6 @@ class SlicingSession(object):
         # see the same automaton object, as the sequential path does).
         self._batch_queries = {}  # saturation key -> (encoding, automaton)
         self._stats = {
-            "kernel": self.kernel,
             "kernel_rules_compiled": 0,
             "kernel_worklist_pops": 0,
             "kernel_compile_hits": 0,
@@ -172,8 +159,6 @@ class SlicingSession(object):
             "pds_payload_misses": 0,
             "fused_batches": 0,
             "fused_criteria": 0,
-            "fused_process_batches": 0,
-            "fused_process_subbatch_sizes": (),
             "load_seconds": time.perf_counter() - t0,
             "front_half_from_store": front_half_cached,
             "front_half_parts_hits": parts_hit,
@@ -202,7 +187,6 @@ class SlicingSession(object):
             "sats_adopted": 0,
             "discovery_seconds": 0.0,
         }
-        self._hold_compiled(compiled_payload)
         if store is not None and self.source_hash is not None:
             # Cross-revision discovery: adopt saturations filed under
             # other revisions of this program (see
@@ -258,71 +242,35 @@ class SlicingSession(object):
                 ),
             )
             result = specialization_slice(
-                self.sdg, a0, contexts=contexts, a1=artifact.automaton,
-                kernel=self.kernel,
+                self.sdg, a0, contexts=contexts, a1=artifact.automaton
             )
             result.footprint = artifact.footprint
             return result
 
         return self._memoized("slice", key, compute)
 
-    def slice_many(
-        self,
-        criteria,
-        contexts="reachable",
-        max_workers=None,
-        backend=None,
-        batch_saturation=None,
-    ):
+    def slice_many(self, criteria, contexts="reachable", max_workers=None):
         """The batch driver: slice each criterion, fanning independent
-        queries out over a worker pool.  Duplicate criteria are computed
-        once.  Returns results in input order.
+        queries out over a thread pool that shares this session's
+        read-only encoding.  Duplicate criteria are computed once.
+        Returns results in input order.
 
-        ``backend`` defaults to the ``REPRO_SLICE_BACKEND`` environment
-        knob (``thread`` when unset).
-        ``backend="thread"`` shares this session's read-only
-        encoding across a thread pool — cheap, but saturation work
-        serializes on the GIL.  ``backend="process"`` runs criteria in
-        a :class:`ProcessPoolExecutor`: each worker builds (or, with a
-        store attached, disk-loads) the front half once via a pool
-        initializer and computes slices truly in parallel; results come
-        back pickled and are installed in this session's memo.  The
-        process backend needs the session's source text.
-
-        ``batch_saturation`` (default: the ``REPRO_BATCH_SATURATION``
-        environment knob, ``auto`` when unset) controls the fused
-        saturation path under the thread backend on the ``csr`` kernel:
-        criteria with no memoized or persisted answer are saturated in
-        *one* multi-criterion kernel pass
+        When at least two criteria have no memoized or persisted answer,
+        their Prestars run as *one* multi-criterion kernel pass
         (:func:`repro.pds.prestar_many`) before the pool fans out, so
-        each PDS rule fires once for the whole batch instead of once
-        per criterion.  ``auto`` fuses when at least two criteria are
-        cold, ``on`` forces fusing, ``off`` disables it.  Results,
+        each PDS rule fires once for the whole batch instead of once per
+        criterion.  A single cold criterion runs the solo kernel (a
+        singleton fused pass costs about 1.25x a solo one).  Results,
         artifacts, memo entries, and store bytes are identical either
         way.
         """
         criteria = list(criteria)
         if not criteria:
             return []
-        mode = kernelcfg.resolve_batch(batch_saturation)
-        backend = kernelcfg.resolve_backend(backend)
         # Resolve each spec exactly once, up front: specs may be one-
         # shot iterables, and early validation beats a worker traceback.
         specs = [resolve_criterion_spec(self.sdg, c) for c in criteria]
-        if backend == kernelcfg.PROCESS:
-            return self._slice_many_process(specs, contexts, max_workers, mode)
-        if mode != kernelcfg.BATCH_OFF and self.kernel == kernelcfg.CSR:
-            self._fused_batch(
-                [
-                    (canonical_key(kind, payload, contexts), kind, payload)
-                    for kind, payload in specs
-                ],
-                contexts,
-                mode,
-                SAT_PRESTAR,
-                "slice",
-                prestar_many,
-            )
+        self._fused_batch(specs, contexts, SAT_PRESTAR, "slice", prestar_many)
         if max_workers is None:
             max_workers = min(len(criteria), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -393,38 +341,22 @@ class SlicingSession(object):
 
         return self._memoized("feature", key, compute)
 
-    def remove_features_many(
-        self, features, contexts="reachable", batch_saturation=None
-    ):
+    def remove_features_many(self, features, contexts="reachable"):
         """Batch driver for :meth:`remove_feature`: results in input
-        order, duplicates computed once.  On the ``csr`` kernel (unless
-        ``batch_saturation`` resolves to ``off``) the cold features'
+        order, duplicates computed once.  The cold features'
         forward-cone Poststars run as one fused multi-criterion pass
-        (:func:`repro.pds.poststar_many`) before the per-feature
-        removals — the cone analogue of the :meth:`slice_many` fused
-        path, with identical results and artifacts either way."""
+        (:func:`repro.pds.poststar_many`) under the same two-cold rule as
+        :meth:`slice_many`, with identical results and artifacts either
+        way."""
         features = list(features)
         if not features:
             return []
-        mode = kernelcfg.resolve_batch(batch_saturation)
         specs = [self._feature_spec(feature) for feature in features]
-        if mode != kernelcfg.BATCH_OFF and self.kernel == kernelcfg.CSR:
-            # Algorithm 2 consults the reachable-configuration language
-            # in every contexts mode (remove_feature does this first);
-            # pull it in before the fused pass so the cone saturations
-            # batch cleanly.
-            self.reachable_configs()
-            self._fused_batch(
-                [
-                    (canonical_key(kind, payload, contexts), kind, payload)
-                    for kind, payload in specs
-                ],
-                contexts,
-                mode,
-                SAT_POSTSTAR,
-                "feature",
-                poststar_many,
-            )
+        # Algorithm 2 consults the reachable-configuration language in
+        # every contexts mode (remove_feature does this first); pull it
+        # in before the fused pass so the cone saturations batch cleanly.
+        self.reachable_configs()
+        self._fused_batch(specs, contexts, SAT_POSTSTAR, "feature", poststar_many)
         return [
             self._remove_feature_resolved(kind, payload, contexts)
             for kind, payload in specs
@@ -465,8 +397,8 @@ class SlicingSession(object):
 
         The memo holds it as a :class:`SaturationArtifact`
         (:meth:`reachable_configs_artifact`); whichever way the
-        artifact arrived — saturation, ``__sats__`` load, process-pool
-        shipping, incremental survival — its automaton is installed as
+        artifact arrived — saturation, ``__sats__`` load, cross-revision
+        discovery, incremental survival — its automaton is installed as
         the encoding's cached reachable-configuration language *and*
         query view, so the criterion constructors and Algorithm 2 do no
         Poststar-sized work at all."""
@@ -488,8 +420,9 @@ class SlicingSession(object):
         from repro.core.criteria import reachable_query_view
 
         def compute():
+            self._hold_compiled()
             sink = {}
-            view = reachable_query_view(self.encoding, kernel=self.kernel, stats=sink)
+            view = reachable_query_view(self.encoding, stats=sink)
             self._absorb_kernel_stats(sink)
             self.encoding._reachable_configs = view
             return self._make_artifact(SAT_POSTSTAR, REACHABLE_KEY, view)
@@ -557,12 +490,11 @@ class SlicingSession(object):
         return artifact_footprint(self.sdg, self._content_keys(), automaton)
 
     def _saturate(self, saturation, query, trim=False):
-        """Run a saturation (``prestar``/``poststar``) on the session's
-        kernel, folding its counters into :attr:`stats`."""
+        """Run a saturation (``prestar``/``poststar``), folding its
+        kernel counters into :attr:`stats`."""
+        self._hold_compiled()
         sink = {}
-        result = saturation(
-            self.encoding.pds, query, trim=trim, kernel=self.kernel, stats=sink
-        )
+        result = saturation(self.encoding.pds, query, trim=trim, stats=sink)
         self._absorb_kernel_stats(sink)
         return result
 
@@ -597,64 +529,54 @@ class SlicingSession(object):
             return configs_criterion(self.encoding, payload)
         if contexts == "reachable":
             self.reachable_configs()
-        return resolve_criterion(self.encoding, payload, contexts, kernel=self.kernel)
+        return resolve_criterion(self.encoding, payload, contexts)
 
-    def _hold_compiled(self, payload=None):
-        """Pin the compiled form of this front half's PDS on the
-        session (``csr`` kernel only): compilation happens here, once,
-        and every saturation — batched, single, or feature-cone — finds
-        it in the kernel's cache for as long as the session (and thus
-        the PDS object) lives.  Re-run by ``update_source`` when an
-        edit re-encodes the PDS; the hit/miss economics land in
-        ``kernel_compile_hits`` / ``kernel_compile_misses``.
+    def _hold_compiled(self):
+        """Compile this front half's PDS for the kernel, once per
+        encoding, at the first saturation that needs it: a store-backed
+        reopen whose saturations are all adopted or loaded compiles
+        nothing.  Every saturation then finds the compiled form in the
+        kernel's cache for as long as the PDS lives; the hit/miss
+        economics land in ``kernel_compile_hits`` /
+        ``kernel_compile_misses``.
 
-        Before compiling, a relocatable payload is *adopted* when one
-        is at hand — passed explicitly (process-pool workers get the
-        parent's through the pool initializer) or read from the store's
-        ``__pds__`` table under the front-half hash — so the packed
-        arrays are rebuilt from flat ints instead of re-derived from
-        the rule objects.  A consult that comes up empty, corrupt, or
-        mismatched degrades to a plain compile; both outcomes land in
-        ``pds_payload_hits`` / ``pds_payload_misses``.  A fresh compile
-        with a store attached persists its payload for the next
-        process."""
-        if self.kernel != kernelcfg.CSR:
-            self._compiled = None
+        With a store attached, the compile first tries to *adopt* the
+        relocatable payload filed in the ``__pds__`` table under the
+        front-half hash.  A consult that comes up empty, corrupt, or
+        mismatched degrades to a plain compile, which is persisted for
+        the next process; both outcomes land in ``pds_payload_hits`` /
+        ``pds_payload_misses``."""
+        pds = self.encoding.pds
+        if self._compiled_pds is pds:
             return
         from repro.pds import kernel as _kernel
 
-        pds = self.encoding.pds
-        sink = {}
-        consulted = payload is not None
-        if (
-            payload is None
-            and self.store is not None
-            and self.source_hash is not None
-        ):
-            consulted = True
-            payload = self.store.get_pds(self.source_hash)
-        adopted = False
-        if payload is not None:
-            adopted = _kernel.adopt_payload(pds, payload, sink)
-        elif consulted:
-            _kernel.count_payload(sink, False)
-        self._compiled = _kernel.compiled_pds(pds, sink)
+        with self._compile_lock:
+            if self._compiled_pds is pds:
+                return
+            sink = {}
+            persist = self.store is not None and self.source_hash is not None
+            adopted = False
+            if persist:
+                payload = self.store.get_pds(self.source_hash)
+                if payload is None:
+                    _kernel.count_payload(sink, False)
+                else:
+                    adopted = _kernel.adopt_payload(pds, payload, sink)
+            compiled = _kernel.compiled_pds(pds, sink)
+            if persist and not adopted:
+                try:
+                    self.store.put_pds(
+                        self.source_hash, _kernel.compiled_payload(compiled)
+                    )
+                except ValueError:
+                    # A PDS outside the SDG encoding's location/symbol
+                    # universe has no payload form; skip persistence.
+                    pass
+            self._compiled_pds = pds
         with self._lock:
             for name, value in sink.items():
                 self._stats[name] = self._stats.get(name, 0) + value
-        if (
-            not adopted
-            and self.store is not None
-            and self.source_hash is not None
-        ):
-            try:
-                self.store.put_pds(
-                    self.source_hash, _kernel.compiled_payload(self._compiled)
-                )
-            except ValueError:
-                # A PDS outside the SDG encoding's location/symbol
-                # universe has no payload form; skip persistence.
-                pass
 
     def _pop_batch_query(self, sat_key):
         """Claim the query automaton a fused batch pass stashed for
@@ -666,23 +588,24 @@ class SlicingSession(object):
             return entry[1]
         return None
 
-    def _fused_batch(self, keyed_specs, contexts, mode, sat_kind, result_table, saturate_many):
+    def _fused_batch(self, specs, contexts, sat_kind, result_table, saturate_many):
         """Saturate a batch's cold criteria in one fused kernel pass.
 
-        ``keyed_specs`` is ``[(canonical key, kind, payload), ...]``;
-        ``sat_kind``/``saturate_many`` pick the saturation
-        (Prestar for slices, Poststar for feature cones) and
-        ``result_table`` the memo table whose persisted entries make a
-        criterion warm.  The pass only *pre-fills* the saturation memo:
-        criteria already answered — a live future, or a persisted
-        result / saturation artifact in the store — are left for the
-        ordinary per-criterion path, with byte-identical artifacts and
-        the exact counter trace that path would produce.  Anything
-        fewer than two cold criteria (one, under ``mode="on"``) is not
-        worth a fused pass and falls through untouched.
+        ``specs`` is ``[(kind, payload), ...]``;
+        ``sat_kind``/``saturate_many`` pick the saturation (Prestar for
+        slices, Poststar for feature cones) and ``result_table`` the
+        memo table whose persisted entries make a criterion warm.  The
+        pass only *pre-fills* the saturation memo: criteria already
+        answered — a live future, or a persisted result / saturation
+        artifact in the store — are left for the ordinary per-criterion
+        path, with byte-identical artifacts and the exact counter trace
+        that path would produce.  Fewer than
+        two cold criteria are not worth a fused pass and fall through
+        untouched.
         """
-        candidates = {}  # saturation key -> (kind, payload)
-        for key, kind, payload in keyed_specs:
+        candidates = {}  # saturation key -> (canonical key, kind, payload)
+        for kind, payload in specs:
+            key = canonical_key(kind, payload, contexts)
             sat_key = saturation_key(sat_kind, key)
             if sat_key not in candidates:
                 candidates[sat_key] = (key, kind, payload)
@@ -706,7 +629,7 @@ class SlicingSession(object):
                     self.source_hash, result_table, digest
                 ):
                     del cold[sat_key]
-        if len(cold) < (1 if mode == kernelcfg.BATCH_ON else 2):
+        if len(cold) < 2:
             return
         src_hash = self.source_hash
         claimed = []
@@ -751,10 +674,10 @@ class SlicingSession(object):
                 automata.append(a0)
                 with self._lock:
                     self._batch_queries[sat_key] = (self.encoding, a0)
+            self._hold_compiled()
             sink = {}
             saturated = saturate_many(
-                self.encoding.pds, automata, trim=True,
-                kernel=self.kernel, stats=sink,
+                self.encoding.pds, automata, trim=True, stats=sink
             )
             self._absorb_kernel_stats(sink)
             with self._lock:
@@ -877,10 +800,10 @@ class SlicingSession(object):
 
     def _slim(self, value):
         """A shallow copy of a result with the shared front half nulled
-        out, for storage or IPC: every entry would otherwise embed its
-        own pickled copy of the session's SDG and PDS encoding (the
-        bulk of the bytes, already stored once as the front-half
-        bundle).  Handles the ``(raw, cleaned)`` tuples of
+        out, for storage: every entry would otherwise embed its own
+        pickled copy of the session's SDG and PDS encoding (the bulk of
+        the bytes, already stored once as the front-half bundle).
+        Handles the ``(raw, cleaned)`` tuples of
         :meth:`remove_feature_cleaned`, whose cleaned slice carries a
         ``result`` back-reference (dropped here, re-linked by the
         caller)."""
@@ -905,10 +828,9 @@ class SlicingSession(object):
         return value
 
     def _rehydrate(self, value):
-        """The inverse of :meth:`_slim`: point a store-loaded or
-        worker-computed result at this session's front half (also
-        restoring the storeless invariant that ``result.source_sdg is
-        session.sdg``)."""
+        """The inverse of :meth:`_slim`: point a store-loaded result at
+        this session's front half (also restoring the storeless
+        invariant that ``result.source_sdg is session.sdg``)."""
         from repro.core.specialize import SpecializationResult
 
         if isinstance(value, SpecializationResult):
@@ -937,8 +859,9 @@ class SlicingSession(object):
         return stable_key_digest(key)
 
     def _install(self, cache_kind, key, value):
-        """Install an externally computed value (a process-pool worker's
-        result) into the memo; a concurrent computation's value wins."""
+        """Install an externally computed value (an artifact adopted by
+        cross-revision discovery) into the memo; a concurrent
+        computation's value wins."""
         full_key = (cache_kind, key)
         with self._lock:
             existing = self._futures.get(full_key)
@@ -947,218 +870,3 @@ class SlicingSession(object):
                 future.set_result(value)
                 self._futures[full_key] = future
         return value
-
-    def _slice_many_process(self, specs, contexts, max_workers, mode=None):
-        if self.source is None:
-            raise ValueError(
-                "backend='process' needs the session's source text "
-                "(sessions built from an SDG cannot ship work to workers)"
-            )
-        if mode is None:
-            mode = kernelcfg.resolve_batch(None)
-        keys = [canonical_key(kind, payload, contexts) for kind, payload in specs]
-        unique = {}
-        for spec, key in zip(specs, keys):
-            unique.setdefault(key, spec)
-        # Criteria this session already has (finished or in flight) are
-        # not resubmitted; only genuinely new keys go to the pool.
-        with self._lock:
-            known = {
-                key: self._futures.get(("slice", key))
-                for key in unique
-            }
-            for key, future in known.items():
-                if future is not None:
-                    self._stats["slice_hits"] += 1
-                else:
-                    self._stats["slice_misses"] += 1
-        computed = {}
-        to_compute = []
-        for key, future in known.items():
-            if future is not None:
-                continue
-            # A warm store answers here, in the parent, before any
-            # worker processes are spawned at all.
-            digest = self._persist_digest("slice", key)
-            if digest is not None:
-                value = self.store.get(self.source_hash, "slice", digest)
-                with self._lock:
-                    self._stats[
-                        "persist_hits" if value is not None else "persist_misses"
-                    ] += 1
-                if value is not None:
-                    computed[key] = self._install("slice", key, self._rehydrate(value))
-                    continue
-            to_compute.append((key, unique[key]))
-        if to_compute:
-            cache_dir = self.store.cache_dir if self.store is not None else None
-            max_bytes = self.store.max_bytes if self.store is not None else None
-            workers = max_workers or min(len(to_compute), os.cpu_count() or 1)
-            artifacts = self._export_artifacts(
-                [key for key, _spec in to_compute]
-            )
-            pds_payload = self._export_payload()
-            fused = (
-                mode != kernelcfg.BATCH_OFF and self.kernel == kernelcfg.CSR
-            )
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_process_worker_init,
-                initargs=(
-                    self.source,
-                    cache_dir,
-                    max_bytes,
-                    artifacts,
-                    self.kernel,
-                    pds_payload,
-                ),
-            ) as pool:
-                if fused:
-                    # Partition the cold criteria into one sub-batch
-                    # per worker (round-robin stripes, so sizes differ
-                    # by at most one); each worker saturates its whole
-                    # sub-batch in one fused kernel pass over the
-                    # shipped compiled PDS — the PR 7 thread-path
-                    # semantics, per worker.
-                    chunks = [
-                        to_compute[i::workers]
-                        for i in range(min(workers, len(to_compute)))
-                    ]
-                    with self._lock:
-                        self._stats["fused_process_batches"] += len(chunks)
-                        self._stats["fused_process_subbatch_sizes"] = self._stats[
-                            "fused_process_subbatch_sizes"
-                        ] + tuple(len(chunk) for chunk in chunks)
-                    batch_futures = [
-                        pool.submit(
-                            _process_worker_slice_batch,
-                            [spec for _key, spec in chunk],
-                            contexts,
-                            mode,
-                        )
-                        for chunk in chunks
-                    ]
-                    futures = {}
-                    for chunk, batch_future in zip(chunks, batch_futures):
-                        for position, (key, _spec) in enumerate(chunk):
-                            futures[key] = (batch_future, position)
-                    for key, (batch_future, position) in futures.items():
-                        computed[key] = self._install(
-                            "slice",
-                            key,
-                            self._rehydrate(batch_future.result()[position]),
-                        )
-                else:
-                    futures = {
-                        key: pool.submit(
-                            _process_worker_slice, kind, payload, contexts
-                        )
-                        for key, (kind, payload) in to_compute
-                    }
-                    for key, future in futures.items():
-                        # Workers ship slim results (no embedded front
-                        # half); re-attach this session's SDG/encoding
-                        # on install.
-                        computed[key] = self._install(
-                            "slice", key, self._rehydrate(future.result())
-                        )
-        results = {}
-        for key in unique:
-            future = known.get(key)
-            results[key] = future.result() if future is not None else computed[key]
-        return [results[key] for key in keys]
-
-    def _export_artifacts(self, slice_keys):
-        """The warm saturation artifacts worth shipping to process-pool
-        workers: the shared Poststar (every reachable-contexts worker
-        needs it) plus any Prestar whose criterion is in the batch —
-        the editor-loop case where an update dropped the rendered
-        results but their saturations survived.  Artifacts pickle
-        deterministically and carry no front-half references, so
-        shipping is cheap relative to one worker re-saturating."""
-        wanted = {saturation_key(SAT_PRESTAR, key) for key in slice_keys}
-        wanted.add(REACHABLE_KEY)
-        artifacts = []
-        with self._lock:
-            for (cache_kind, key), future in self._futures.items():
-                if (
-                    cache_kind == "saturation"
-                    and key in wanted
-                    and future.done()
-                    and future.exception() is None
-                ):
-                    artifacts.append(future.result())
-        return artifacts
-
-    def _export_payload(self):
-        """This session's compiled PDS as a relocatable payload tuple,
-        for the process-pool initializer — or None (object kernel, or a
-        PDS outside the payload universe), in which case workers
-        compile for themselves."""
-        if self._compiled is None:
-            return None
-        from repro.pds.kernel import compiled_payload
-
-        try:
-            return compiled_payload(self._compiled)
-        except ValueError:
-            return None
-
-
-#: the per-process session a ProcessPoolExecutor worker slices through,
-#: built once by the pool initializer.
-_WORKER_SESSION = None
-
-
-def _process_worker_init(
-    source, cache_dir, max_bytes, artifacts=(), kernel=None, pds_payload=None
-):
-    global _WORKER_SESSION
-    store = None
-    if cache_dir is not None:
-        from repro.store import SliceStore
-
-        store = SliceStore(cache_dir, max_bytes=max_bytes)
-    # The parent's compiled PDS rides in as packed ints: the worker
-    # adopts it (``pds_payload_hits``) instead of recompiling — and a
-    # torn payload degrades to a recompile inside the session.
-    _WORKER_SESSION = SlicingSession(
-        source, store=store, kernel=kernel, compiled_payload=pds_payload
-    )
-    # Warm artifacts shipped from the parent: install them into the
-    # fresh memo so this worker never re-saturates what the parent (or
-    # a sibling update) already computed.  The front half is rebuilt
-    # deterministically from the same source text, so symbols line up.
-    for artifact in artifacts:
-        _WORKER_SESSION._install("saturation", artifact.key, artifact)
-
-
-def _process_worker_slice(kind, payload, contexts):
-    # Slim the result before it is pickled back: the parent has its own
-    # front half and rehydrates on install.
-    result = _WORKER_SESSION._slice_resolved(kind, payload, contexts)
-    return _WORKER_SESSION._slim(result)
-
-
-def _process_worker_slice_batch(specs, contexts, mode):
-    """One worker's whole sub-batch: fuse the cold criteria into one
-    kernel pass (same exclusion and counter semantics as the thread
-    path — :meth:`SlicingSession._fused_batch`), then compute each
-    slice; returns slim results in ``specs`` order."""
-    session = _WORKER_SESSION
-    if mode != kernelcfg.BATCH_OFF and session.kernel == kernelcfg.CSR:
-        session._fused_batch(
-            [
-                (canonical_key(kind, payload, contexts), kind, payload)
-                for kind, payload in specs
-            ],
-            contexts,
-            mode,
-            SAT_PRESTAR,
-            "slice",
-            prestar_many,
-        )
-    return [
-        session._slim(session._slice_resolved(kind, payload, contexts))
-        for kind, payload in specs
-    ]

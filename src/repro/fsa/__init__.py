@@ -5,17 +5,20 @@ need: reversal, subset-construction determinization, Hopcroft
 minimization, epsilon removal, product intersection, complementation,
 language equality, and finite-state transducers with inverse application
 — plus the deterministic serialization layer (:mod:`repro.fsa.serialize`)
-that relocatable saturation artifacts are built on.
+that relocatable saturation artifacts are built on.  Determinize,
+minimize, and epsilon removal run over the integer codec
+(:mod:`repro.fsa.intops`); :mod:`repro.fsa.reference` keeps the object
+loops as the test oracle.
 """
 
 from repro.fsa.automaton import FiniteAutomaton
-from repro.fsa.determinize import determinize
-from repro.fsa.minimize import minimize
 from repro.fsa.ops import (
     complement,
+    determinize,
     intersection,
     is_empty,
     language_equal,
+    minimize,
     mrd,
     remove_epsilon,
     reverse,

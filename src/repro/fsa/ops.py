@@ -1,13 +1,18 @@
-"""Automaton operations: reverse, epsilon removal, product intersection,
-complement, union, emptiness, language equality, and the MRD pipeline of
-Algorithm 1 (lines 4–8)."""
+"""Automaton operations: reverse, product intersection, complement,
+union, emptiness, language equality, and the MRD pipeline of
+Algorithm 1 (lines 4–8).
+
+Determinize, minimize, and epsilon removal are the integer-codec
+implementations of :mod:`repro.fsa.intops`, re-exported here under
+their plain names (the object loops they replaced live on as the test
+oracle in :mod:`repro.fsa.reference`)."""
 
 from collections import deque
 
-from repro import kernelcfg
-from repro.fsa.automaton import EPSILON, FiniteAutomaton
-from repro.fsa.determinize import determinize
-from repro.fsa.minimize import minimize
+from repro.fsa.automaton import FiniteAutomaton
+from repro.fsa.intops import determinize_int as determinize
+from repro.fsa.intops import minimize_int as minimize
+from repro.fsa.intops import remove_epsilon_int as remove_epsilon
 
 
 def reverse(automaton):
@@ -22,35 +27,6 @@ def reverse(automaton):
         result.add_state(state)
     for src, symbol, dst in automaton.transitions():
         result.add_transition(dst, symbol, src)
-    return result
-
-
-def remove_epsilon(automaton, kernel=None):
-    """An equivalent automaton with no epsilon transitions.
-
-    ``kernel`` selects the implementation (default: the ``REPRO_KERNEL``
-    environment knob); the ``csr`` kernel computes the closures over
-    bitsets (:mod:`repro.fsa.intops`) with structurally identical
-    output."""
-    if kernelcfg.resolve_kernel(kernel) == kernelcfg.CSR:
-        from repro.fsa.intops import remove_epsilon_int
-
-        return remove_epsilon_int(automaton)
-    result = FiniteAutomaton()
-    for state in automaton.initials:
-        result.add_initial(state)
-    for state in automaton.states:
-        result.add_state(state)
-    for state in automaton.states:
-        closure = automaton.epsilon_closure([state])
-        if closure & automaton.finals:
-            result.add_final(state)
-        for mid in closure:
-            for symbol in automaton.out_symbols(mid):
-                if symbol is EPSILON:
-                    continue
-                for dst in automaton.targets(mid, symbol):
-                    result.add_transition(state, symbol, dst)
     return result
 
 

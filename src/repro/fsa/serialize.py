@@ -1,9 +1,8 @@
 """Deterministic automaton serialization and structural equality.
 
 Saturation automata outlive the process that computed them: they are
-pickled into the persistent store's ``__sats__`` table, shipped to
-process-pool workers, and compared across interpreter runs by the
-differential harnesses.  ``FiniteAutomaton``'s in-memory representation
+pickled into the persistent store's ``__sats__`` table and compared
+across interpreter runs by the differential harnesses.  ``FiniteAutomaton``'s in-memory representation
 (dicts of sets) pickles fine but not *deterministically* — iteration
 order depends on insertion history — so this module defines a canonical
 payload form:
@@ -32,9 +31,7 @@ intersection pairs).
 from collections import deque
 
 from repro.fsa.automaton import EPSILON, FiniteAutomaton
-from repro.fsa.determinize import determinize
-from repro.fsa.minimize import minimize
-from repro.fsa.ops import remove_epsilon
+from repro.fsa.ops import determinize, minimize, remove_epsilon
 
 
 def stable_render(value):

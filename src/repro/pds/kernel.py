@@ -1,11 +1,12 @@
 """The ``csr`` saturation kernel: flat, integer-indexed ``post*`` /
-``pre*``.
+``pre*`` — the only runtime saturation (:func:`repro.pds.prestar` and
+friends are the functions below).
 
-The object saturations (:mod:`repro.pds.poststar`,
-:mod:`repro.pds.prestar`) spend their inner loops hashing tuples: every
-worklist item is a ``(state, symbol, state)`` triple of arbitrary
-objects, every rule lookup a dict probe on an object pair.  This module
-runs the same algorithms over machine ints:
+The paper-faithful object loops (:mod:`repro.pds.reference`) spend
+their inner loops hashing tuples: every worklist item is a ``(state,
+symbol, state)`` triple of arbitrary objects, every rule lookup a dict
+probe on an object pair.  This module runs the same algorithms over
+machine ints:
 
 * the PDS is *compiled* once per :class:`~repro.pds.system
   .PushdownSystem` — rules sorted into CSR-style parallel arrays
@@ -24,7 +25,7 @@ runs the same algorithms over machine ints:
   :class:`~repro.fsa.automaton.FiniteAutomaton`.
 
 Both saturations compute least fixpoints, so the decoded result is
-*structurally identical* to the object kernel's — same state objects
+*structurally identical* to the reference loops' — same state objects
 (control locations, query states, ``("__post__", p, γ)`` mid states),
 same transition sets — and everything downstream (serialization, store
 digests, artifact footprints) is byte-for-byte unchanged.  That
@@ -154,8 +155,8 @@ class CompiledPDS(object):
         self.rule_count = len(encoded)
 
         # Poststar mid states, precomputed per distinct push right-hand
-        # side head so the saturation allocates nothing: the object
-        # kernel's ``("__post__", p2, gamma1)`` keys, ids after the
+        # side head so the saturation allocates nothing: the reference
+        # loop's ``("__post__", p2, gamma1)`` keys, ids after the
         # control locations.
         mid_states = self.mid_states = []
         mid_of = {}
@@ -246,8 +247,7 @@ def compiled_pds(pds, stats=None):
 # strings — deterministic for a given PDS, picklable, checksummable —
 # from which ``compiled_from_payload`` rebuilds a CompiledPDS without
 # ever seeing the PDS, the SDG, or the source.  The engine persists it
-# in the store's ``__pds__`` table keyed by front-half hash and ships
-# it to process-pool workers through the pool initializer.
+# in the store's ``__pds__`` table keyed by front-half hash.
 #
 # The universe it covers is exactly the Fig. 8 encoding's
 # (:mod:`repro.pds.encode`): control locations are strings (``"p"``)
@@ -525,8 +525,8 @@ def _count_pops(stats, pops):
 
 def poststar_csr(pds, automaton, trim=False, stats=None):
     """Int-kernel ``post*`` (Schwoon Alg. 3.4); same contract and
-    — decoded — the same result as :func:`repro.pds.poststar.poststar`.
-    """
+    — decoded — the same result as
+    :func:`repro.pds.reference.poststar_reference`."""
     comp = compiled_pds(pds, stats)
     nlocs = comp.nlocs
     nsyms = comp.nsyms
@@ -608,7 +608,7 @@ def poststar_csr(pds, automaton, trim=False, stats=None):
     _count_pops(stats, pops)
 
     # Assemble the fixpoint rows.  The result's state set matches the
-    # object kernel's: every control location, every query state, and
+    # reference loop's: every control location, every query state, and
     # whatever the saturation touched (mid states only if their push
     # rule fired).
     out_rows = [{} for _ in range(nq)]
@@ -630,7 +630,7 @@ def poststar_csr(pds, automaton, trim=False, stats=None):
         eps_out[p] |= 1 << q
         present |= (1 << p) | (1 << q)
 
-    # Epsilon elimination (the object kernel's closing
+    # Epsilon elimination (the reference loop's closing
     # ``remove_epsilon``): states unchanged, finals extended through
     # closures, transitions unioned over closures.
     finals_bits = 0
@@ -654,7 +654,8 @@ def poststar_csr(pds, automaton, trim=False, stats=None):
 
 def prestar_csr(pds, automaton, trim=False, stats=None):
     """Int-kernel ``pre*`` (Esparza et al. 2000); same contract and —
-    decoded — the same result as :func:`repro.pds.prestar.prestar`."""
+    decoded — the same result as
+    :func:`repro.pds.reference.prestar_reference`."""
     comp = compiled_pds(pds, stats)
     nlocs = comp.nlocs
     nsyms = comp.nsyms
@@ -769,7 +770,7 @@ def prestar_csr(pds, automaton, trim=False, stats=None):
 # :func:`decode_packed_rows`, and
 # :func:`repro.fsa.intops.eliminate_epsilon_rows` for Poststar) the
 # single-criterion saturations use — pinned by
-# ``tests/test_batched_saturation.py``.
+# ``tests/test_fused_saturation.py``.
 
 
 def prestar_many_csr(pds, automata, trim=False, stats=None):

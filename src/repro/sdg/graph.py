@@ -121,11 +121,11 @@ class SystemDependenceGraph(object):
         self.vertex_of_stmt = {}  # stmt uid -> vid (statement/call/predicate)
 
     def __getstate__(self):
-        # SDGs are pickled into the persistent slice store and shipped to
-        # process-pool workers.  A SlicingSession cached on the graph by
-        # ``SlicingSession.for_sdg`` holds locks and futures and must not
-        # travel; the PDS encoding (criterion-independent, pure data)
-        # stays so a warm front-half load skips re-encoding.
+        # SDGs are pickled into the persistent slice store.  A
+        # SlicingSession cached on the graph by ``SlicingSession.for_sdg``
+        # holds locks and futures and must not travel; the PDS encoding
+        # (criterion-independent, pure data) stays so a warm front-half
+        # load skips re-encoding.
         state = self.__dict__.copy()
         state.pop("_slicing_session", None)
         return state

@@ -96,8 +96,8 @@ MAGIC = b"RSLC"
 #: v3: per-revision saturation indexes (layout + artifact records)
 #: beside __sats__ make artifacts discoverable across revisions.
 #: v4: the relocatable compiled-PDS payload table (``__pds__``), keyed
-#: by front-half hash, so process-pool workers adopt packed rule
-#: arrays instead of recompiling.
+#: by front-half hash, so a fresh process adopts packed rule arrays
+#: instead of recompiling.
 STORE_VERSION = 4
 
 _VERSION_STRUCT = struct.Struct(">H")

@@ -9,8 +9,8 @@ The artifact contract, checked over ≥20 generated programs:
   the determinize+minimize canonical form — and preserves the
   ownership footprint;
 * artifact bytes are deterministic: two pickles of equal artifacts are
-  byte-identical (the property the ``__sats__`` table and the process
-  backend lean on);
+  byte-identical (the property the ``__sats__`` table, shared across
+  processes, leans on);
 * the ``__sats__`` key digest is stable across interpreter processes
   (fresh hash seed), like the content keys it composes with;
 * the footprint is exactly the procedures whose symbols the trimmed

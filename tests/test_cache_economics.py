@@ -91,13 +91,10 @@ def test_eviction_sheds_cheap_tiers_first(tmp_path):
     session.slice(("print", 1))
     store = SliceStore(cache)
     groups = _by_table(store)
-    expected = {"fronthalf", "slice", "proc", "sat", "idx"}
-    if session.kernel == "csr":
-        # The csr kernel also persists the compiled-PDS payload — a
-        # cheap-to-rebuild entry that sheds with the parts tier.
-        expected.add("pds")
-    assert set(groups) == expected
-    shed_tables = tuple(t for t in ("slice", "proc", "pds") if t in groups)
+    # The compiled-PDS payload is a cheap-to-rebuild entry that sheds
+    # with the parts tier.
+    assert set(groups) == {"fronthalf", "slice", "proc", "sat", "idx", "pds"}
+    shed_tables = ("slice", "proc", "pds")
 
     # Make everything expensive look LRU-stale: flat LRU would evict
     # the saturations and the bundle first.

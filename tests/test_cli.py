@@ -133,16 +133,7 @@ def test_cache_stats_reports_payload_counters(fig16_file, tmp_path):
     import json
 
     cache = str(tmp_path / "cache")
-    run_cli(
-        [
-            "slice-batch",
-            fig16_file,
-            "--cache-dir",
-            cache,
-            "--kernel",
-            "csr",
-        ]
-    )
+    run_cli(["slice-batch", fig16_file, "--cache-dir", cache])
     stats = json.loads(run_cli(["cache", "stats", "--cache-dir", cache, "--json"]))
     assert "payload_hits" in stats["kernel"]
     assert "payload_misses" in stats["kernel"]
@@ -152,24 +143,78 @@ def test_cache_stats_reports_payload_counters(fig16_file, tmp_path):
     assert "__pds__" in plain
 
 
-def test_slice_batch_reports_fused_process_counters(tmp_path):
+def test_slice_batch_reports_the_fused_pass(tmp_path):
     from repro.workloads.wc import scaled_wc_source
 
     path = tmp_path / "scaledwc.tc"
     path.write_text(scaled_wc_source(3))
-    output = run_cli(
-        [
-            "slice-batch",
-            str(path),
-            "--kernel",
-            "csr",
-            "--backend",
-            "process",
-            "--batch-saturation",
-            "on",
-            "--jobs",
-            "2",
-        ]
+    output = run_cli(["slice-batch", str(path), "--jobs", "2"])
+    assert "fused: 6 criteria saturated in 1 batch pass" in output
+    assert "worklist pops" in output
+    # One cold criterion runs the solo kernel: no fused pass.
+    other = tmp_path / "scaledwc2.tc"
+    other.write_text(scaled_wc_source(2))
+    single = run_cli(["slice-batch", str(other), "--prints", "0"])
+    assert "fused:" not in single
+
+
+# -- user errors: one line on stderr, exit code 2 ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("int main() { int x = ; }", "1:22: expected an expression, found ';'"),
+        ("int main() { x = 1; }", "1:14: assignment to undeclared variable 'x'"),
+        ("int main() { int x = 1 @ 2; }", "1:24: unexpected character '@'"),
+    ],
+    ids=["parse", "semantic", "lex"],
+)
+def test_tinyc_errors_are_one_line_and_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.tc"
+    path.write_text(text)
+    for command in (["info"], ["slice"], ["slice-batch"], ["run"]):
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "%s:%s\n" % (path, message), command
+
+
+def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.tc")
+    for command in (["info"], ["slice-batch"]):
+        assert main(command + [missing]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["%s: cannot read: No such file or directory" % missing]
+
+
+def test_internal_errors_keep_their_traceback(fig1_file, monkeypatch):
+    import repro.cli
+
+    def broken(*_args):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(repro.cli, "build_sdg", broken)
+    with pytest.raises(RuntimeError):
+        main(["info", fig1_file])
+
+
+def test_module_entry_exits_2_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "bad.tc"
+    path.write_text("int main() {\n  int x = ;\n}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "slice", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
     )
-    assert "fused process:" in output
-    assert "compiled-PDS payload hits/misses" in output
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("%s:2:" % path)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

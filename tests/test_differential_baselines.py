@@ -188,16 +188,13 @@ def test_sats_served_results_byte_identical(seed, tmp_path):
         pytest.skip("generated program has no print statements")
     criteria = [("print", index) for index in range(min(len(prints), 2))]
 
-    # backend pinned: the sat_persist_* assertions below are about the
-    # in-parent artifact-load path; on the process backend the loads
-    # (and their counters) happen inside pool workers instead.
     writer = SlicingSession(source, store=SliceStore(cache))
-    writer.slice_many(criteria, backend="thread")
+    writer.slice_many(criteria)
     assert _delete_result_entries(cache) == len(criteria)
 
     reader = SlicingSession(source, store=SliceStore(cache))
-    fresh_results = fresh.slice_many(criteria, backend="thread")
-    stored_results = reader.slice_many(criteria, backend="thread")
+    fresh_results = fresh.slice_many(criteria)
+    stored_results = reader.slice_many(criteria)
 
     stats = reader.stats
     assert stats["persist_hits"] == 0  # the results really were gone

@@ -2,9 +2,9 @@
 TinyC diagnostic or a successful parse — never an internal error.
 
 A second lane fuzzes the back end's kernel equivalence: on generated
-(well-typed) programs, the ``csr`` and ``object`` saturation kernels
-must produce payload-identical Prestar/Poststar automata for randomized
-criteria — the same contract :mod:`tests.test_kernel_differential` pins
+(well-typed) programs, the int-kernel saturations and the reference
+worklists of :mod:`repro.pds.reference` must produce payload-identical
+Prestar/Poststar automata for randomized criteria — the same contract :mod:`tests.test_kernel_differential` pins
 on the fixed corpus, here driven by hypothesis over generator seeds and
 criterion choices."""
 
@@ -82,14 +82,16 @@ def test_successful_parses_roundtrip(source):
     criterion_salt=st.integers(min_value=0, max_value=1_000_000),
 )
 def test_fuzz_saturation_kernels_agree(seed, n_procs, criterion_salt):
-    """csr and object saturations agree payload-for-payload on generated
-    programs with randomized vertex criteria (both contexts modes)."""
+    """The int-kernel saturations agree payload-for-payload with the
+    reference worklists on generated programs with randomized vertex
+    criteria."""
     import random
 
     from repro.core.criteria import empty_stack_criterion
     from repro.engine import SlicingSession
     from repro.fsa.serialize import automaton_to_payload
     from repro.pds import poststar, prestar
+    from repro.pds.reference import poststar_reference, prestar_reference
     from repro.workloads.generator import GenConfig, generate_program
 
     program, _info = generate_program(GenConfig(seed=seed, n_procs=n_procs))
@@ -98,11 +100,12 @@ def test_fuzz_saturation_kernels_agree(seed, n_procs, criterion_salt):
     rng = random.Random(criterion_salt)
     vids = sorted(rng.sample(sorted(session.sdg.vertices), rng.randint(1, 3)))
     query = empty_stack_criterion(encoding, vids)
-    for saturation in (prestar, poststar):
+    pairs = ((prestar, prestar_reference), (poststar, poststar_reference))
+    for saturation, reference in pairs:
         for trim in (False, True):
-            obj = saturation(encoding.pds, query, trim=trim, kernel="object")
-            csr = saturation(encoding.pds, query, trim=trim, kernel="csr")
-            assert automaton_to_payload(obj) == automaton_to_payload(csr), (
-                saturation.__name__,
+            expected = reference(encoding.pds, query, trim=trim)
+            actual = saturation(encoding.pds, query, trim=trim)
+            assert automaton_to_payload(expected) == automaton_to_payload(actual), (
+                reference.__name__,
                 trim,
             )

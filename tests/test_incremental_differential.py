@@ -277,6 +277,39 @@ def test_incremental_slices_byte_identical_to_cold(label, base, edited):
     )
 
 
+def test_label_edit_retargets_kept_executables_to_the_new_parse():
+    """A label-only edit keeps the memoized executables of every slice
+    it cannot affect, and their ``stmt_map`` must name statements of the
+    *edited* parse (fresh uids): a subset of ``session.program``'s
+    statements, and the slice's prints map onto the criterion print when
+    both programs run on shared inputs."""
+    from repro.workloads.wc import scaled_wc_source
+
+    from tests.test_differential_baselines import _check_criterion_prints
+
+    base = scaled_wc_source(4)
+    session = SlicingSession(base)
+    criteria = [("print", i) for i in range(len(session.sdg.print_call_vertices()))]
+    session.slice_many(criteria)
+    before = {criterion: session.executable(criterion) for criterion in criteria}
+    assert session.update_source(base.replace("c % 6 == 0", "c % 6 == 5"))[
+        "fast_path"
+    ]
+    uids = {
+        stmt.uid for proc in session.program.procs for stmt in A.walk_stmts(proc.body)
+    }
+    prints = session.sdg.print_call_vertices()
+    kept = 0
+    for index, criterion in enumerate(criteria):
+        executable = session.executable(criterion)
+        kept += executable is before[criterion]
+        assert set(executable.stmt_map.values()) <= uids, criterion
+        criterion_uid = session.sdg.vertices[prints[index]].stmt_uid
+        assert _check_criterion_prints(session, executable, criterion_uid, index)
+    # Only the edited category's slice was rendered again.
+    assert kept == len(criteria) - 1
+
+
 def test_whitespace_and_comment_edit_reuses_everything():
     base = _base_source(0)
     session = SlicingSession(base)

@@ -1,35 +1,48 @@
-"""Kernel-equivalence differential testing: ``csr`` vs ``object``.
+"""Reference-oracle differential testing of the runtime pipeline.
 
-The CSR kernel's contract is *byte identity*: every query answered by a
-``kernel="csr"`` session must be indistinguishable — rendered program
-text, closure elements, version counts, serialized automata, saturation
-artifacts and their ``__sats__`` digests — from the same query under the
-default object kernel.  This suite pins that contract on the same two
+The engine answers every query on the int kernels: Prestar/Poststar on
+:mod:`repro.pds.kernel`, MRD on :mod:`repro.fsa.intops`, fused batches
+whenever two criteria are cold.  Its contract is *byte identity* with
+the paper-faithful object pipeline that :mod:`tests.reference_oracle`
+composes from the reference functions: same ``a1``/``a6`` payloads,
+closure elements, version counts, and rendered program text, for slices
+and for feature removals.  This suite pins that contract on the two
 corpora the incremental layer is pinned by:
 
 * the 26-program differential corpus
   (:mod:`tests.test_differential_baselines`'s generator settings):
-  slices over several criteria, a feature removal, and the memoized
-  saturation artifacts, each compared field by field across kernels;
+  a fused ``slice_many`` batch over several criteria, plus a feature
+  removal on a sample;
 * the mutation corpus (:mod:`tests.test_incremental_differential`'s
-  generated single-procedure edits): a ``csr`` session driven through
-  ``update_source`` must keep serving results byte-identical to an
-  *object* session driven through the same edit — the incremental
-  layer's invalidation logic is kernel-blind and must stay that way.
+  generated single-procedure edits): a session driven through
+  ``update_source`` must keep serving results identical to the
+  reference pipeline on a cold build of the edited text — byte for
+  byte after label-only edits, up to the opaque names of relocated
+  automaton states after structural ones.
 
-A meta-test pins the corpus sizes so neither lane can silently shrink.
+Counter pins ride along: a cold session compiles its PDS exactly once
+(also when threads race into their first saturations), and a
+store-backed reopen whose saturations are all adopted or loaded
+compiles nothing and never touches the ``__pds__`` table.  A
+meta-test pins the corpus sizes so neither lane can silently shrink.
 """
 
 import random
 
 import pytest
 
+import repro
+from repro.core.executable import executable_program
+from repro.core.feature_removal import feature_seeds
 from repro.engine import SlicingSession
-from repro.engine.canonical import stable_key_digest
-from repro.fsa.serialize import automaton_to_payload
+from repro.engine.canonical import resolve_criterion_spec
+from repro.fsa.serialize import automaton_to_payload, canonical_dfa
 from repro.lang import parse, pretty
+from repro.store import SliceStore
 from repro.workloads.generator import GenConfig, generate_program
+from repro.workloads.wc import scaled_wc_source
 
+from tests.reference_oracle import reference_remove_feature, reference_slice
 from tests.test_incremental_differential import MUTATORS
 
 N_PROGRAMS = 26
@@ -49,85 +62,79 @@ def _criteria(session):
     return criteria
 
 
-def _sat_digests(session):
-    """Every memoized saturation artifact, as the store would file it:
-    ``stable_key_digest(key) -> (kind, payload, footprint)``."""
-    digests = {}
-    with session._lock:
-        futures = dict(session._futures)
-    for (cache_kind, key), future in futures.items():
-        if cache_kind != "saturation" or not future.done():
-            continue
-        artifact = future.result()
-        digests[stable_key_digest(key)] = (
-            artifact.kind,
-            automaton_to_payload(artifact.automaton),
-            artifact.footprint,
-        )
-    return digests
+def _fields(result, rendered, exact):
+    """What must agree.  ``exact=False`` compares the automata up to
+    state names: a saturation that survived an edit by relocation keeps
+    its opaque state names (a Poststar mid state names a pre-edit vertex
+    id), so it matches a cold build in language, not in payload."""
+    form = automaton_to_payload if exact else _canonical
+    return (
+        form(result.a1),
+        form(result.a6),
+        result.closure_elems(),
+        result.version_counts(),
+        rendered,
+    )
 
 
-def _assert_sessions_identical(obj_session, csr_session, criteria, context=()):
-    for criterion in criteria:
-        obj_result = obj_session.slice(criterion)
-        csr_result = csr_session.slice(criterion)
-        tag = context + (criterion,)
-        assert automaton_to_payload(obj_result.a1) == automaton_to_payload(
-            csr_result.a1
-        ), tag
-        assert automaton_to_payload(obj_result.a6) == automaton_to_payload(
-            csr_result.a6
-        ), tag
-        assert obj_result.closure_elems() == csr_result.closure_elems(), tag
-        assert obj_result.version_counts() == csr_result.version_counts(), tag
-        assert obj_result.footprint == csr_result.footprint, tag
-        assert pretty(obj_session.executable(criterion).program) == pretty(
-            csr_session.executable(criterion).program
-        ), tag
-    assert _sat_digests(obj_session) == _sat_digests(csr_session), context
+def _canonical(automaton):
+    return automaton_to_payload(canonical_dfa(automaton))
+
+
+def _assert_matches_reference(session, source, criteria, exact=True, context=()):
+    """Slice ``criteria`` through the session (one fused batch when two
+    are cold) and compare every field with the reference pipeline run on
+    a cold build of ``source``."""
+    _program, _info, sdg = repro.load_source(source)
+    results = session.slice_many(criteria)
+    for criterion, result in zip(criteria, results):
+        _kind, vids = resolve_criterion_spec(sdg, criterion)
+        expected = reference_slice(sdg, vids)
+        rendered = pretty(session.executable(criterion).program)
+        assert _fields(result, rendered, exact) == _fields(
+            expected, pretty(executable_program(expected).program), exact
+        ), context + (criterion,)
+
+
+def _assert_removal_matches_reference(
+    session, source, feature, exact=True, context=()
+):
+    _program, _info, sdg = repro.load_source(source)
+    (removed,) = session.remove_features_many([feature])
+    _raw, cleaned = session.remove_feature_cleaned(feature)
+    expected = reference_remove_feature(sdg, feature_seeds(sdg, feature))
+    rendered = pretty(executable_program(removed).program)
+    assert _fields(removed, rendered, exact) == _fields(
+        expected, pretty(executable_program(expected).program), exact
+    ), context
+    assert cleaned.result is removed, context
 
 
 def test_corpus_is_large_enough():
     assert N_PROGRAMS >= 26
-    corpus = _mutation_corpus()
-    assert len(corpus) >= 50
+    assert len(MUTATION_CORPUS) >= 50
 
 
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
-def test_kernels_byte_identical_on_differential_corpus(seed):
+def test_engine_matches_reference_on_differential_corpus(seed):
     source = _source(seed)
-    obj_session = SlicingSession(source, kernel="object")
-    csr_session = SlicingSession(source, kernel="csr")
-    assert obj_session.kernel == "object" and csr_session.kernel == "csr"
-
-    _assert_sessions_identical(
-        obj_session, csr_session, _criteria(obj_session), context=("seed%d" % seed,)
+    session = SlicingSession(source)
+    _assert_matches_reference(
+        session, source, _criteria(session), context=("seed%d" % seed,)
     )
-
-    # The csr session really ran on the int kernel.
-    stats = csr_session.stats
-    assert stats["kernel_rules_compiled"] > 0
+    stats = session.stats
+    assert stats["fused_batches"] == 1
     assert stats["kernel_worklist_pops"] > 0
-    assert obj_session.stats["kernel_rules_compiled"] == 0
 
 
 @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 5))
-def test_feature_removal_byte_identical(seed):
-    """Algorithm 2 (forward-cone Poststar + residual) across kernels,
-    on a sample of the corpus."""
+def test_feature_removal_matches_reference(seed):
+    """Algorithm 2 (forward-cone Poststar + residual) on a sample of the
+    corpus."""
     source = _source(seed)
-    obj_session = SlicingSession(source, kernel="object")
-    csr_session = SlicingSession(source, kernel="csr")
-    obj_removed = obj_session.remove_feature("print")
-    csr_removed = csr_session.remove_feature("print")
-    assert automaton_to_payload(obj_removed.a1) == automaton_to_payload(
-        csr_removed.a1
+    _assert_removal_matches_reference(
+        SlicingSession(source), source, "print", context=("seed%d" % seed,)
     )
-    assert obj_removed.footprint == csr_removed.footprint
-    _raw, obj_clean = obj_session.remove_feature_cleaned("print")
-    _raw, csr_clean = csr_session.remove_feature_cleaned("print")
-    assert pretty(obj_clean.program) == pretty(csr_clean.program)
-    assert _sat_digests(obj_session) == _sat_digests(csr_session)
 
 
 # -- the mutation lane -------------------------------------------------------------
@@ -154,28 +161,92 @@ MUTATION_CORPUS = _mutation_corpus()
     MUTATION_CORPUS,
     ids=[entry[0] for entry in MUTATION_CORPUS],
 )
-def test_incremental_updates_byte_identical_across_kernels(label, base, edited):
-    obj_session = SlicingSession(base, kernel="object")
-    csr_session = SlicingSession(base, kernel="csr")
-    warm = _criteria(obj_session)
-    for session in (obj_session, csr_session):
-        session.slice_many(warm[:-1])
-
-    obj_summary = obj_session.update_source(edited)
-    csr_summary = csr_session.update_source(edited)
-    # Invalidation decisions are a pure function of footprints, which
-    # are kernel-independent — so the summaries must agree exactly.
-    for field in (
-        "procs_reused",
-        "procs_rebuilt",
-        "saturations_kept",
-        "saturations_dropped",
-        "results_kept",
-        "results_dropped",
-        "fast_path",
-    ):
-        assert obj_summary.get(field) == csr_summary.get(field), (label, field)
-
-    _assert_sessions_identical(
-        obj_session, csr_session, _criteria(obj_session), context=(label,)
+def test_incremental_updates_match_reference(label, base, edited):
+    session = SlicingSession(base)
+    warm = _criteria(session)
+    session.slice_many(warm)
+    session.remove_features_many(["print"])
+    fast = session.update_source(edited)["fast_path"]
+    # Saturations relocated across a renumbering keep their state names.
+    _assert_matches_reference(
+        session, edited, _criteria(session), exact=fast, context=(label,)
     )
+    _assert_removal_matches_reference(
+        session, edited, "print", exact=fast, context=(label,)
+    )
+
+
+# -- compile economics -------------------------------------------------------------
+
+
+def test_cold_session_compiles_its_pds_once():
+    session = SlicingSession(scaled_wc_source(4))
+    assert session.stats["kernel_compile_misses"] == 0  # nothing saturated yet
+    criteria = [("print", i) for i in range(len(session.sdg.print_call_vertices()))]
+    session.slice_many(criteria)
+    session.slice("prints", contexts="empty")
+    session.remove_features_many(["count_line", "count_word"])
+    stats = session.stats
+    assert stats["kernel_compile_misses"] == 1
+    assert stats["kernel_compile_hits"] >= 3
+
+
+def test_concurrent_first_saturations_compile_once(tmp_path):
+    """Many threads racing into their first saturation on one cold
+    session (``slice`` never fuses; empty-contexts criteria need no
+    shared Poststar to serialize behind) still compile, consult, and
+    persist the PDS exactly once."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    source = scaled_wc_source(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(4):
+            store = SliceStore(str(tmp_path / str(attempt)))
+            session = SlicingSession(source, store=store)
+            prints = len(session.sdg.print_call_vertices())
+            criteria = [("print", i) for i in range(prints)] * 2
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(session.slice, c, "empty") for c in criteria]
+                for future in futures:
+                    future.result(timeout=60)
+            stats = session.stats
+            assert stats["kernel_compile_misses"] == 1, attempt
+            assert stats["pds_payload_misses"] == 1, attempt
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("edit", ["none", "label"])
+def test_adopting_reopen_compiles_nothing(edit, tmp_path):
+    """A store-backed reopen whose saturations are all loaded (same
+    text) or adopted by cross-revision discovery (a label-only edit)
+    never compiles the PDS, so it never reads or writes ``__pds__``."""
+    base = scaled_wc_source(4)
+    cache = str(tmp_path / "cache")
+    writer = SlicingSession(base, store=SliceStore(cache))
+    criteria = [("print", i) for i in range(len(writer.sdg.print_call_vertices()))]
+    writer.slice_many(criteria)
+    text = base if edit == "none" else base.replace("c % 6 == 0", "c % 6 == 5")
+    assert edit == "none" or text != base
+
+    store = SliceStore(cache)
+    reader = SlicingSession(text, store=store)
+    reader.slice_many(criteria)
+    stats = reader.stats
+    if edit == "label":
+        assert stats["sats_adopted"] == len(criteria) + 1
+    assert stats["kernel_worklist_pops"] == 0
+    assert stats["kernel_compile_misses"] == 0
+    assert stats["kernel_compile_hits"] == 0
+    assert stats["pds_payload_hits"] == stats["pds_payload_misses"] == 0
+    counters = store.stats()
+    assert counters["pds_hits"] == counters["pds_misses"] == 0
+    assert store.has_pds(reader.source_hash) == (edit == "none")
+    cold = SlicingSession(text)
+    for criterion in criteria:
+        assert pretty(reader.executable(criterion).program) == pretty(
+            cold.executable(criterion).program
+        ), criterion

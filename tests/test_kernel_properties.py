@@ -2,18 +2,19 @@
 
 The ``csr`` kernel (:mod:`repro.fsa.intcodec`, :mod:`repro.fsa.intops`,
 :mod:`repro.pds.kernel`) promises *structural identity* with the object
-implementations — not just language equality — because byte-identical
-slices, store entries, and ``__sats__`` digests downstream all hang off
-the exact state objects and transition sets.  These tests pin the three
-layers of that promise:
+reference implementations (:mod:`repro.fsa.reference`,
+:mod:`repro.pds.reference`) — not just language equality — because
+byte-identical slices, store entries, and ``__sats__`` digests
+downstream all hang off the exact state objects and transition sets.
+These tests pin the three layers of that promise:
 
 * the codec: encode -> decode is the identity (as
   :func:`repro.fsa.serialize.structurally_equal` sees it), and the
   bitset primitives agree with Python set semantics;
-* the FSA ops: each ``*_int`` twin is structurally equal to the object
-  implementation, on epsilon-free and epsilon-heavy inputs, mixed
-  int/string alphabets included;
-* the saturations: ``poststar_csr``/``prestar_csr`` match the object
+* the FSA ops: each ``*_int`` operation is structurally equal to its
+  reference, on epsilon-free and epsilon-heavy inputs, mixed int/string
+  alphabets included;
+* the saturations: ``poststar_csr``/``prestar_csr`` match the reference
   worklists payload-for-payload, and their output is independent of the
   order rules were inserted into the :class:`PushdownSystem` (the
   fixpoint is canonical; the worklist order must not leak).
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fsa import FiniteAutomaton, determinize, remove_epsilon
+from repro.fsa import FiniteAutomaton
 from repro.fsa.automaton import EPSILON
 from repro.fsa.intcodec import bits_of, decode_automaton, encode_automaton, iter_bits
 from repro.fsa.intops import (
@@ -33,13 +34,18 @@ from repro.fsa.intops import (
     minimize_int,
     mrd_int,
     remove_epsilon_int,
-    trim_int,
 )
-from repro.fsa.minimize import minimize
-from repro.fsa.ops import mrd
-from repro.fsa.serialize import automaton_to_payload, canonical_dfa, structurally_equal
-from repro.pds import PushdownSystem, poststar, prestar
+from repro.fsa.reference import (
+    determinize_reference,
+    minimize_reference,
+    remove_epsilon_reference,
+)
+from repro.fsa.serialize import automaton_to_payload, structurally_equal
+from repro.pds import PushdownSystem
 from repro.pds.kernel import poststar_csr, prestar_csr
+from repro.pds.reference import poststar_reference, prestar_reference
+
+from tests.reference_oracle import mrd as reference_mrd
 
 # -- generators --------------------------------------------------------------------
 
@@ -137,41 +143,42 @@ def test_encode_decode_empty_and_degenerate():
     assert structurally_equal(lonely, decode_automaton(encode_automaton(lonely)))
 
 
-# -- int FSA ops vs the object twins -----------------------------------------------
+# -- int FSA ops vs the references -------------------------------------------------
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("seed", range(12))
-def test_int_ops_match_object_ops(seed):
+def test_int_ops_match_reference_ops(seed):
     automaton = random_automaton(seed)
-    assert structurally_equal(trim_int(automaton), automaton.trim())
     assert structurally_equal(
-        remove_epsilon_int(automaton), remove_epsilon(automaton, kernel="object")
+        remove_epsilon_int(automaton), remove_epsilon_reference(automaton)
     )
-    det_object = determinize(automaton, kernel="object")
-    assert structurally_equal(determinize_int(automaton), det_object)
-    assert structurally_equal(minimize_int(det_object), minimize(det_object, kernel="object"))
+    det_reference = determinize_reference(automaton)
+    assert structurally_equal(determinize_int(automaton), det_reference)
+    assert structurally_equal(
+        minimize_int(det_reference), minimize_reference(det_reference)
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_int_ops_match_object_ops_with_epsilon(seed):
+def test_int_ops_match_reference_ops_with_epsilon(seed):
     automaton = random_automaton(seed, eps=0.6)
     assert structurally_equal(
-        remove_epsilon_int(automaton), remove_epsilon(automaton, kernel="object")
+        remove_epsilon_int(automaton), remove_epsilon_reference(automaton)
     )
     # determinize_int applies epsilon-closure semantics directly.
     assert structurally_equal(
-        determinize_int(automaton), determinize(automaton, kernel="object")
+        determinize_int(automaton), determinize_reference(automaton)
     )
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_fused_mrd_matches_object_chain(seed):
+def test_fused_mrd_matches_reference_chain(seed):
     view = random_automaton(seed)  # epsilon-free: the saturation-view shape
     fused = mrd_int(view)
     assert fused is not None
     a6, _a3_states, _a4_states = fused
-    assert structurally_equal(a6, mrd(view))
+    assert structurally_equal(a6, reference_mrd(view))
 
 
 def test_fused_mrd_declines_epsilon_views():
@@ -181,31 +188,21 @@ def test_fused_mrd_declines_epsilon_views():
     assert mrd_int(view) is None
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_canonical_dfa_identical_under_both_kernels(seed, monkeypatch):
-    automaton = random_automaton(seed, eps=0.3)
-    payloads = {}
-    for kernel in ("object", "csr"):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        payloads[kernel] = automaton_to_payload(canonical_dfa(automaton))
-    assert payloads["object"] == payloads["csr"]
-
-
 # -- the saturations ---------------------------------------------------------------
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("seed", range(10))
-def test_saturations_match_object_worklists(seed):
+def test_saturations_match_reference_worklists(seed):
     pds, query, _rules = random_pds(seed)
     for trim in (False, True):
         stats = {}
         csr_post = poststar_csr(pds, query, trim=trim, stats=stats)
-        obj_post = poststar(pds, query, trim=trim, kernel="object")
+        obj_post = poststar_reference(pds, query, trim=trim)
         assert automaton_to_payload(csr_post) == automaton_to_payload(obj_post)
         assert stats["kernel_worklist_pops"] > 0
         csr_pre = prestar_csr(pds, query, trim=trim)
-        obj_pre = prestar(pds, query, trim=trim, kernel="object")
+        obj_pre = prestar_reference(pds, query, trim=trim)
         assert automaton_to_payload(csr_pre) == automaton_to_payload(obj_pre)
 
 
@@ -219,13 +216,13 @@ def test_saturations_handcrafted_push_pop_chain():
     query = FiniteAutomaton(initials=["p", "q"], finals=["f"])
     query.add_transition("p", "a", "f")
     post_csr = poststar_csr(pds, query)
-    post_obj = poststar(pds, query, kernel="object")
+    post_obj = poststar_reference(pds, query)
     assert automaton_to_payload(post_csr) == automaton_to_payload(post_obj)
     assert post_csr.accepts_from("q", ())
     # Prestar of (q, ε)-accepting query reaches back to (p, a).
     back_query = FiniteAutomaton(initials=["p", "q"], finals=["q"])
     pre_csr = prestar_csr(pds, back_query)
-    pre_obj = prestar(pds, back_query, kernel="object")
+    pre_obj = prestar_reference(pds, back_query)
     assert automaton_to_payload(pre_csr) == automaton_to_payload(pre_obj)
     assert pre_csr.accepts_from("p", ("a",))
 
@@ -242,15 +239,10 @@ def test_saturation_independent_of_rule_insertion_order(seed):
         reordered = build_pds(shuffled)
         assert automaton_to_payload(poststar_csr(reordered, query)) == baseline_post
         assert automaton_to_payload(prestar_csr(reordered, query)) == baseline_pre
-        # The object worklists make the same promise; hold them to it.
-        assert (
-            automaton_to_payload(poststar(reordered, query, kernel="object"))
-            == baseline_post
-        )
-        assert (
-            automaton_to_payload(prestar(reordered, query, kernel="object"))
-            == baseline_pre
-        )
+        # The reference worklists make the same promise; hold them to it.
+        post_reference = poststar_reference(reordered, query)
+        assert automaton_to_payload(post_reference) == baseline_post
+        assert automaton_to_payload(prestar_reference(reordered, query)) == baseline_pre
 
 
 @pytest.mark.smoke

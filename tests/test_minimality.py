@@ -7,10 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import specialization_slice
-from repro.fsa import language_equal
-from repro.fsa.minimize import minimize
-from repro.fsa.determinize import determinize
-from repro.fsa.ops import remove_epsilon, reverse
+from repro.fsa import determinize, language_equal, minimize, remove_epsilon, reverse
 from repro.sdg import build_sdg
 from repro.workloads.exponential import exponential_program
 from repro.workloads.generator import GenConfig, generate_program

@@ -1,23 +1,18 @@
-"""Relocatable compiled-PDS payloads and the fused process backend.
+"""Relocatable compiled-PDS payloads and multi-program batches.
 
 ``compiled_payload``/``compiled_from_payload`` promise a deterministic
 flat-array form of :class:`repro.pds.kernel.CompiledPDS` that crosses
-process boundaries and survives the store, and that a worker adopting
-a shipped payload computes *exactly* what it would have computed by
-recompiling.  The fused process backend promises that partitioning a
-cold criterion batch into per-worker sub-batches changes scheduling
-only — results, artifacts, and persisted ``__sats__`` bytes stay
-byte-identical across {thread, process} x {fused on, off}.  This suite
-pins both layers plus the degrade paths (corrupt payloads recompile,
-never crash; a failing ``slice_many_programs`` job names itself after
-its siblings settle).
+process boundaries and survives the store, and that a session adopting
+a persisted payload computes *exactly* what it would have computed by
+recompiling.  This suite pins that plus the degrade paths (corrupt
+payloads recompile, never crash; a failing ``slice_many_programs`` job
+names itself after its siblings settle).
 
 ``repro.open_session`` memoizes sessions by source hash; every test
 here builds :class:`SlicingSession` directly so nothing is memo-warm.
 """
 
 import hashlib
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -74,23 +69,8 @@ def _session_payload(session):
 def _child_digest(source):
     """Executed in a worker process: the payload digest a *different*
     interpreter computes for the same source."""
-    session = SlicingSession(source, kernel="csr")
+    session = SlicingSession(source)
     return payload_digest(_session_payload(session))
-
-
-def _sat_bytes(root):
-    """The persisted ``__sats__`` entries of a store, name -> bytes
-    (the index sidecar rides under ``idx-`` names and is excluded)."""
-    found = {}
-    sats = os.path.join(root, "__sats__")
-    if not os.path.isdir(sats):
-        return found
-    for name in sorted(os.listdir(sats)):
-        if not name.endswith(".slc") or name.startswith("idx-"):
-            continue
-        with open(os.path.join(sats, name), "rb") as handle:
-            found[name] = handle.read()
-    return found
 
 
 # -- payload round-trip properties -------------------------------------------------
@@ -102,7 +82,7 @@ def test_payload_round_trip_behavioral_on_corpus(seed):
     identical: a session that adopted the payload saturates every
     criterion to the same bytes as the session that compiled."""
     source = _source(seed)
-    compiler = SlicingSession(source, kernel="csr")
+    compiler = SlicingSession(source)
     payload = _session_payload(compiler)
 
     # The payload is a fixed point of its own codec...
@@ -111,7 +91,7 @@ def test_payload_round_trip_behavioral_on_corpus(seed):
 
     # ...and adopting it onto an independently built (but equal) PDS
     # replaces that session's compile wholesale.
-    adopter = SlicingSession(source, kernel="csr")
+    adopter = SlicingSession(source)
     sink = {}
     assert adopt_payload(adopter.encoding.pds, payload, sink)
     assert sink == {"pds_payload_hits": 1}
@@ -126,7 +106,7 @@ def test_payload_round_trip_behavioral_on_corpus(seed):
 @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 5))
 def test_payload_digest_stable_across_processes(seed):
     source = _source(seed)
-    parent = payload_digest(_session_payload(SlicingSession(source, kernel="csr")))
+    parent = payload_digest(_session_payload(SlicingSession(source)))
     with ProcessPoolExecutor(max_workers=1) as pool:
         child = pool.submit(_child_digest, source).result()
     assert parent == child
@@ -134,7 +114,7 @@ def test_payload_digest_stable_across_processes(seed):
 
 def test_payload_digest_separates_programs():
     digests = {
-        payload_digest(_session_payload(SlicingSession(_source(seed), kernel="csr")))
+        payload_digest(_session_payload(SlicingSession(_source(seed))))
         for seed in range(4)
     }
     assert len(digests) == 4
@@ -171,38 +151,39 @@ def test_corrupt_payloads_degrade_to_recompile():
     """Every malformed payload is rejected (counted, never raised) and
     the session recompiles to the same answer."""
     source = _source(1)
-    payload = _session_payload(SlicingSession(source, kernel="csr"))
+    payload = _session_payload(SlicingSession(source))
     for name, corrupt in _corruptions(payload).items():
         with pytest.raises(ValueError):
             compiled_from_payload(corrupt)
-        victim = SlicingSession(source, kernel="csr")
+        victim = SlicingSession(source)
         sink = {}
         assert not adopt_payload(victim.encoding.pds, corrupt, sink), name
         assert sink == {"pds_payload_misses": 1}, name
 
 
 def test_corrupt_store_payload_recompiles_and_heals(tmp_path):
-    """A corrupt ``__pds__`` entry costs one payload miss, the session
-    recompiles (same slice bytes as storeless), and re-persists a good
-    payload that the next session adopts."""
+    """A corrupt ``__pds__`` entry costs one payload miss at the first
+    saturation, the session recompiles (same slice bytes as storeless),
+    and re-persists a good payload that the next session adopts."""
     source = _source(2)
     cache = str(tmp_path / "cache")
-    good = _session_payload(SlicingSession(source, kernel="csr"))
+    good = _session_payload(SlicingSession(source))
     seeder = SliceStore(cache)
     src_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
     seeder.put_pds(src_hash, _corruptions(good)["truncated-rules"])
 
-    victim = SlicingSession(source, store=SliceStore(cache), kernel="csr")
+    victim = SlicingSession(source, store=SliceStore(cache))
     assert victim.source_hash == src_hash
-    assert victim.stats["pds_payload_misses"] == 1
-    assert victim.stats["pds_payload_hits"] == 0
-    reference = SlicingSession(source, kernel="csr")
+    reference = SlicingSession(source)
     assert automaton_to_payload(
         victim.slice(("print", 0)).a6
     ) == automaton_to_payload(reference.slice(("print", 0)).a6)
+    assert victim.stats["pds_payload_misses"] == 1
+    assert victim.stats["pds_payload_hits"] == 0
 
     # The recompile healed the entry in place.
-    healed = SlicingSession(source, store=SliceStore(cache), kernel="csr")
+    healed = SlicingSession(source, store=SliceStore(cache))
+    healed.slice("prints")  # cold for the store: saturates, so compiles
     assert healed.stats["pds_payload_hits"] == 1
     assert healed.stats["pds_payload_misses"] == 0
 
@@ -213,7 +194,11 @@ def test_corrupt_store_payload_recompiles_and_heals(tmp_path):
 def test_store_persists_and_adopts_payload(tmp_path):
     source = _source(3)
     cache = str(tmp_path / "cache")
-    writer = SlicingSession(source, store=SliceStore(cache), kernel="csr")
+    writer = SlicingSession(source, store=SliceStore(cache))
+    # Nothing compiles before the first saturation.
+    assert writer.stats["kernel_compile_misses"] == 0
+    assert not writer.store.has_pds(writer.source_hash)
+    writer.slice(("print", 0))
     # A fresh store has no payload: one consult-miss, one compile-miss,
     # then the compile is persisted under the front-half hash.
     assert writer.stats["pds_payload_misses"] == 1
@@ -222,7 +207,10 @@ def test_store_persists_and_adopts_payload(tmp_path):
     assert writer.store.stats()["tables"].get("pds") == 1
 
     reader_store = SliceStore(cache)
-    reader = SlicingSession(source, store=reader_store, kernel="csr")
+    reader = SlicingSession(source, store=reader_store)
+    # "prints" is cold in the store: its Prestar saturates, which
+    # adopts the persisted payload first.
+    reader.slice("prints")
     assert reader.stats["pds_payload_hits"] == 1
     assert reader.stats["pds_payload_misses"] == 0
     # Adoption *replaces* the compile: the session's compiled PDS is a
@@ -230,102 +218,9 @@ def test_store_persists_and_adopts_payload(tmp_path):
     assert reader.stats["kernel_compile_misses"] == 0
     assert reader.stats["kernel_compile_hits"] >= 1
     assert reader_store._counters["pds_hits"] == 1
-    assert automaton_to_payload(
-        reader.slice(("print", 0)).a6
-    ) == automaton_to_payload(writer.slice(("print", 0)).a6)
-
-
-@pytest.mark.smoke
-def test_object_kernel_never_touches_payloads(tmp_path):
-    session = SlicingSession(
-        _source(4), store=SliceStore(str(tmp_path / "cache")), kernel="object"
+    assert automaton_to_payload(reader.slice("prints").a6) == automaton_to_payload(
+        writer.slice("prints").a6
     )
-    assert session.stats["pds_payload_hits"] == 0
-    assert session.stats["pds_payload_misses"] == 0
-    assert not session.store.has_pds(session.source_hash)
-
-
-# -- fused process backend: byte identity + counters -------------------------------
-
-
-def _slice_config(source, criteria, cache, backend, mode):
-    session = SlicingSession(source, store=SliceStore(cache), kernel="csr")
-    results = session.slice_many(
-        criteria, backend=backend, max_workers=2, batch_saturation=mode
-    )
-    rendered = [
-        (
-            automaton_to_payload(r.a1),
-            automaton_to_payload(r.a6),
-            r.closure_elems(),
-            r.version_counts(),
-            r.footprint,
-        )
-        for r in results
-    ]
-    return session, rendered
-
-
-@pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 3))
-def test_backend_mode_matrix_byte_identical(seed, tmp_path):
-    """{thread, process} x {fused on, off}: identical rendered slices
-    and identical persisted ``__sats__`` bytes."""
-    source = _source(seed)
-    criteria = _criteria(SlicingSession(source, kernel="csr"))
-    rendered = {}
-    sats = {}
-    for backend in ("thread", "process"):
-        for mode in ("on", "off"):
-            cache = str(tmp_path / ("%s-%s" % (backend, mode)))
-            session, rendered[(backend, mode)] = _slice_config(
-                source, criteria, cache, backend, mode
-            )
-            sats[(backend, mode)] = _sat_bytes(cache)
-            if backend == "process" and mode == "on":
-                assert session.stats["fused_process_batches"] >= 1, seed
-    reference = rendered[("thread", "off")]
-    sat_reference = sats[("thread", "off")]
-    assert sat_reference
-    for config in rendered:
-        assert rendered[config] == reference, (seed, config)
-        assert sats[config] == sat_reference, (seed, config)
-
-
-@pytest.mark.smoke
-def test_fused_process_counters():
-    source = _source(5)
-    fused = SlicingSession(source, kernel="csr")
-    criteria = _criteria(fused)
-    fused.slice_many(
-        criteria, backend="process", max_workers=2, batch_saturation="on"
-    )
-    stats = fused.stats
-    assert stats["fused_process_batches"] >= 1
-    sizes = stats["fused_process_subbatch_sizes"]
-    assert len(sizes) == stats["fused_process_batches"]
-    # Every distinct cold criterion landed in exactly one sub-batch.
-    assert sum(sizes) == len(set(criteria))
-    assert all(size >= 1 for size in sizes)
-
-    plain = SlicingSession(source, kernel="csr")
-    plain.slice_many(
-        criteria, backend="process", max_workers=2, batch_saturation="off"
-    )
-    assert plain.stats["fused_process_batches"] == 0
-    assert plain.stats["fused_process_subbatch_sizes"] == ()
-
-
-@pytest.mark.smoke
-def test_warm_session_ships_nothing_to_the_pool():
-    session = SlicingSession(_source(6), kernel="csr")
-    criteria = _criteria(session)
-    session.slice_many(criteria, batch_saturation="on")
-    batches_before = session.stats["fused_process_batches"]
-    warm = session.slice_many(
-        criteria, backend="process", max_workers=2, batch_saturation="on"
-    )
-    assert len(warm) == len(criteria)
-    assert session.stats["fused_process_batches"] == batches_before
 
 
 # -- slice_many_programs error handling --------------------------------------------
@@ -352,7 +247,7 @@ def test_failing_job_names_itself_after_siblings_settle(backend, tmp_path):
     assert error.__cause__ is not None
     # The siblings settled: their work reached the shared store even
     # though the batch as a whole raised.
-    survivor = SlicingSession(good, store=SliceStore(cache), kernel="csr")
+    survivor = SlicingSession(good, store=SliceStore(cache))
     assert survivor.stats["front_half_from_store"]
 
 
@@ -372,9 +267,9 @@ def test_largest_first_scheduling_preserves_result_order(tmp_path):
     in input order, byte-identical to one-at-a-time runs."""
     sources = sorted((_source(seed) for seed in range(9, 13)), key=len)
     jobs = [(source, [("print", 0), "prints"]) for source in sources]
-    batch = slice_many_programs(jobs, backend="thread", kernel="csr")
+    batch = slice_many_programs(jobs, backend="thread")
     for (source, criteria), results in zip(jobs, batch):
-        solo = SlicingSession(source, kernel="csr")
+        solo = SlicingSession(source)
         for criterion, result in zip(criteria, results):
             assert automaton_to_payload(result.a6) == automaton_to_payload(
                 solo.slice(criterion).a6
@@ -389,5 +284,5 @@ def test_payload_version_is_pinned():
     """Bump ``PAYLOAD_VERSION`` whenever the payload layout changes —
     old store entries must be rejected, not misread."""
     assert PAYLOAD_VERSION == 1
-    payload = _session_payload(SlicingSession(_source(0), kernel="csr"))
+    payload = _session_payload(SlicingSession(_source(0)))
     assert payload[0] == "cpds" and payload[1] == PAYLOAD_VERSION

@@ -551,41 +551,6 @@ def test_feature_cone_saturation_survives_edit_pr3_dropped():
     assert after["saturation_hits"] >= stats["saturation_hits"] + 2
 
 
-def test_process_backend_ships_artifacts_to_workers():
-    """The worker initializer installs the parent's shipped artifacts:
-    a worker slicing a reachable-contexts criterion hits the installed
-    Poststar instead of re-saturating."""
-    from repro.engine import session as session_module
-    from repro.engine.session import _process_worker_init, _process_worker_slice
-
-    parent = SlicingSession(FIG1_SOURCE)
-    parent.slice()
-    artifacts = parent._export_artifacts(
-        [canonical_key(*resolve_criterion_spec(parent.sdg, "prints"), "reachable")]
-    )
-    # The shared Poststar plus the batch criterion's Prestar.
-    assert {artifact.key[0] for artifact in artifacts} == {
-        "reachable-configs",
-        "prestar",
-    }
-
-    saved = session_module._WORKER_SESSION
-    try:
-        _process_worker_init(FIG1_SOURCE, None, None, artifacts)
-        worker = session_module._WORKER_SESSION
-        kind, payload = resolve_criterion_spec(worker.sdg, "prints")
-        slim = _process_worker_slice(kind, payload, "reachable")
-        stats = worker.stats
-        assert stats["saturation_misses"] == 0
-        assert stats["saturation_hits"] == 2
-        assert slim.source_sdg is None  # shipped back slim
-        assert sorted(spec.name for spec in slim.pdgs.values()) == sorted(
-            spec.name for spec in parent.slice().pdgs.values()
-        )
-    finally:
-        session_module._WORKER_SESSION = saved
-
-
 # -- canonicalization unit checks -------------------------------------------------
 
 

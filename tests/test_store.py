@@ -6,8 +6,8 @@ a tight cap — plus configuration/filesystem degradation (malformed
 ``REPRO_CACHE_MAX_BYTES``, ENOSPC-style write failures), the
 per-revision saturation index, and the session integration: warm
 front-half loads, disk-served slices with zero saturation work,
-store-backed ``open_session``, the process backend, and the ``repro
-cache`` CLI.
+store-backed ``open_session``, ``slice_many_programs`` on both
+backends, and the ``repro cache`` CLI.
 """
 
 import errno
@@ -436,13 +436,10 @@ def test_stored_entries_are_slim(tmp_path):
         "proc",
         "sat",
         "idx",
+        "pds",
     }
-    slim = ("slice", "feature", "feature_clean", "proc", "sat", "idx")
-    if session.kernel == "csr":
-        # The csr kernel additionally persists the compiled-PDS payload
-        # (flat int arrays — slim by construction).
-        expected.add("pds")
-        slim += ("pds",)
+    # The compiled-PDS payload is flat int arrays — slim by construction.
+    slim = ("slice", "feature", "feature_clean", "proc", "sat", "idx", "pds")
     assert set(sizes) == expected
     for table in slim:
         assert sizes[table] < sizes["fronthalf"], (
@@ -523,41 +520,6 @@ def test_open_session_with_cache_dir(tmp_path):
     without = repro.open_session(FIG1_SOURCE)
     assert without is not with_store
     assert repro.open_session(FIG1_SOURCE, cache_dir=cache) is with_store
-
-
-def test_process_backend_matches_thread_backend(tmp_path):
-    session = SlicingSession(FIG1_SOURCE)
-    threaded = session.slice_many([("print", 0), "prints", ("print", 0)])
-    fresh = SlicingSession(FIG1_SOURCE)
-    processed = fresh.slice_many(
-        [("print", 0), "prints", ("print", 0)], backend="process"
-    )
-    assert len(processed) == 3
-    # Duplicate criteria dedupe to the same object on both backends.
-    assert processed[0] is processed[2]
-    # Worker results come back slim and are rehydrated onto the parent
-    # session's front half (no duplicated SDG/encoding per criterion).
-    assert all(result.source_sdg is fresh.sdg for result in processed)
-    assert all(result.encoding is fresh.encoding for result in processed)
-    for a, b in zip(threaded, processed):
-        assert a.version_counts() == b.version_counts()
-        assert a.closure_elems() == b.closure_elems()
-    # Resubmitting is now pure memo.
-    again = fresh.slice_many([("print", 0)], backend="process")
-    assert again[0] is processed[0]
-
-
-def test_process_backend_requires_source():
-    _program, _info, sdg = repro.load_source(FIG1_SOURCE)
-    session = SlicingSession(sdg=sdg)
-    with pytest.raises(ValueError):
-        session.slice_many([("print", 0)], backend="process")
-
-
-def test_slice_many_rejects_unknown_backend():
-    session = SlicingSession(FIG1_SOURCE)
-    with pytest.raises(ValueError):
-        session.slice_many([("print", 0)], backend="greenlet")
 
 
 def test_slice_many_programs_both_backends(tmp_path):
