@@ -3,14 +3,15 @@
 ``prestar_many_csr`` exists so a batch of N criteria costs one worklist
 pass instead of N: every PDS rule is fired once, with criterion
 membership carried as a bitset, and the N answers are projected at the
-end.  The per-criterion alternative — one ``prestar_csr`` run per
-criterion — pays the full rule-fire cost N times.
+end.  The per-criterion alternative — N singleton passes, one
+``prestar_many_csr(pds, [automaton])`` per criterion, which is what
+``repro.pds.prestar`` runs — pays the full rule-fire cost N times.
 
 The pin runs both on the scaled word-count subject at 32 categories
 (35 print criteria), re-asserts byte identity of all 35 projected
 automata so the saving can never come from computing something
 cheaper, and requires the fused pass to pop at most 10% of the
-worklist items the per-criterion runs pop together (measured: 2,076
+worklist items the singleton passes pop together (measured: 2,076
 against 52,294).  Worklist pops are deterministic, so the pin holds on
 any machine; the wall times of both paths go to
 :func:`bench_utils.record_bench` for the benchmark trail.
@@ -22,7 +23,7 @@ from bench_utils import print_table, record_bench
 from repro.engine import SlicingSession
 from repro.engine.canonical import resolve_criterion_spec
 from repro.fsa.serialize import automaton_to_payload
-from repro.pds.kernel import prestar_csr, prestar_many_csr
+from repro.pds.kernel import prestar_many_csr
 from repro.workloads.wc import scaled_wc_source
 
 #: scaled word-count categories; 32 yields 35 print criteria.
@@ -48,7 +49,10 @@ def test_fused_batch_speedup_on_scaled_wc():
 
     solo_stats = {}
     t0 = time.perf_counter()
-    sequential = [prestar_csr(pds, a, trim=True, stats=solo_stats) for a in automata]
+    sequential = [
+        prestar_many_csr(pds, [a], trim=True, stats=solo_stats)[0]
+        for a in automata
+    ]
     sequential_seconds = time.perf_counter() - t0
 
     fused_stats = {}
@@ -57,7 +61,7 @@ def test_fused_batch_speedup_on_scaled_wc():
     fused_seconds = time.perf_counter() - t1
 
     # The saving is only meaningful if the fused pass did the same work:
-    # all 35 projections byte-identical to their sequential runs.
+    # all 35 projections byte-identical to their singleton passes.
     assert [automaton_to_payload(a) for a in fused] == [
         automaton_to_payload(a) for a in sequential
     ]

@@ -33,9 +33,9 @@ automaton key / sorted configuration set for the other criterion forms;
 see :mod:`repro.engine.canonical`).  ``open_session`` itself caches
 sessions by a hash of the source text, so a mutated source always gets
 a fresh session and can never observe stale SDG or automaton results.
-``slice_many`` saturates a batch's cold criteria in one fused kernel
-pass (whenever at least two are cold) and fans the rest of the work out
-over a thread pool against the shared read-only encoding.  The batch
+``slice_many`` saturates a batch's cold criteria — however many — in
+one fused kernel pass and fans the rest of the work out over a thread
+pool against the shared read-only encoding.  The batch
 CLI::
 
     python -m repro slice-batch prog.tc --prints all --jobs 4

@@ -237,22 +237,11 @@ _TABLE_LABELS = {
 
 
 def cmd_cache(args):
-    from repro.pds.kernel import KERNEL_TOTALS
     from repro.store import open_store
 
     store = open_store(args.cache_dir)
     if args.cache_command == "stats":
         stats = store.stats()
-        # This process's kernel counters ride along for batch drivers
-        # scraping the JSON.
-        stats["kernel"] = {
-            "rules_compiled": KERNEL_TOTALS["rules_compiled"],
-            "worklist_pops": KERNEL_TOTALS["worklist_pops"],
-            "compile_hits": KERNEL_TOTALS["compile_hits"],
-            "compile_misses": KERNEL_TOTALS["compile_misses"],
-            "payload_hits": KERNEL_TOTALS["payload_hits"],
-            "payload_misses": KERNEL_TOTALS["payload_misses"],
-        }
         if getattr(args, "as_json", False):
             import json
 

@@ -28,9 +28,9 @@ front half:
   work at all — and one answering a *new* criterion against a warm
   front half loads the Poststar artifact instead of re-saturating;
 * :meth:`SlicingSession.slice_many` saturates the batch's cold
-  criteria in one fused kernel pass whenever at least two are cold,
-  then fans the per-criterion MRD and read-out out over a thread pool
-  sharing the read-only encoding, deduplicating identical criteria;
+  criteria in one fused kernel pass, then fans the per-criterion MRD
+  and read-out out over a thread pool sharing the read-only encoding,
+  deduplicating identical criteria;
 * :meth:`SlicingSession.update_source` re-points the session at an
   edited text in place: per-procedure content keys decide which PDGs
   are rebuilt, and memo entries are invalidated as a pure function of
@@ -255,14 +255,13 @@ class SlicingSession(object):
         read-only encoding.  Duplicate criteria are computed once.
         Returns results in input order.
 
-        When at least two criteria have no memoized or persisted answer,
-        their Prestars run as *one* multi-criterion kernel pass
+        The Prestars of the criteria with no memoized or persisted
+        answer run as *one* multi-criterion kernel pass
         (:func:`repro.pds.prestar_many`) before the pool fans out, so
         each PDS rule fires once for the whole batch instead of once per
-        criterion.  A single cold criterion runs the solo kernel (a
-        singleton fused pass costs about 1.25x a solo one).  Results,
-        artifacts, memo entries, and store bytes are identical either
-        way.
+        criterion — a lone cold criterion is a batch of one.  Results,
+        artifacts, memo entries, and store bytes are identical to
+        slicing the criteria one at a time with :meth:`slice`.
         """
         criteria = list(criteria)
         if not criteria:
@@ -345,9 +344,9 @@ class SlicingSession(object):
         """Batch driver for :meth:`remove_feature`: results in input
         order, duplicates computed once.  The cold features'
         forward-cone Poststars run as one fused multi-criterion pass
-        (:func:`repro.pds.poststar_many`) under the same two-cold rule as
-        :meth:`slice_many`, with identical results and artifacts either
-        way."""
+        (:func:`repro.pds.poststar_many`), as :meth:`slice_many`'s
+        Prestars do, with results and artifacts identical to
+        :meth:`remove_feature`'s."""
         features = list(features)
         if not features:
             return []
@@ -599,9 +598,7 @@ class SlicingSession(object):
         answered — a live future, or a persisted result / saturation
         artifact in the store — are left for the ordinary per-criterion
         path, with byte-identical artifacts and the exact counter trace
-        that path would produce.  Fewer than
-        two cold criteria are not worth a fused pass and fall through
-        untouched.
+        that path would produce.
         """
         candidates = {}  # saturation key -> (canonical key, kind, payload)
         for kind, payload in specs:
@@ -629,8 +626,6 @@ class SlicingSession(object):
                     self.source_hash, result_table, digest
                 ):
                     del cold[sat_key]
-        if len(cold) < 2:
-            return
         src_hash = self.source_hash
         claimed = []
         with self._lock:

@@ -205,13 +205,10 @@ def assemble_automaton(states, initials, finals, triples):
 def decode_packed_rows(
     state_list, sym_list, out_rows, eps_out, initials_bits, finals_bits, keep
 ):
-    """Rebuild a :class:`FiniteAutomaton` from the saturation kernel's
-    packed fixpoint rows (``out_rows[src id]`` = ``{symbol id: target
-    bitset}``), restricted to the ``keep`` state bitset.  Shared by the
-    single-criterion saturations and the batched projections of
-    :func:`repro.pds.kernel.prestar_many_csr` — both decode through
-    here, so a projected member of a batch is assembled by literally
-    the same code path as a solo run."""
+    """Rebuild a :class:`FiniteAutomaton` from packed fixpoint rows
+    (``out_rows[src id]`` = ``{symbol id: target bitset}``), restricted
+    to the ``keep`` state bitset — how :mod:`repro.pds.kernel` decodes
+    each member of a saturation batch."""
     triples = []
     for sid in iter_bits(keep):
         src = state_list[sid]

@@ -82,9 +82,8 @@ def eliminate_epsilon_rows(out_rows, eps_out, present, finals_bits):
     iff its epsilon closure meets the finals, and its non-epsilon rows
     are unioned over the closure.  Returns ``(closed_rows,
     closed_finals)``.  This is the row-level twin of
-    :func:`remove_epsilon_int`, shared by ``poststar_csr`` and the
-    batched ``poststar_many_csr`` projections so both close epsilons by
-    the same code."""
+    :func:`remove_epsilon_int`, which closes the epsilons of each
+    :func:`repro.pds.kernel.poststar_many_csr` projection."""
     closed_rows = [None] * len(out_rows)
     closed_finals = finals_bits
     for sid in iter_bits(present):

@@ -29,17 +29,29 @@ Grammar (EBNF; ``{x}`` = repetition, ``[x]`` = option)::
 Calls may appear anywhere an expression is allowed syntactically; the
 semantic checker restricts them to statement position or the entire
 right-hand side of an assignment (which is how the SDG models calls).
+
+An expression may nest at most :data:`MAX_NESTING` levels of
+parentheses (grouping or call arguments) and unary operators, counted
+together; the opener of the next level is a :class:`ParseError`.
 """
 
 from repro.lang import ast_nodes as A
 from repro.lang.errors import ParseError
 from repro.lang.tokens import tokenize
 
+#: The deepest nesting of parenthesized subexpressions, call argument
+#: lists, and unary operators one expression may have.  Every level
+#: costs several Python frames here and in each later tree walk
+#: (checker, lowering, interpreter, printer); at this depth the whole
+#: pipeline stays inside the interpreter's default recursion limit.
+MAX_NESTING = 100
+
 
 class Parser(object):
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # open expression nesting levels (MAX_NESTING)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -67,6 +79,17 @@ class Parser(object):
     @staticmethod
     def _pos(token):
         return (token.line, token.col)
+
+    def _nest(self, token):
+        """Open one expression nesting level at ``token`` (a ``(`` or a
+        unary operator); the caller closes it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                "expression nested deeper than %d levels" % MAX_NESTING,
+                token.line,
+                token.col,
+            )
 
     # -- declarations ------------------------------------------------------
 
@@ -296,7 +319,9 @@ class Parser(object):
     def _parse_unary(self):
         if self._at("-", "!"):
             op = self._advance()
+            self._nest(op)
             operand = self._parse_unary()
+            self.depth -= 1
             return A.Un(op.kind, operand, pos=self._pos(op))
         return self._parse_primary()
 
@@ -320,9 +345,10 @@ class Parser(object):
             self._advance()
             return A.Var(token.value, pos=self._pos(token))
         if token.kind == "(":
-            self._advance()
+            self._nest(self._advance())
             expr = self._parse_expr()
             self._expect(")")
+            self.depth -= 1
             return expr
         raise ParseError(
             "expected an expression, found %r" % token.kind, token.line, token.col
@@ -330,7 +356,7 @@ class Parser(object):
 
     def _parse_call_expr(self):
         name = self._expect("ident")
-        self._expect("(")
+        self._nest(self._expect("("))
         args = []
         if not self._at(")"):
             args.append(self._parse_expr())
@@ -338,6 +364,7 @@ class Parser(object):
                 self._advance()
                 args.append(self._parse_expr())
         self._expect(")")
+        self.depth -= 1
         return A.CallExpr(name.value, args, pos=self._pos(name))
 
 

@@ -4,9 +4,10 @@
 * :mod:`repro.pds.kernel` — the Bouajjani–Esparza–Maler /
   Finkel–Willems–Wolper saturation procedures, in the efficient
   formulations of Esparza et al. (2000) / Schwoon (2002), over flat int
-  arrays.  :func:`prestar` / :func:`poststar` saturate one query
-  automaton; :func:`prestar_many` / :func:`poststar_many` saturate a
-  batch in one fused worklist pass.
+  arrays, with one worklist loop per direction:
+  :func:`prestar_many` / :func:`poststar_many` saturate a batch of
+  query automata in one fused pass, and :func:`prestar` /
+  :func:`poststar` saturate one query as a batch of one.
 * :mod:`repro.pds.reference` — the object loops the kernels replaced,
   kept as the test oracle.
 * :mod:`repro.pds.encode` — the Fig. 8 encoding of an SDG as a PDS,

@@ -15,22 +15,28 @@ machine ints:
   ``control-state * nsyms + stack-symbol`` left-hand-side code, plus
   packed right-hand-side indexes for Prestar and a precomputed table of
   Poststar mid states;
-* per call, automaton states and any symbols the query introduces
+* per call, automaton states and any symbols the queries introduce
   beyond the PDS alphabet get dense ids after the compiled ones, and
   every transition becomes one int ``(src * NS + sym) * NQ + dst``
   (epsilon transitions ride as negative codes), with successor sets as
   int bitsets;
 * the saturation worklists then push, pop, dedup, and index nothing
-  but ints; only the final fixpoint is decoded back into a
-  :class:`~repro.fsa.automaton.FiniteAutomaton`.
+  but ints; only the final fixpoint is decoded back into
+  :class:`~repro.fsa.automaton.FiniteAutomaton` objects.
 
-Both saturations compute least fixpoints, so the decoded result is
+Each direction has exactly one worklist loop, the multi-criterion one
+(:func:`prestar_many_csr` / :func:`poststar_many_csr`, see the section
+comment below); the single-query entry points :func:`prestar_csr` /
+:func:`poststar_csr` are singleton batches of it.
+
+Both saturations compute least fixpoints, so each decoded result is
 *structurally identical* to the reference loops' — same state objects
 (control locations, query states, ``("__post__", p, γ)`` mid states),
 same transition sets — and everything downstream (serialization, store
 digests, artifact footprints) is byte-for-byte unchanged.  That
-contract is pinned by ``tests/test_kernel_differential.py`` and
-``tests/test_kernel_properties.py``.
+contract is pinned by ``tests/test_kernel_differential.py``,
+``tests/test_kernel_properties.py`` and
+``tests/test_fused_saturation.py``.
 
 The compiled form is cached in a :class:`weakref.WeakKeyDictionary`
 keyed by the PDS object — deliberately *not* as a PDS attribute,
@@ -46,22 +52,6 @@ from collections import deque
 from repro.fsa.automaton import EPSILON
 from repro.fsa.intcodec import decode_packed_rows, iter_bits, trim_packed_rows
 from repro.fsa.intops import eliminate_epsilon_rows
-
-#: process-wide kernel counters (diagnostics; ``repro cache stats
-#: --json`` and the benchmarks read session-level copies instead).
-#: ``compile_hits``/``compile_misses`` count how often a saturation
-#: found its PDS already compiled versus had to compile it;
-#: ``payload_hits``/``payload_misses`` count relocatable-payload
-#: adoptions (:func:`adopt_payload`) versus consults that fell back to
-#: a fresh compile (absent, corrupt, or mismatched payload).
-KERNEL_TOTALS = {
-    "rules_compiled": 0,
-    "worklist_pops": 0,
-    "compile_hits": 0,
-    "compile_misses": 0,
-    "payload_hits": 0,
-    "payload_misses": 0,
-}
 
 #: Layout version of the relocatable payload tuple
 #: (:func:`compiled_payload`).  Bump on any shape change — persisted
@@ -212,16 +202,13 @@ _COMPILED = weakref.WeakKeyDictionary()
 
 def compiled_pds(pds, stats=None):
     """The compiled form of ``pds``, built on first use and cached for
-    the PDS object's lifetime.  Every lookup is counted
-    (``compile_hits``/``compile_misses`` in :data:`KERNEL_TOTALS` and,
-    with a ``stats`` sink, ``kernel_compile_hits``/``_misses``), so the
+    the PDS object's lifetime.  With a ``stats`` sink every lookup is
+    counted (``kernel_compile_hits``/``kernel_compile_misses``), so the
     one-compile-per-PDS economics are observable end to end."""
     comp = _COMPILED.get(pds)
     if comp is None:
         comp = CompiledPDS(pds)
         _COMPILED[pds] = comp
-        KERNEL_TOTALS["rules_compiled"] += comp.rule_count
-        KERNEL_TOTALS["compile_misses"] += 1
         if stats is not None:
             stats["kernel_rules_compiled"] = (
                 stats.get("kernel_rules_compiled", 0) + comp.rule_count
@@ -229,12 +216,8 @@ def compiled_pds(pds, stats=None):
             stats["kernel_compile_misses"] = (
                 stats.get("kernel_compile_misses", 0) + 1
             )
-    else:
-        KERNEL_TOTALS["compile_hits"] += 1
-        if stats is not None:
-            stats["kernel_compile_hits"] = (
-                stats.get("kernel_compile_hits", 0) + 1
-            )
+    elif stats is not None:
+        stats["kernel_compile_hits"] = stats.get("kernel_compile_hits", 0) + 1
     return comp
 
 
@@ -438,14 +421,11 @@ def adopt_compiled(pds, comp):
 
 
 def count_payload(stats, hit):
-    """Bump the payload-adoption counters — process-wide
-    (:data:`KERNEL_TOTALS`) and, with a ``stats`` sink, the session's
-    ``pds_payload_hits``/``pds_payload_misses``."""
-    key = "payload_hits" if hit else "payload_misses"
-    KERNEL_TOTALS[key] += 1
+    """Bump a ``stats`` sink's payload-adoption counters
+    (``pds_payload_hits``/``pds_payload_misses``)."""
     if stats is not None:
-        skey = "pds_payload_hits" if hit else "pds_payload_misses"
-        stats[skey] = stats.get(skey, 0) + 1
+        key = "pds_payload_hits" if hit else "pds_payload_misses"
+        stats[key] = stats.get(key, 0) + 1
 
 
 def adopt_payload(pds, payload, stats=None):
@@ -510,275 +490,59 @@ def _batch_tables(comp, automata, with_mids):
     return state_index, state_list, sym_index, sym_list
 
 
-def _call_tables(comp, automaton, with_mids):
-    """Per-call tables for a single query automaton."""
-    return _batch_tables(comp, (automaton,), with_mids)
-
-
 def _count_pops(stats, pops):
-    KERNEL_TOTALS["worklist_pops"] += pops
     if stats is not None:
         stats["kernel_worklist_pops"] = (
             stats.get("kernel_worklist_pops", 0) + pops
         )
 
 
-def poststar_csr(pds, automaton, trim=False, stats=None):
-    """Int-kernel ``post*`` (Schwoon Alg. 3.4); same contract and
-    — decoded — the same result as
-    :func:`repro.pds.reference.poststar_reference`."""
-    comp = compiled_pds(pds, stats)
-    nlocs = comp.nlocs
-    nsyms = comp.nsyms
-    state_index, state_list, sym_index, sym_list = _call_tables(
-        comp, automaton, with_mids=True
-    )
-    nq = len(state_list)
-    ns = len(sym_list)
-    base = ns * nq
-
-    trans = deque()
-    for src, symbol, dst in automaton.transitions():
-        if symbol is EPSILON:
-            raise ValueError("poststar requires an epsilon-free query automaton")
-        trans.append(
-            (state_index[src] * ns + sym_index[symbol]) * nq + state_index[dst]
-        )
-
-    rel = set()
-    eps_rel = set()
-    by_source = {}  # src id -> list of tails (sym * nq + dst)
-    eps_into = {}  # dst id -> list of eps sources
-    post_rows = comp.post_rows
-    rule_kind = comp.rule_kind
-    rule_p2 = comp.rule_p2
-    rule_w0 = comp.rule_w0
-    rule_w1 = comp.rule_w1
-    rule_mid = comp.rule_mid
-    pops = 0
-
-    while trans:
-        pops += 1
-        code = trans.popleft()
-        if code >= 0:
-            if code in rel:
-                continue
-            rel.add(code)
-            q = code % nq
-            head = code // nq
-            p = head // ns
-            tail = code - p * base
-            bucket = by_source.get(p)
-            if bucket is None:
-                bucket = by_source[p] = []
-            bucket.append(tail)
-            # Epsilon transitions already pointing at ``p`` skip over
-            # it: (p1, ε, p) + (p, γ, q) => (p1, γ, q).
-            for p1 in eps_into.get(p, ()):
-                trans.append(p1 * base + tail)
-            if p < nlocs:
-                sym = head - p * ns
-                if sym < nsyms:
-                    row = post_rows.get(p * nsyms + sym)
-                    if row is not None:
-                        for r in range(row[0], row[1]):
-                            kind = rule_kind[r]
-                            p2 = rule_p2[r]
-                            if kind == 0:  # pop: (p2, ε, q)
-                                trans.append(-(p2 * nq + q) - 1)
-                            elif kind == 1:  # internal: (p2, w0, q)
-                                trans.append(p2 * base + rule_w0[r] * nq + q)
-                            else:  # push: via the mid state
-                                qmid = rule_mid[r]
-                                trans.append(p2 * base + rule_w0[r] * nq + qmid)
-                                trans.append(qmid * base + rule_w1[r] * nq + q)
-        else:
-            ecode = -code - 1
-            if ecode in eps_rel:
-                continue
-            eps_rel.add(ecode)
-            q = ecode % nq
-            p1 = ecode // nq
-            bucket = eps_into.get(q)
-            if bucket is None:
-                bucket = eps_into[q] = []
-            bucket.append(p1)
-            for tail in by_source.get(q, ()):
-                trans.append(p1 * base + tail)
-    _count_pops(stats, pops)
-
-    # Assemble the fixpoint rows.  The result's state set matches the
-    # reference loop's: every control location, every query state, and
-    # whatever the saturation touched (mid states only if their push
-    # rule fired).
-    out_rows = [{} for _ in range(nq)]
-    eps_out = [0] * nq
-    present = (1 << nlocs) - 1 if nlocs else 0
-    for state in automaton.states:
-        present |= 1 << state_index[state]
-    for code in rel:
-        q = code % nq
-        head = code // nq
-        p = head // ns
-        sym = head - p * ns
-        row = out_rows[p]
-        row[sym] = row.get(sym, 0) | (1 << q)
-        present |= (1 << p) | (1 << q)
-    for ecode in eps_rel:
-        q = ecode % nq
-        p = ecode // nq
-        eps_out[p] |= 1 << q
-        present |= (1 << p) | (1 << q)
-
-    # Epsilon elimination (the reference loop's closing
-    # ``remove_epsilon``): states unchanged, finals extended through
-    # closures, transitions unioned over closures.
-    finals_bits = 0
-    for state in automaton.finals:
-        finals_bits |= 1 << state_index[state]
-    initials_bits = (1 << nlocs) - 1 if nlocs else 0
-    for state in automaton.initials:
-        initials_bits |= 1 << state_index[state]
-    if eps_rel:
-        out_rows, finals_bits = eliminate_epsilon_rows(
-            out_rows, eps_out, present, finals_bits
-        )
-
-    keep = present
-    if trim:
-        keep = trim_packed_rows(out_rows, initials_bits, finals_bits, present)
-    return decode_packed_rows(
-        state_list, sym_list, out_rows, None, initials_bits, finals_bits, keep
-    )
-
-
-def prestar_csr(pds, automaton, trim=False, stats=None):
-    """Int-kernel ``pre*`` (Esparza et al. 2000); same contract and —
-    decoded — the same result as
-    :func:`repro.pds.reference.prestar_reference`."""
-    comp = compiled_pds(pds, stats)
-    nlocs = comp.nlocs
-    nsyms = comp.nsyms
-    state_index, state_list, sym_index, sym_list = _call_tables(
-        comp, automaton, with_mids=False
-    )
-    nq = len(state_list)
-    ns = len(sym_list)
-
-    trans = deque()
-    for src, symbol, dst in automaton.transitions():
-        trans.append(
-            (state_index[src] * ns + sym_index[symbol]) * nq + state_index[dst]
-        )
-    for lhs, p2 in comp.pop_rules:
-        # <p,γ> ↪ <p',ε>: (p, γ, p') seeds the fixpoint.
-        p, gamma = divmod(lhs, nsyms)
-        trans.append((p * ns + gamma) * nq + p2)
-
-    rel = set()
-    by_head = {}  # packed (q * ns + γ) -> target bitset
-    pending = {}  # packed (q1 * ns + γ2) -> list of lhs heads to fire
-    internal_rows = comp.internal_rows
-    push_rows = comp.push_rows
-    pops = 0
-
-    while trans:
-        pops += 1
-        code = trans.popleft()
-        if code in rel:
-            continue
-        rel.add(code)
-        q1 = code % nq
-        head = code // nq
-        by_head[head] = by_head.get(head, 0) | (1 << q1)
-        q = head // ns
-        if q < nlocs:
-            sym = head - q * ns
-            if sym < nsyms:
-                rhs = q * nsyms + sym
-                # Internal rules <p,γp> ↪ <q,γ>: (p, γp, q1).
-                for lhs in internal_rows.get(rhs, ()):
-                    p, gamma = divmod(lhs, nsyms)
-                    trans.append((p * ns + gamma) * nq + q1)
-                # Push rules <p,γp> ↪ <q,γ γ2>: need q1 -γ2-> q2.
-                for lhs, gamma2 in push_rows.get(rhs, ()):
-                    p, gamma = divmod(lhs, nsyms)
-                    lhs_head = p * ns + gamma
-                    key = q1 * ns + gamma2
-                    pending.setdefault(key, []).append(lhs_head)
-                    for q2 in iter_bits(by_head.get(key, 0)):
-                        trans.append(lhs_head * nq + q2)
-        # This transition may complete earlier partial push matches.
-        for lhs_head in pending.get(head, ()):
-            trans.append(lhs_head * nq + q1)
-    _count_pops(stats, pops)
-
-    out_rows = [{} for _ in range(nq)]
-    for code in rel:
-        q1 = code % nq
-        head = code // nq
-        q = head // ns
-        sym = head - q * ns
-        row = out_rows[q]
-        row[sym] = row.get(sym, 0) | (1 << q1)
-    initials_bits = (1 << nlocs) - 1 if nlocs else 0
-    for state in automaton.initials:
-        initials_bits |= 1 << state_index[state]
-    finals_bits = 0
-    for state in automaton.finals:
-        finals_bits |= 1 << state_index[state]
-    present = (1 << nq) - 1 if nq else 0
-    keep = present
-    if trim:
-        keep = trim_packed_rows(out_rows, initials_bits, finals_bits, present)
-    return decode_packed_rows(
-        state_list, sym_list, out_rows, None, initials_bits, finals_bits, keep
-    )
-
-
-# -- fused multi-criterion saturation ----------------------------------------------
+# -- the saturations: one multi-criterion worklist per direction ---------
 #
-# A batch of N criteria saturates against ONE pushdown system; running
-# prestar_csr N times re-fires every rule once per criterion even
-# though the expensive part — the rule lookups and the worklist churn —
-# is identical across the batch wherever the criteria's automata
+# A batch of N criteria saturates against ONE pushdown system, and N
+# separate runs would repeat almost all of each other's work — the rule
+# lookups and the worklist churn — wherever the criteria's automata
 # overlap (and they overlap a lot: every criterion shares the control
 # locations, the common final state, and — in reachable-contexts mode —
-# the Poststar-view product states).  The fused forms below run one
-# worklist over the whole batch: every transition carries a
+# the Poststar-view product states).  So each direction has one
+# worklist, run over the whole batch: every transition carries a
 # *criterion-membership bitset* (bit i set ⟺ the transition belongs to
 # criterion i's fixpoint), seeded from each criterion's query automaton
 # with its own bit (and, for Prestar's pop-rule seeds, with the full
-# mask — pop seeds start every sequential run).  Rule firing intersects
-# the memberships of its premise transitions, so a conclusion is
-# derived for exactly the criteria whose sequential runs would derive
-# it; the worklist is semi-naive (items are ``(transition, new bits)``
-# deltas, a transition re-enters only when its membership grows), so
-# the pass does the work of the *union* of the N fixpoints instead of
-# their sum.
+# mask — pop seeds start every criterion's saturation).  Rule firing
+# intersects the memberships of its premise transitions, so a
+# conclusion is derived for exactly the criteria whose own saturations
+# would derive it; the worklist is semi-naive (items are ``(transition,
+# new bits)`` deltas, a transition re-enters only when its membership
+# grows), so the pass does the work of the *union* of the N fixpoints
+# instead of their sum.  A single query is a batch of one
+# (:func:`prestar_csr`, :func:`poststar_csr`).
 #
-# Correctness (why projecting bit i is byte-identical to run i): by
-# induction over derivations, a transition has bit i iff criterion i's
-# sequential saturation derives it — seeds trivially, and every rule
-# firing intersects premise bits exactly as the sequential run requires
-# both premises to exist.  Every bit-i transition's endpoints lie in
-# ``control locations ∪ A_i.states`` (∪ the touched mid states for
-# Poststar), which is precisely the sequential run's state table, so
-# restricting decode to those states loses nothing.  The projections
-# then trim and decode through the very same helpers
-# (:func:`repro.fsa.intcodec.trim_packed_rows` /
-# :func:`decode_packed_rows`, and
-# :func:`repro.fsa.intops.eliminate_epsilon_rows` for Poststar) the
-# single-criterion saturations use — pinned by
-# ``tests/test_fused_saturation.py``.
+# Correctness (why projecting bit i is criterion i's own fixpoint): by
+# induction over derivations, a transition has bit i iff the
+# single-query saturation of criterion i (the Esparza et al. / Schwoon
+# worklists of :mod:`repro.pds.reference`) derives it — seeds
+# trivially, and every rule firing intersects premise bits exactly as
+# the single-query saturation requires both premises to exist.  Every
+# bit-i transition's endpoints lie in ``control locations ∪
+# A_i.states`` (∪ the touched mid states for Poststar), which is
+# precisely the single-query state table, so restricting decode to
+# those states loses nothing.  Each projection then trims and decodes
+# through :func:`repro.fsa.intcodec.trim_packed_rows` /
+# :func:`decode_packed_rows` (closing epsilons first with
+# :func:`repro.fsa.intops.eliminate_epsilon_rows` for Poststar) —
+# pinned against the reference worklists by
+# ``tests/test_fused_saturation.py`` and
+# ``tests/test_kernel_properties.py``.
 
 
 def prestar_many_csr(pds, automata, trim=False, stats=None):
-    """Fused int-kernel ``pre*`` for a batch of query automata: one
-    worklist pass over one :class:`CompiledPDS`, membership bitsets per
-    transition (see the section comment above).  Returns one automaton
-    per input, each structurally identical to
-    ``prestar_csr(pds, automata[i], trim=trim)``."""
+    """Int-kernel ``pre*`` (Esparza et al. 2000) for a batch of query
+    automata: one worklist pass over one :class:`CompiledPDS`,
+    membership bitsets per transition (see the section comment above).
+    Returns one automaton per input, each structurally identical to
+    :func:`repro.pds.reference.prestar_reference` of that input
+    alone."""
     automata = list(automata)
     if not automata:
         return []
@@ -906,12 +670,13 @@ def prestar_many_csr(pds, automata, trim=False, stats=None):
 
 
 def poststar_many_csr(pds, automata, trim=False, stats=None):
-    """Fused int-kernel ``post*`` for a batch of query automata (the
-    feature-cone sibling of :func:`prestar_many_csr`): one worklist,
+    """Int-kernel ``post*`` (Schwoon Alg. 3.4) for a batch of query
+    automata (the sibling of :func:`prestar_many_csr`): one worklist,
     membership bitsets on both the ordinary and the epsilon
     transitions.  Returns one epsilon-free automaton per input, each
-    structurally identical to ``poststar_csr(pds, automata[i],
-    trim=trim)``."""
+    structurally identical to
+    :func:`repro.pds.reference.poststar_reference` of that input
+    alone."""
     automata = list(automata)
     if not automata:
         return []
@@ -1077,3 +842,15 @@ def poststar_many_csr(pds, automata, trim=False, stats=None):
             )
         )
     return results
+
+
+def prestar_csr(pds, automaton, trim=False, stats=None):
+    """``pre*`` of one query automaton: a singleton
+    :func:`prestar_many_csr` pass."""
+    return prestar_many_csr(pds, (automaton,), trim, stats)[0]
+
+
+def poststar_csr(pds, automaton, trim=False, stats=None):
+    """``post*`` of one query automaton: a singleton
+    :func:`poststar_many_csr` pass."""
+    return poststar_many_csr(pds, (automaton,), trim, stats)[0]

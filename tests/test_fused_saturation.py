@@ -1,24 +1,27 @@
-"""Fused multi-criterion saturation: byte identity with sequential runs.
+"""Fused multi-criterion saturation: byte identity with single-query runs.
 
-The batched kernels (:func:`repro.pds.kernel.prestar_many_csr`,
-:func:`repro.pds.kernel.poststar_many_csr`) promise that one worklist
-pass over criterion-membership bitsets projects, per criterion, an
-automaton *payload-identical* to the criterion's own sequential run —
-and the engine's fused batch path promises the same for everything
-downstream: slices, closure elements, version counts, saturation
-artifacts and their ``__sats__`` digests.  This suite pins both layers:
+Each saturation direction has one worklist loop,
+:func:`repro.pds.kernel.prestar_many_csr` /
+:func:`repro.pds.kernel.poststar_many_csr`; it promises that one pass
+over criterion-membership bitsets projects, per criterion, an automaton
+*payload-identical* to that criterion's own saturation by the reference
+worklists of :mod:`repro.pds.reference` — and the engine's fused batch
+path promises the same for everything downstream: slices, closure
+elements, version counts, saturation artifacts and their ``__sats__``
+digests.  This suite pins both layers:
 
-* kernel differential over the 26-program corpus (the same generator
-  settings as :mod:`tests.test_kernel_differential`) and both contexts
-  modes, sharing one query-automaton object per criterion so the
-  comparison is exact, plus a direct check against the reference
-  worklists of :mod:`repro.pds.reference`;
-* properties: a singleton batch equals the plain saturation, batch
-  order never leaks into any projection;
+* kernel differential against the reference worklists over the
+  26-program corpus (the same generator settings as
+  :mod:`tests.test_kernel_differential`), both contexts modes, both
+  directions, trimmed and untrimmed, sharing one query-automaton object
+  per criterion so the comparison is exact;
+* properties: a singleton batch (what ``prestar``/``poststar`` run) and
+  a heterogeneous batch match the reference too, batch order never
+  leaks into any projection;
 * session differential: a fused ``slice_many`` batch vs the same
   criteria sliced one at a time (``slice`` never fuses), byte-identical
-  in results and persisted ``__sats__`` bytes; the fusion rule (two or
-  more cold criteria); warm stores skip the fused pass entirely;
+  in results and persisted ``__sats__`` bytes; a lone cold criterion
+  is a batch of one; warm stores skip the fused pass entirely;
   ``remove_features_many`` matches per-feature ``remove_feature``.
 
 ``repro.open_session`` memoizes sessions by source hash; every test
@@ -97,50 +100,62 @@ def _sat_digests(session):
 # -- kernel-level differential -----------------------------------------------------
 
 
+def _reference_payloads(saturation, pds, automata, trim):
+    """Each query saturated on its own by a reference worklist."""
+    return _payloads([saturation(pds, a, trim=trim) for a in automata])
+
+
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 @pytest.mark.parametrize("contexts", ["reachable", "empty"])
 def test_fused_kernels_match_sequential_on_corpus(seed, contexts):
+    """The one loop per direction, run over each program's whole
+    criterion batch, against the reference worklists run on one
+    criterion at a time."""
     session = SlicingSession(_source(seed))
     pds = session.encoding.pds
     automata = _queries(session, contexts)
     for trim in (False, True):
         tag = (seed, contexts, trim)
-        fused = prestar_many_csr(pds, automata, trim=trim)
-        solo = [prestar_csr(pds, a, trim=trim) for a in automata]
-        assert _payloads(fused) == _payloads(solo), tag
-        fused = poststar_many_csr(pds, automata, trim=trim)
-        solo = [poststar_csr(pds, a, trim=trim) for a in automata]
-        assert _payloads(fused) == _payloads(solo), tag
+        assert _payloads(prestar_many_csr(pds, automata, trim=trim)) == (
+            _reference_payloads(prestar_reference, pds, automata, trim)
+        ), tag
+        assert _payloads(poststar_many_csr(pds, automata, trim=trim)) == (
+            _reference_payloads(poststar_reference, pds, automata, trim)
+        ), tag
 
 
 @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 5))
 def test_fused_kernels_match_reference_worklists(seed):
-    """Transitively with the reference-oracle differential, but pinned
-    directly: the fused projections equal the object worklists too."""
+    """A heterogeneous batch — both contexts modes' queries for the same
+    criteria, which share control locations and the final state but
+    differ everywhere else, plus one automaton submitted twice — still
+    projects every member to its own reference saturation."""
     session = SlicingSession(_source(seed))
     pds = session.encoding.pds
-    automata = _queries(session, "reachable")
-    assert _payloads(prestar_many_csr(pds, automata, trim=True)) == _payloads(
-        [prestar_reference(pds, a, trim=True) for a in automata]
+    automata = _queries(session, "reachable") + _queries(session, "empty")
+    automata.append(automata[0])
+    assert _payloads(prestar_many_csr(pds, automata, trim=True)) == (
+        _reference_payloads(prestar_reference, pds, automata, True)
     )
-    assert _payloads(poststar_many_csr(pds, automata, trim=True)) == _payloads(
-        [poststar_reference(pds, a, trim=True) for a in automata]
+    assert _payloads(poststar_many_csr(pds, automata, trim=True)) == (
+        _reference_payloads(poststar_reference, pds, automata, True)
     )
 
 
 @pytest.mark.smoke
 @pytest.mark.parametrize("seed", range(6))
 def test_singleton_batch_is_the_plain_saturation(seed):
+    """A batch of one — what the single-query entry points
+    ``prestar``/``poststar`` run for every per-criterion caller — is the
+    reference saturation of that query."""
     session = SlicingSession(_source(seed))
     pds = session.encoding.pds
     for automaton in _queries(session, "reachable"):
-        (fused,) = prestar_many_csr(pds, [automaton], trim=True)
-        assert automaton_to_payload(fused) == automaton_to_payload(
-            prestar_csr(pds, automaton, trim=True)
+        assert automaton_to_payload(prestar(pds, automaton, trim=True)) == (
+            automaton_to_payload(prestar_reference(pds, automaton, trim=True))
         )
-        (fused,) = poststar_many_csr(pds, [automaton], trim=True)
-        assert automaton_to_payload(fused) == automaton_to_payload(
-            poststar_csr(pds, automaton, trim=True)
+        assert automaton_to_payload(poststar(pds, automaton, trim=True)) == (
+            automaton_to_payload(poststar_reference(pds, automaton, trim=True))
         )
 
 
@@ -223,23 +238,45 @@ def test_fused_sessions_byte_identical(seed, contexts):
     ), (seed, contexts)
 
 
+def _sat_bytes(root):
+    """The saturation artifact files under a store root, by name."""
+    found = {}
+    sats = os.path.join(root, "__sats__")
+    for name in sorted(os.listdir(sats)):
+        if not name.endswith(".slc") or name.startswith("idx-"):
+            continue
+        with open(os.path.join(sats, name), "rb") as handle:
+            found[name] = handle.read()
+    return found
+
+
 @pytest.mark.smoke
-def test_fusion_needs_two_cold_criteria():
+def test_lone_cold_criterion_is_a_batch_of_one(tmp_path):
+    """No cold-count threshold: a batch with one cold criterion runs one
+    fused pass, with results and persisted ``__sats__`` bytes identical
+    to ``slice``'s; re-asking next to a new criterion fuses just the new
+    one."""
+    from repro.store import SliceStore
+
     source = _source(2)
-    single = SlicingSession(source)
-    single.slice_many([("print", 0)])
-    assert single.stats["fused_batches"] == 0  # one cold criterion: solo
-    # Re-asking for it next to a new criterion leaves one cold: solo.
-    single.slice_many([("print", 0), "prints"])
-    assert single.stats["fused_batches"] == 0
-    pair = SlicingSession(source)
-    pair.slice_many([("print", 0), "prints", ("print", 0)])
-    assert pair.stats["fused_batches"] == 1
-    assert pair.stats["fused_criteria"] == 2
-    for criterion in (("print", 0), "prints"):
-        assert automaton_to_payload(pair.slice(criterion).a6) == automaton_to_payload(
-            single.slice(criterion).a6
-        )
+    single = SlicingSession(source, store=SliceStore(str(tmp_path / "fused")))
+    plain = SlicingSession(source, store=SliceStore(str(tmp_path / "plain")))
+    (fused_result,) = single.slice_many([("print", 0)])
+    plain_result = plain.slice(("print", 0))
+    assert single.stats["fused_batches"] == 1
+    assert single.stats["fused_criteria"] == 1
+    assert plain.stats["fused_batches"] == 0
+    assert automaton_to_payload(fused_result.a6) == automaton_to_payload(
+        plain_result.a6
+    )
+    assert fused_result.closure_elems() == plain_result.closure_elems()
+    single.slice_many([("print", 0), "prints", ("print", 0)])
+    plain.slice("prints")
+    assert single.stats["fused_batches"] == 2
+    assert single.stats["fused_criteria"] == 2
+    assert _sat_digests(single) == _sat_digests(plain)
+    fused_bytes = _sat_bytes(str(tmp_path / "fused"))
+    assert fused_bytes and fused_bytes == _sat_bytes(str(tmp_path / "plain"))
 
 
 def test_persisted_sats_bytes_identical(tmp_path):
@@ -254,20 +291,8 @@ def test_persisted_sats_bytes_identical(tmp_path):
     fused.slice_many(criteria)
     _one_at_a_time(plain, criteria)
     assert fused.stats["fused_batches"] == 1
-
-    def sat_bytes(root):
-        found = {}
-        sats = os.path.join(root, "__sats__")
-        for name in sorted(os.listdir(sats)):
-            if not name.endswith(".slc") or name.startswith("idx-"):
-                continue
-            with open(os.path.join(sats, name), "rb") as handle:
-                found[name] = handle.read()
-        return found
-
-    fused_bytes = sat_bytes(str(tmp_path / "fused"))
-    plain_bytes = sat_bytes(str(tmp_path / "plain"))
-    assert fused_bytes and fused_bytes == plain_bytes
+    fused_bytes = _sat_bytes(str(tmp_path / "fused"))
+    assert fused_bytes and fused_bytes == _sat_bytes(str(tmp_path / "plain"))
 
 
 def test_warm_store_batch_skips_the_fused_pass(tmp_path):

@@ -14,10 +14,12 @@ These tests pin the three layers of that promise:
 * the FSA ops: each ``*_int`` operation is structurally equal to its
   reference, on epsilon-free and epsilon-heavy inputs, mixed int/string
   alphabets included;
-* the saturations: ``poststar_csr``/``prestar_csr`` match the reference
-  worklists payload-for-payload, and their output is independent of the
-  order rules were inserted into the :class:`PushdownSystem` (the
-  fixpoint is canonical; the worklist order must not leak).
+* the saturations: ``poststar_csr``/``prestar_csr`` (batches of one)
+  and batches of 2-5 queries through ``poststar_many_csr`` /
+  ``prestar_many_csr`` match the reference worklists
+  payload-for-payload, and their output is independent of the order
+  rules were inserted into the :class:`PushdownSystem` (the fixpoint is
+  canonical; the worklist order must not leak).
 """
 
 import random
@@ -42,7 +44,12 @@ from repro.fsa.reference import (
 )
 from repro.fsa.serialize import automaton_to_payload, structurally_equal
 from repro.pds import PushdownSystem
-from repro.pds.kernel import poststar_csr, prestar_csr
+from repro.pds.kernel import (
+    poststar_csr,
+    poststar_many_csr,
+    prestar_csr,
+    prestar_many_csr,
+)
 from repro.pds.reference import poststar_reference, prestar_reference
 
 from tests.reference_oracle import mrd as reference_mrd
@@ -100,6 +107,34 @@ def random_pds(seed, n_locs=3, n_syms=5, n_rules=14):
     query.add_transition(locs[0], "foreign", "f")
     query.add_transition("f", rng.choice(syms), "f")
     return pds, query, rules
+
+
+def random_queries(seed, locs, syms):
+    """2-5 random epsilon-free query automata for one PDS: each accepts
+    along a path from a random control location through its own states
+    to a shared final ``f`` (criteria in a batch share states, which is
+    what the fused worklist exploits), plus random extra transitions
+    and an occasional foreign symbol; no transition enters a control
+    location, as the saturation contract requires."""
+    rng = random.Random(seed)
+
+    def symbol():
+        return "foreign" if rng.random() < 0.15 else rng.choice(syms)
+
+    queries = []
+    for i in range(rng.randint(2, 5)):
+        own = ["q%d_%d" % (i, k) for k in range(rng.randint(0, 3))]
+        starts = rng.sample(locs, rng.randint(1, len(locs)))
+        query = FiniteAutomaton(initials=starts, finals=["f"])
+        path = [rng.choice(starts)] + own + ["f"]
+        for src, dst in zip(path, path[1:]):
+            query.add_transition(src, symbol(), dst)
+        for _ in range(rng.randint(0, 4)):
+            query.add_transition(
+                rng.choice(starts + own + ["f"]), symbol(), rng.choice(own + ["f"])
+            )
+        queries.append(query)
+    return queries
 
 
 def build_pds(rules):
@@ -204,6 +239,28 @@ def test_saturations_match_reference_worklists(seed):
         csr_pre = prestar_csr(pds, query, trim=trim)
         obj_pre = prestar_reference(pds, query, trim=trim)
         assert automaton_to_payload(csr_pre) == automaton_to_payload(obj_pre)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_batched_saturations_match_reference_worklists(seed):
+    """The one worklist loop per direction, over a batch of queries
+    sharing states: every projection equals the reference saturation of
+    its own query."""
+    pds, _query, _rules = random_pds(seed)
+    locs = sorted(pds.control_locations)
+    queries = random_queries(seed, locs, sorted(pds.stack_symbols))
+    for trim in (False, True):
+        tag = (seed, trim)
+        fused = prestar_many_csr(pds, queries, trim=trim)
+        assert [automaton_to_payload(a) for a in fused] == [
+            automaton_to_payload(prestar_reference(pds, q, trim=trim))
+            for q in queries
+        ], tag
+        fused = poststar_many_csr(pds, queries, trim=trim)
+        assert [automaton_to_payload(a) for a in fused] == [
+            automaton_to_payload(poststar_reference(pds, q, trim=trim))
+            for q in queries
+        ], tag
 
 
 @pytest.mark.smoke

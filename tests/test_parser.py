@@ -134,3 +134,23 @@ def test_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("int main() {\n  x = ;\n}")
     assert info.value.line == 2
+
+
+def test_nesting_limit():
+    from repro.lang.parser import MAX_NESTING
+
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert isinstance(first_stmt("x = %s;" % deepest).expr, A.Var)
+    mixed = "-(" * (MAX_NESTING // 2) + "a" + ")" * (MAX_NESTING // 2)
+    assert first_stmt("x = %s;" % mixed).expr.op == "-"
+    # One level deeper is a ParseError at the opener of level 101 (the
+    # last character of the 101st opener) for grouping, unary operators
+    # and call arguments alike, instead of exhausting the interpreter
+    # stack.
+    for opener, closer in (("(", ")"), ("-", ""), ("f(", ")")):
+        prefix = "int main() { x = " + opener * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as info:
+            parse(prefix + "a" + closer * (MAX_NESTING + 1) + "; }")
+        assert info.value.message == "expression nested deeper than 100 levels"
+        assert (info.value.line, info.value.col) == (1, len(prefix)), opener
+
