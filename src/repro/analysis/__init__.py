@@ -4,16 +4,18 @@ These are the classic compiler analyses the paper's SDG substrate
 (CodeSurfer/C) provides internally:
 
 * :mod:`repro.analysis.cfg` — a generic control-flow graph.
-* :mod:`repro.analysis.postdom` — postdominators.
+* :mod:`repro.analysis.postdom` — postdominators (the Cooper–Harvey–
+  Kennedy immediate-postdominator tree).
 * :mod:`repro.analysis.control_dep` — control dependence
   (Ferrante–Ottenstein–Warren on the CFG, plus a structural variant used
   as a cross-check on structured programs).
-* :mod:`repro.analysis.reaching` — reaching definitions / flow dependence.
+* :mod:`repro.analysis.reaching` — reaching definitions / flow dependence
+  (bitset gen/kill in reverse postorder).
 * :mod:`repro.analysis.callgraph` — the direct call graph and the
   may-exit analysis used for §6.1-style termination modeling.
 * :mod:`repro.analysis.modref` — interprocedural MayMod/MayRef/MustMod
   side-effect analysis (Cooper–Kennedy style, with translation through
-  ``ref`` parameters).
+  ``ref`` parameters), solved callees first one call-graph SCC at a time.
 """
 
 from repro.analysis.callgraph import CallGraph, build_call_graph

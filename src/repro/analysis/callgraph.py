@@ -65,17 +65,17 @@ class CallGraph(object):
         return {site.caller for site in self.calls_to.get(name, ())}
 
     def may_exit(self):
-        """Procedures that may transitively execute ``exit()``."""
+        """Procedures that may transitively execute ``exit()``: the
+        direct exiters and everything that reaches them, found by one
+        walk backwards over call sites."""
         result = set(self.exits_directly)
-        changed = True
-        while changed:
-            changed = False
-            for name, sites in self.calls_from.items():
-                if name in result:
-                    continue
-                if any(site.callee in result for site in sites):
-                    result.add(name)
-                    changed = True
+        stack = list(result)
+        while stack:
+            name = stack.pop()
+            for site in self.calls_to.get(name, ()):
+                if site.caller not in result:
+                    result.add(site.caller)
+                    stack.append(site.caller)
         return result
 
     def reachable_from(self, root="main"):

@@ -14,11 +14,11 @@ Two independent implementations:
   a cross-check: on programs without early exits the two must agree.
 """
 
-from repro.analysis.postdom import immediate_postdominators, postdominators
+from repro.analysis.postdom import immediate_postdominators
 from repro.lang import ast_nodes as A
 
 
-def control_dependence(cfg, pdom=None):
+def control_dependence(cfg):
     """Compute control dependences on ``cfg`` (FOW algorithm).
 
     Returns a set of ``(controller, dependent)`` pairs.  ``controller``
@@ -28,29 +28,17 @@ def control_dependence(cfg, pdom=None):
     ``ipdom(A)`` is control dependent on ``A``; when the least common
     ancestor is ``A`` itself (loop back edges) this marks ``(A, A)``.
     """
-    if pdom is None:
-        pdom = postdominators(cfg)
-    ipdom = immediate_postdominators(cfg, pdom)
+    ipdom = immediate_postdominators(cfg)
     deps = set()
     for a in cfg.nodes:
         succs = cfg.successors(a)
         if len(succs) < 2:
             continue
-        stop = ipdom.get(a)
-        for b in succs:
-            if a in pdom[b] and a != b:
-                # B is postdominated by A only on paths that cannot reach
-                # exit; walking would still terminate via the visited set,
-                # but there is no control dependence to record on a
-                # normal structured graph.  Fall through to the walk,
-                # which handles it via the visited guard.
-                pass
-            node = b
-            visited = set()
-            while node is not None and node != stop and node not in visited:
+        stop = ipdom[a]
+        for node in succs:
+            while node is not None and node != stop:
                 deps.add((a, node))
-                visited.add(node)
-                node = ipdom.get(node)
+                node = ipdom[node]
     return deps
 
 

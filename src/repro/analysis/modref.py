@@ -19,6 +19,14 @@ PDG builder models with actual-in/out vertices).
   — must-definedness is path-sensitive ("assigned on every path that
   returns normally"), so a flow-insensitive union would be unsound in the
   presence of early returns.
+
+All three fixpoints are solved one call-graph SCC at a time, callees
+first (iterative Tarjan): a procedure's summary depends only on its
+callees', so by the time an SCC is reached everything it calls is final.
+A procedure outside any cycle is evaluated once; only the members of a
+recursive SCC iterate, and only among themselves.  Each procedure's
+statement graph is built once, with its predecessor map, and shared by
+the must-mod and upwards-exposed passes.
 """
 
 from repro.analysis.callgraph import _call_of, build_call_graph
@@ -78,10 +86,79 @@ def compute_modref(program, info, call_graph=None):
         for proc in program.procs
     }
 
-    _compute_may(program, info, call_graph, ref_params, result)
-    _compute_must(program, info, call_graph, ref_params, universe, result)
-    _compute_exposed(program, info, call_graph, universe, result)
+    sccs = _callees_first_sccs(program, call_graph)
+    graphs = {proc.name: _StmtGraph(proc) for proc in program.procs}
+    _compute_may(program, info, call_graph, ref_params, sccs, result)
+    _compute_must(program, info, graphs, sccs, universe, result)
+    _compute_exposed(program, info, graphs, sccs, universe, result)
     return result
+
+
+def _callees_first_sccs(program, call_graph):
+    """The call graph's strongly connected components, each listed after
+    every component it calls (Tarjan's algorithm with an explicit stack).
+
+    Returns ``(members, cyclic)`` pairs: the member names in program
+    order, and whether a call edge stays inside the component (mutual or
+    self recursion), i.e. whether its members must iterate.
+    """
+    position = {proc.name: index for index, proc in enumerate(program.procs)}
+
+    def callees(name):
+        return iter([site.callee for site in call_graph.calls_from[name]])
+
+    index, low = {}, {}
+    stack, on_stack = [], set()
+    sccs = []
+    for proc in program.procs:
+        if proc.name in index:
+            continue
+        index[proc.name] = low[proc.name] = len(index)
+        stack.append(proc.name)
+        on_stack.add(proc.name)
+        work = [(proc.name, callees(proc.name))]
+        while work:
+            name, pending = work[-1]
+            for callee in pending:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, callees(callee)))
+                    break
+                if callee in on_stack:
+                    low[name] = min(low[name], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[name])
+                if low[name] != index[name]:
+                    continue
+                members = []
+                while not members or members[-1] != name:
+                    members.append(stack.pop())
+                    on_stack.discard(members[-1])
+                cyclic = len(members) > 1 or name in call_graph.callees(name)
+                sccs.append((sorted(members, key=position.get), cyclic))
+    return sccs
+
+
+def _solve_callees_first(sccs, values, evaluate):
+    """Drive one interprocedural fixpoint: ``values`` holds each
+    procedure's starting estimate (the bottom of a least fixpoint, the
+    top of a greatest one) and ``evaluate(name)`` recomputes a summary
+    from the current estimates.  A cyclic SCC repeats until none of its
+    members changes."""
+    for members, cyclic in sccs:
+        changed = True
+        while changed:
+            changed = False
+            for name in members:
+                new = evaluate(name)
+                if new != values[name]:
+                    values[name] = new
+                    changed = cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -154,34 +231,25 @@ def _translate(names, site, info, caller_visible):
     return out
 
 
-def _compute_may(program, info, call_graph, ref_params, result):
-    direct = {}
-    for proc in program.procs:
-        ref, mod = _direct_effects(proc, info, ref_params)
-        direct[proc.name] = (ref, mod)
-        result.may_ref[proc.name] = set(ref)
-        result.may_mod[proc.name] = set(mod)
+def _compute_may(program, info, call_graph, ref_params, sccs, result):
+    direct = {
+        proc.name: _direct_effects(proc, info, ref_params) for proc in program.procs
+    }
+    may = {name: (set(ref), set(mod)) for name, (ref, mod) in direct.items()}
 
-    changed = True
-    while changed:
-        changed = False
-        for proc in program.procs:
-            caller_visible = set(info.global_names) | ref_params[proc.name]
-            new_ref = set(direct[proc.name][0])
-            new_mod = set(direct[proc.name][1])
-            for site in call_graph.calls_from[proc.name]:
-                new_ref |= _translate(
-                    result.may_ref[site.callee], site, info, caller_visible
-                )
-                new_mod |= _translate(
-                    result.may_mod[site.callee], site, info, caller_visible
-                )
-            if new_ref != result.may_ref[proc.name]:
-                result.may_ref[proc.name] = new_ref
-                changed = True
-            if new_mod != result.may_mod[proc.name]:
-                result.may_mod[proc.name] = new_mod
-                changed = True
+    def evaluate(name):
+        caller_visible = set(info.global_names) | ref_params[name]
+        new_ref, new_mod = set(direct[name][0]), set(direct[name][1])
+        for site in call_graph.calls_from[name]:
+            callee_ref, callee_mod = may[site.callee]
+            new_ref |= _translate(callee_ref, site, info, caller_visible)
+            new_mod |= _translate(callee_mod, site, info, caller_visible)
+        return new_ref, new_mod
+
+    _solve_callees_first(sccs, may, evaluate)
+    for name, (ref, mod) in may.items():
+        result.may_ref[name] = ref
+        result.may_mod[name] = mod
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +261,9 @@ class _StmtGraph(object):
     """A small statement-level CFG used only for the must-mod dataflow.
 
     Nodes: ``"entry"``, ``"ret"`` (normal-return join), ``"halt"``
-    (process termination via exit()), and statement uids.
+    (process termination via exit()), and statement uids.  ``pred`` is
+    the reverse of ``succ``; ``order`` lists the statement nodes
+    reachable from ``"entry"``, in reverse postorder.
     """
 
     def __init__(self, proc):
@@ -202,6 +272,29 @@ class _StmtGraph(object):
         last = self._wire_block(proc.body, ["entry"])
         for node in last:
             self._edge(node, "ret")
+        self.pred = {node: [] for node in self.succ}
+        for src, dsts in self.succ.items():
+            for dst in dsts:
+                self.pred[dst].append(src)
+        self.order = self._reverse_postorder()
+
+    def _reverse_postorder(self):
+        seen = {"entry"}
+        postorder = []
+        stack = [("entry", iter(self.succ["entry"]))]
+        while stack:
+            node, successors = stack[-1]
+            for succ in successors:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(self.succ[succ])))
+                    break
+            else:
+                stack.pop()
+                if node not in ("entry", "ret", "halt"):
+                    postorder.append(node)
+        postorder.reverse()
+        return postorder
 
     def _edge(self, src, dst):
         self.succ.setdefault(src, [])
@@ -246,7 +339,7 @@ class _StmtGraph(object):
         return dangling
 
 
-def _must_defs_of_stmt(stmt, info, ref_params_of_caller, caller_name, must_mod, caller_visible):
+def _must_defs_of_stmt(stmt, info, must_mod, caller_visible):
     """Caller-visible names this statement definitely assigns."""
     call, captures, target = _call_of(stmt)
     out = set()
@@ -271,18 +364,14 @@ def _must_defs_of_stmt(stmt, info, ref_params_of_caller, caller_name, must_mod, 
     return out
 
 
-def _compute_must(program, info, call_graph, ref_params, universe, result):
+def _compute_must(program, info, graphs, sccs, universe, result):
+    procs = {proc.name: proc for proc in program.procs}
     must_mod = {name: set(values) for name, values in universe.items()}
-    graphs = {proc.name: _StmtGraph(proc) for proc in program.procs}
-
-    changed = True
-    while changed:
-        changed = False
-        for proc in program.procs:
-            new = _must_at_return(proc, graphs[proc.name], info, must_mod, universe)
-            if new != must_mod[proc.name]:
-                must_mod[proc.name] = new
-                changed = True
+    _solve_callees_first(
+        sccs,
+        must_mod,
+        lambda name: _must_at_return(procs[name], graphs[name], info, must_mod, universe),
+    )
     result.must_mod = must_mod
 
 
@@ -290,50 +379,39 @@ def _must_at_return(proc, graph, info, must_mod, universe):
     """Run the forward must-be-assigned dataflow, returning the set of
     names definitely assigned at the normal-return join."""
     caller_visible = universe[proc.name]
-    full = set(caller_visible)
-    in_sets = {node: set(full) for node in graph.succ}
-    in_sets["entry"] = set()
-    out_sets = {}
-    for node in graph.succ:
-        out_sets[node] = set(full)
-
-    worklist = ["entry"]
-    while worklist:
-        node = worklist.pop()
-        if node in ("ret", "halt"):
-            continue
-        if node == "entry":
-            defs = set()
-        else:
-            stmt = graph.stmts[node]
-            defs = _must_defs_of_stmt(
-                stmt, info, None, proc.name, must_mod, caller_visible
-            )
-        new_out = in_sets[node] | defs
-        if new_out != out_sets[node]:
-            out_sets[node] = new_out
-            for succ in graph.succ[node]:
-                merged = None
-                preds = [p for p in graph.succ if succ in graph.succ[p]]
-                for pred in preds:
-                    if merged is None:
-                        merged = set(out_sets[pred])
-                    else:
-                        merged &= out_sets[pred]
-                in_sets[succ] = merged if merged is not None else set()
-                worklist.append(succ)
-
-    preds_of_ret = [p for p in graph.succ if "ret" in graph.succ[p]]
+    _in_sets, out_sets = _must_dataflow(graph, info, must_mod, caller_visible)
+    preds_of_ret = graph.pred["ret"]
     if not preds_of_ret:
         # The procedure never returns normally: must-mod is vacuous.
-        return set(full)
-    merged = None
-    for pred in preds_of_ret:
-        if merged is None:
-            merged = set(out_sets[pred])
-        else:
-            merged &= out_sets[pred]
-    return merged if merged is not None else set()
+        return set(caller_visible)
+    return set(frozenset.intersection(*[out_sets[pred] for pred in preds_of_ret]))
+
+
+def _must_dataflow(graph, info, must_mod, caller_visible):
+    """Forward must-be-assigned dataflow over ``graph``: the greatest
+    fixpoint of IN(entry) = {}, IN(n) = the intersection of OUT over n's
+    predecessors, OUT(n) = IN(n) | MUSTDEF(n).  Nodes unreachable from
+    the entry stay at the full set.  Returns ``(in_sets, out_sets)``."""
+    full = frozenset(caller_visible)
+    in_sets = dict.fromkeys(graph.succ, full)
+    out_sets = dict.fromkeys(graph.succ, full)
+    in_sets["entry"] = out_sets["entry"] = frozenset()
+    defs = {
+        node: _must_defs_of_stmt(graph.stmts[node], info, must_mod, caller_visible)
+        for node in graph.order
+    }
+    changed = True
+    while changed:
+        changed = False
+        for node in graph.order:
+            preds = graph.pred[node]
+            new_in = frozenset.intersection(*[out_sets[pred] for pred in preds])
+            in_sets[node] = new_in
+            new_out = new_in | defs[node]
+            if new_out != out_sets[node]:
+                out_sets[node] = new_out
+                changed = True
+    return in_sets, out_sets
 
 
 # ---------------------------------------------------------------------------
@@ -388,66 +466,23 @@ def _node_reads(stmt, info, caller_visible, exposed, must_in):
     return reads - must_in
 
 
-def _must_in_per_node(proc, graph, info, must_mod, caller_visible):
-    """Forward must-be-assigned dataflow, returning MUST_IN per node
-    (set of names definitely assigned on every path reaching the node's
-    entry)."""
-    full = set(caller_visible)
-    in_sets = {node: set(full) for node in graph.succ}
-    in_sets["entry"] = set()
-    out_sets = {node: set(full) for node in graph.succ}
-    changed = True
-    while changed:
-        changed = False
-        for node in graph.succ:
-            if node == "entry":
-                defs = set()
-            elif node in ("ret", "halt"):
-                continue
-            else:
-                defs = _must_defs_of_stmt(
-                    graph.stmts[node], info, None, proc.name, must_mod, caller_visible
-                )
-            preds = [p for p in graph.succ if node in graph.succ[p]]
-            if node != "entry":
-                merged = None
-                for pred in preds:
-                    if merged is None:
-                        merged = set(out_sets[pred])
-                    else:
-                        merged &= out_sets[pred]
-                new_in = merged if merged is not None else set(full)
-                if new_in != in_sets[node]:
-                    in_sets[node] = new_in
-                    changed = True
-            new_out = in_sets[node] | defs
-            if new_out != out_sets[node]:
-                out_sets[node] = new_out
-                changed = True
-    return in_sets
-
-
-def _compute_exposed(program, info, call_graph, universe, result):
+def _compute_exposed(program, info, graphs, sccs, universe, result):
     """Least fixpoint of the upwards-exposed reference sets."""
-    graphs = {proc.name: _StmtGraph(proc) for proc in program.procs}
-    must_in = {}
-    for proc in program.procs:
-        must_in[proc.name] = _must_in_per_node(
-            proc, graphs[proc.name], info, result.must_mod, universe[proc.name]
-        )
-
+    must_in = {
+        proc.name: _must_dataflow(
+            graphs[proc.name], info, result.must_mod, universe[proc.name]
+        )[0]
+        for proc in program.procs
+    }
     exposed = {proc.name: set() for proc in program.procs}
-    changed = True
-    while changed:
-        changed = False
-        for proc in program.procs:
-            visible = universe[proc.name]
-            new = set()
-            graph = graphs[proc.name]
-            for uid, stmt in graph.stmts.items():
-                node_must = must_in[proc.name].get(uid, set())
-                new |= _node_reads(stmt, info, visible, exposed, node_must)
-            if new != exposed[proc.name]:
-                exposed[proc.name] = new
-                changed = True
+
+    def evaluate(name):
+        visible = universe[name]
+        new = set()
+        for uid, stmt in graphs[name].stmts.items():
+            node_must = must_in[name].get(uid, frozenset())
+            new |= _node_reads(stmt, info, visible, exposed, node_must)
+        return new
+
+    _solve_callees_first(sccs, exposed, evaluate)
     result.exposed_ref = exposed

@@ -1,71 +1,88 @@
 """Postdominator computation.
 
-Postdominators are computed as dominators of the reverse CFG with the
-exit node as root, using the standard iterative dataflow formulation.
-Nodes that cannot reach the exit (e.g. bodies of ``while (1)`` loops that
-never terminate) keep the full node set as their postdominator set; the
-control-dependence pass treats them conservatively.
+The immediate-postdominator tree is computed with the Cooper–Harvey–
+Kennedy iterative algorithm ("A Simple, Fast Dominance Algorithm"):
+dominators of the reverse CFG, intersecting candidate parents with two
+fingers over postorder numbers until no parent changes.  The exit node
+is a sink (its own out-edges are ignored), and so is any node with no
+successors; a virtual root above all sinks makes the reverse graph
+single-rooted, so a dead end postdominates only itself, like the exit.
+Postdominator sets are the tree paths up to (not including) that root.
+
+Nodes that cannot reach any sink (e.g. bodies of ``while (1)`` loops
+that never terminate) are outside the tree: they have no immediate
+postdominator and keep the full node set as their postdominator set;
+the control-dependence pass treats them conservatively.
 """
 
+_ROOT = object()
 
-def postdominators(cfg):
-    """Map each node to its set of postdominators (including itself)."""
-    nodes = list(cfg.nodes)
-    full = set(nodes)
-    pdom = {node: (set([cfg.exit]) if node == cfg.exit else set(full)) for node in nodes}
 
-    # Reverse postorder over the reverse graph gives fast convergence.
-    order = _reverse_postorder_on_reverse(cfg)
+def _postdominator_tree(cfg):
+    """Map each node that reaches a sink to its immediate postdominator
+    (``_ROOT`` for sinks), listed parents first."""
+    successors = {
+        node: ([] if node == cfg.exit else cfg.successors(node)) for node in cfg.nodes
+    }
+    sinks = [cfg.exit] + [
+        node for node in cfg.nodes if node != cfg.exit and not successors[node]
+    ]
+    # Postorder of the reverse graph from the virtual root: the root's
+    # children are the sinks, a node's children its CFG predecessors.
+    number = {}
+    postorder = []
+    for sink in sinks:
+        number[sink] = None
+        stack = [(sink, iter(cfg.predecessors(sink)))]
+        while stack:
+            node, preds = stack[-1]
+            for pred in preds:
+                if pred not in number and pred != cfg.exit:
+                    number[pred] = None
+                    stack.append((pred, iter(cfg.predecessors(pred))))
+                    break
+            else:
+                number[node] = len(postorder)
+                postorder.append(node)
+                stack.pop()
+    number[_ROOT] = len(postorder)
+
+    ipdom = {sink: _ROOT for sink in sinks}
+    order = [node for node in reversed(postorder) if node not in ipdom]
     changed = True
     while changed:
         changed = False
         for node in order:
-            if node == cfg.exit:
-                continue
-            succs = cfg.successors(node)
-            if succs:
-                new = set(full)
-                for succ in succs:
-                    new &= pdom[succ]
-            else:
-                # Dead end that is not the exit: nothing postdominates it
-                # except itself (conservative).
-                new = set()
-            new.add(node)
-            if new != pdom[node]:
-                pdom[node] = new
+            new = None
+            for succ in successors[node]:
+                if succ not in ipdom:
+                    continue
+                if new is None:
+                    new = succ
+                    continue
+                # Walk both fingers up the tree to their common ancestor.
+                finger = succ
+                while finger != new:
+                    while number[finger] < number[new]:
+                        finger = ipdom[finger]
+                    while number[new] < number[finger]:
+                        new = ipdom[new]
+            if ipdom.get(node) != new:
+                ipdom[node] = new
                 changed = True
-    return pdom
+    return {node: ipdom[node] for node in reversed(postorder)}
 
 
-def _reverse_postorder_on_reverse(cfg):
-    """DFS postorder starting from exit following predecessor edges,
-    then extended with any nodes unreachable from exit."""
-    seen = set()
-    order = []
-
-    def visit(start):
-        stack = [(start, iter(cfg.predecessors(start)))]
-        seen.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for pred in it:
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append((pred, iter(cfg.predecessors(pred))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-
-    visit(cfg.exit)
+def postdominators(cfg):
+    """Map each node to its set of postdominators (including itself)."""
+    tree = _postdominator_tree(cfg)
+    pdom = {}
+    for node, parent in tree.items():
+        pdom[node] = {node} if parent is _ROOT else pdom[parent] | {node}
     for node in cfg.nodes:
-        if node not in seen:
-            visit(node)
-    order.reverse()
-    return order
+        if node not in pdom:
+            pdom[node] = set(cfg.nodes)
+    return pdom
 
 
 def immediate_postdominators(cfg, pdom=None):
@@ -73,18 +90,13 @@ def immediate_postdominators(cfg, pdom=None):
 
     The immediate postdominator of ``n`` is the unique strict
     postdominator of ``n`` postdominated by every other strict
-    postdominator of ``n``.
+    postdominator of ``n``: its parent in the postdominator tree.  Sinks
+    and nodes that cannot reach a sink have none.  ``pdom`` is accepted
+    for callers that already hold the postdominator sets; the tree is
+    always computed from ``cfg``.
     """
-    if pdom is None:
-        pdom = postdominators(cfg)
-    ipdom = {}
-    for node in cfg.nodes:
-        strict = pdom[node] - {node}
-        ipdom[node] = None
-        for candidate in strict:
-            # ipdom is the closest strict postdominator: every other
-            # strict postdominator of ``node`` postdominates it.
-            if all(other in pdom[candidate] for other in strict):
-                ipdom[node] = candidate
-                break
-    return ipdom
+    tree = _postdominator_tree(cfg)
+    return {
+        node: (None if tree.get(node, _ROOT) is _ROOT else tree[node])
+        for node in cfg.nodes
+    }

@@ -12,7 +12,106 @@ triples where the definition of ``var`` at ``def_node`` reaches a use of
 
 Only *executable* CFG edges participate (Ball–Horwitz fall-through edges
 carry no dataflow).
+
+The solver numbers the definition sites ``(node, var)`` and keeps each
+node's reaching set as an int bitset (the idiom of
+:mod:`repro.fsa.intcodec`): GEN is the node's own sites, KILL the sites
+of every variable it must-defines.  Predecessor lists are computed once
+and the nodes are swept in reverse postorder over executable edges until
+nothing changes, so an acyclic CFG reachable from its entry settles in
+two sweeps.  Every node takes part, including code only reachable
+through fall-through edges: its definitions still flow along its own
+executable out-edges.
 """
+
+
+def _solve(cfg, defs, must_defs):
+    """The least fixpoint of the gen/kill equations (``must_defs`` None
+    means every definition is strong).
+
+    Returns ``(sites, var_sites, in_bits)``: the definition sites in bit
+    order, a mask of the sites of each variable, and each node's
+    reaching set at entry as a bitset over ``sites``.
+    """
+    if must_defs is None:
+        must_defs = defs
+    order = _executable_reverse_postorder(cfg)
+    index = {node: position for position, node in enumerate(order)}
+    sites = []
+    var_sites = {}
+    gen = []
+    for node in order:
+        bits = 0
+        for var in set(defs.get(node, ())):
+            bit = 1 << len(sites)
+            sites.append((node, var))
+            var_sites[var] = var_sites.get(var, 0) | bit
+            bits |= bit
+        gen.append(bits)
+    keep = []
+    for node in order:
+        kill = 0
+        for var in set(must_defs.get(node, ())):
+            kill |= var_sites.get(var, 0)
+        keep.append(~kill)
+    preds = [
+        [index[pred] for pred in cfg.predecessors(node, include_fallthrough=False)]
+        for node in order
+    ]
+
+    in_bits = [0] * len(order)
+    out_bits = [0] * len(order)
+    changed = True
+    while changed:
+        changed = False
+        for position in range(len(order)):
+            reach = 0
+            for pred in preds[position]:
+                reach |= out_bits[pred]
+            in_bits[position] = reach
+            out = (reach & keep[position]) | gen[position]
+            if out != out_bits[position]:
+                out_bits[position] = out
+                changed = True
+    return sites, var_sites, dict(zip(order, in_bits))
+
+
+def _executable_reverse_postorder(cfg):
+    """Reverse postorder over executable edges from ``cfg.entry``,
+    followed by the nodes it misses (each sub-order again a reverse
+    postorder from its first unvisited node)."""
+    seen = set()
+    order = []
+    roots = [cfg.entry] + [node for node in cfg.nodes if node != cfg.entry]
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        postorder = []
+        stack = [(root, iter(cfg.successors(root, include_fallthrough=False)))]
+        while stack:
+            node, successors = stack[-1]
+            for succ in successors:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(
+                        (succ, iter(cfg.successors(succ, include_fallthrough=False)))
+                    )
+                    break
+            else:
+                postorder.append(node)
+                stack.pop()
+        postorder.reverse()
+        order.extend(postorder)
+    return order
+
+
+def _bit_indices(bits):
+    """Positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def reaching_definitions(cfg, defs, uses, must_defs=None):
@@ -29,39 +128,11 @@ def reaching_definitions(cfg, defs, uses, must_defs=None):
         mapping node -> set of ``(def_node, var)`` pairs reaching the
         *entry* of that node.
     """
-    if must_defs is None:
-        must_defs = defs
-
-    def _set(mapping, node):
-        return set(mapping.get(node, ()))
-
-    # Definition sites: (node, var) pairs.
-    gen = {node: frozenset((node, var) for var in _set(defs, node)) for node in cfg.nodes}
-    kill_vars = {node: frozenset(_set(must_defs, node)) for node in cfg.nodes}
-
-    in_sets = {node: set() for node in cfg.nodes}
-    out_sets = {node: set() for node in cfg.nodes}
-
-    worklist = list(cfg.nodes)
-    in_worklist = set(worklist)
-    while worklist:
-        node = worklist.pop()
-        in_worklist.discard(node)
-        new_in = set()
-        for pred in cfg.predecessors(node, include_fallthrough=False):
-            new_in |= out_sets[pred]
-        in_sets[node] = new_in
-        survivors = {
-            (site, var) for (site, var) in new_in if var not in kill_vars[node]
-        }
-        new_out = survivors | gen[node]
-        if new_out != out_sets[node]:
-            out_sets[node] = new_out
-            for succ in cfg.successors(node, include_fallthrough=False):
-                if succ not in in_worklist:
-                    worklist.append(succ)
-                    in_worklist.add(succ)
-    return in_sets
+    sites, _var_sites, in_bits = _solve(cfg, defs, must_defs)
+    return {
+        node: {sites[bit] for bit in _bit_indices(bits)}
+        for node, bits in in_bits.items()
+    }
 
 
 def flow_dependences(cfg, defs, uses, must_defs=None):
@@ -71,13 +142,13 @@ def flow_dependences(cfg, defs, uses, must_defs=None):
     depends on definitions reaching its entry, including itself via a
     loop.  Returns a set of ``(def_node, use_node, var)`` triples.
     """
-    in_sets = reaching_definitions(cfg, defs, uses, must_defs)
+    sites, var_sites, in_bits = _solve(cfg, defs, must_defs)
     deps = set()
-    for node in cfg.nodes:
-        used = set(uses.get(node, ()))
-        if not used:
-            continue
-        for (site, var) in in_sets[node]:
-            if var in used:
-                deps.add((site, node, var))
+    for node, bits in in_bits.items():
+        wanted = 0
+        for var in set(uses.get(node, ())):
+            wanted |= var_sites.get(var, 0)
+        for bit in _bit_indices(bits & wanted):
+            site, var = sites[bit]
+            deps.add((site, node, var))
     return deps

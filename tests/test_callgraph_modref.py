@@ -209,3 +209,135 @@ def test_recursive_must_mod_greatest_fixpoint():
         """
     )
     assert "g" in result.must_mod["r"]
+
+
+def test_may_exit_long_chain():
+    """An 800-link chain whose last link calls exit(): every link, and
+    main, may exit."""
+    links = 800
+    parts = ["void p%d() { p%d(); }" % (index, index + 1) for index in range(links - 1)]
+    parts.append("void p%d() { exit(1); }" % (links - 1))
+    parts.append("void clean() {}")
+    parts.append("int main() { p0(); clean(); }")
+    _p, _i, graph = load("\n".join(parts))
+    assert graph.may_exit() == {"p%d" % index for index in range(links)} | {"main"}
+
+
+# -- mutual recursion: call-graph SCCs of two and three procedures ---------------
+
+TWO_CYCLE = """
+int g;
+int h;
+int k;
+
+void even(ref int x, int n) {
+  if (n > 0) {
+    odd(x, n - 1);
+  }
+  x = h + k;
+  g = 1;
+}
+
+void odd(ref int y, int n) {
+  k = y;
+  if (n > 0) {
+    even(y, n - 1);
+    return;
+  }
+  g = 2;
+}
+
+int main() {
+  int v = input();
+  even(v, 3);
+  print("%d", g + v);
+  return 0;
+}
+"""
+
+
+def test_two_cycle_must_mod_translates_ref_params():
+    result = modref(TWO_CYCLE)
+    # even: both paths end with x = ...; g = ...; only the n > 0 path
+    # runs odd, so odd's k is not a must-def of even.
+    assert result.must_mod["even"] == {"g", "x"}
+    # odd: the early-return path gets even's {x -> y, g} and the
+    # fall-through path only g = 2; both run k = y first.
+    assert result.must_mod["odd"] == {"g", "k"}
+    # main: even's x lands in the local v and drops out.
+    assert result.must_mod["main"] == {INPUT, "g"}
+    assert result.may_mod["even"] == {"g", "k", "x"}
+    assert result.may_mod["odd"] == {"g", "k", "y"}
+    assert result.may_mod["main"] == {INPUT, "g", "k"}
+
+
+def test_two_cycle_exposed_refs():
+    result = modref(TWO_CYCLE)
+    assert result.may_ref["even"] == {"h", "k", "x"}
+    assert result.may_ref["odd"] == {"h", "k", "y"}
+    # even reads k exposed (its n <= 0 path never assigns it) and y's
+    # read in odd comes back through the ref parameter as x.
+    assert result.exposed_ref["even"] == {"h", "k", "x"}
+    # odd assigns k before calling even, which hides even's read of k.
+    assert result.exposed_ref["odd"] == {"h", "y"}
+    assert result.exposed_ref["main"] == {INPUT, "h", "k"}
+    assert result.ref_in_globals("odd", {"g", "h", "k"}) == {"h"}
+    assert result.ref_in_globals("even", {"g", "h", "k"}) == {"h", "k"}
+
+
+THREE_CYCLE = """
+int g1;
+int g2;
+int g3;
+
+void a(int n) {
+  if (n > 0) {
+    b(n - 1);
+  }
+  g1 = 1;
+}
+
+void b(int n) {
+  g2 = g1;
+  if (n == 0) {
+    return;
+  }
+  c(n - 1);
+  g3 = 1;
+}
+
+void c(int n) {
+  g3 = 7;
+  a(n);
+  g2 = g3;
+}
+
+int main() {
+  a(5);
+  print("%d", g2);
+  return 0;
+}
+"""
+
+
+def test_three_cycle_must_mod_with_early_return():
+    result = modref(THREE_CYCLE)
+    everything = {"g1", "g2", "g3"}
+    for name in ("a", "b", "c"):
+        assert result.may_mod[name] == everything
+        assert result.may_ref[name] == {"g1", "g3"}
+    assert result.must_mod["a"] == {"g1"}
+    # b's early return skips c(...) and g3 = 1.
+    assert result.must_mod["b"] == {"g2"}
+    assert result.must_mod["c"] == everything
+    assert result.must_mod["main"] == {"g1"}
+
+
+def test_three_cycle_exposed_refs():
+    result = modref(THREE_CYCLE)
+    # c assigns g3 before every read of it, so only b's read of g1 is
+    # exposed, and it travels around the whole cycle.
+    for name in ("a", "b", "c"):
+        assert result.exposed_ref[name] == {"g1"}
+    assert result.exposed_ref["main"] == {"g1", "g2"}
+    assert result.ref_in_globals("b", {"g1", "g2", "g3"}) == {"g1", "g3"}

@@ -1,5 +1,6 @@
 """Additional property-based tests: feature removal, Weiser, and
-postdominators against brute-force definitions."""
+postdominators and reaching definitions against brute-force
+definitions."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.postdom import immediate_postdominators, postdominators
+from repro.analysis.reaching import flow_dependences
 from repro.core import (
     executable_program,
     monovariant_program,
@@ -180,3 +182,103 @@ def test_ipdom_consistent_with_pdom(cfg):
         # every other strict postdominator postdominates the ipdom
         for other in pdom[n] - {n, candidate}:
             assert other in pdom[candidate]
+
+
+# -- reaching definitions vs brute force ------------------------------------------
+
+
+@st.composite
+def random_flow_cfg(draw):
+    """A random CFG with fall-through edges, plus DEF/USE maps in which
+    some definitions are weak (may-only, so they kill nothing)."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    cfg = ControlFlowGraph("entry", "exit")
+    nodes = ["entry"] + ["n%d" % i for i in range(n)] + ["exit"]
+    for a, b in zip(nodes, nodes[1:]):
+        cfg.add_edge(a, b, fallthrough=draw(st.booleans()))
+    extra = draw(st.integers(min_value=0, max_value=10))
+    for _ in range(extra):
+        a = draw(st.sampled_from(nodes[:-1]))
+        b = draw(st.sampled_from(nodes[1:]))
+        cfg.add_edge(a, b, fallthrough=draw(st.booleans()))
+    variables = st.sets(st.sampled_from(["x", "y", "z"]))
+    defs, must_defs, uses = {}, {}, {}
+    for node in nodes:
+        defs[node] = draw(variables)
+        must_defs[node] = {var for var in defs[node] if draw(st.booleans())}
+        uses[node] = draw(variables)
+    return cfg, defs, uses, must_defs
+
+
+def brute_force_flow_dependences(cfg, defs, uses, must_defs):
+    """(d, u, v) iff some executable path leaves d and enters u with no
+    node in between must-defining v (searched per definition site)."""
+    deps = set()
+    for site in cfg.nodes:
+        for var in defs[site]:
+            reached = set()
+            stack = cfg.successors(site, include_fallthrough=False)
+            while stack:
+                node = stack.pop()
+                if node in reached:
+                    continue
+                reached.add(node)
+                if var not in must_defs[node]:
+                    stack.extend(cfg.successors(node, include_fallthrough=False))
+            deps |= {(site, node, var) for node in reached if var in uses[node]}
+    return deps
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_flow_cfg())
+def test_flow_dependences_match_brute_force(case):
+    cfg, defs, uses, must_defs = case
+    assert flow_dependences(cfg, defs, uses, must_defs) == (
+        brute_force_flow_dependences(cfg, defs, uses, must_defs)
+    )
+
+
+@st.composite
+def random_cfg_with_sinks(draw):
+    """A random CFG that may contain dead ends (nodes without
+    successors), loops that never reach the exit, and exit out-edges."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    cfg = ControlFlowGraph("entry", "exit")
+    nodes = ["entry"] + ["n%d" % i for i in range(n)] + ["exit"]
+    for node in nodes:
+        cfg.add_node(node)
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        cfg.add_edge(draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)))
+    return cfg
+
+
+def brute_force_postdominates_sinks(cfg, d, n):
+    """d postdominates n iff no sink (the exit, whose out-edges do not
+    count, or a node without successors) is reachable from n avoiding
+    d — vacuously true for n that reach no sink at all."""
+    if d == n:
+        return True
+    seen = {n}
+    stack = [n]
+    while stack:
+        node = stack.pop()
+        if node == cfg.exit or not cfg.successors(node):
+            return False
+        for succ in cfg.successors(node):
+            if succ != d and succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cfg_with_sinks())
+def test_postdominators_with_dead_ends_match_brute_force(cfg):
+    pdom = postdominators(cfg)
+    ipdom = immediate_postdominators(cfg)
+    for n in cfg.nodes:
+        assert pdom[n] == {
+            d for d in cfg.nodes if brute_force_postdominates_sinks(cfg, d, n)
+        }, n
+        if ipdom[n] is not None:
+            assert pdom[n] == {n} | pdom[ipdom[n]], n
