@@ -21,7 +21,7 @@ Commands:
 * ``cache``     — manage the persistent store: ``cache stats``
   (``--json`` for machine-readable output; both forms break entries
   and bytes down per table, including the ``__procs__`` and
-  ``__sats__`` shared tables; the JSON adds this process's kernel
+  ``__sats__`` shared tables, and report the store's economics
   counters) and ``cache clear`` (all honor ``--cache-dir``, default
   ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
 * ``mono``      — the same criterion, Binkley's monovariant slice.
@@ -35,7 +35,8 @@ The CLI is a thin veneer over the library API; each command returns the
 text it prints so tests can drive it directly.  User errors — a TinyC
 lex, parse, or semantic error, or a file that cannot be read — print
 one ``FILE:LINE:COL: message`` (or ``FILE: message``) line to stderr
-and exit with status 2; internal errors keep their traceback.
+and exit with status 2 — naming ``PREV_FILE`` when the error is in the
+``--reuse-from`` revision; internal errors keep their traceback.
 """
 
 import argparse
@@ -57,8 +58,18 @@ from repro.lang.interp import run_program
 from repro.sdg import build_sdg
 
 
-class UserError(Exception):
-    """A user mistake :func:`main` reports as one line and exit code 2."""
+class UserError(SystemExit):
+    """A user mistake :func:`main` reports as one line and exit code 2
+    (a :class:`SystemExit`, like the usage errors, for callers that run
+    a command function directly)."""
+
+
+def _located(path, exc):
+    """A TinyC error as one ``FILE:LINE:COL: message`` line."""
+    where = path
+    if exc.line is not None:
+        where += ":%d:%d" % (exc.line, exc.col or 0)
+    return "%s: %s" % (where, exc.message)
 
 
 def _read(path):
@@ -135,13 +146,12 @@ def cmd_slice_batch(args):
         # Incremental path: open (or revive) the session for the
         # previous revision of the file and update it to the current
         # text — unchanged procedures keep their PDGs and saturations.
+        previous = _read(args.reuse_from)
         try:
-            with open(args.reuse_from) as handle:
-                previous = handle.read()
             session = repro.open_session(previous, cache_dir=args.cache_dir)
-            update = session.update_source(source)
-        except Exception as exc:
-            raise SystemExit("error: --reuse-from update failed: %s" % exc)
+        except TinyCError as exc:
+            raise UserError(_located(args.reuse_from, exc))
+        update = session.update_source(source)
     else:
         session = repro.open_session(source, cache_dir=args.cache_dir)
     prints = session.sdg.print_call_vertices()
@@ -413,10 +423,7 @@ def main(argv=None):
     try:
         output = args.func(args)
     except TinyCError as exc:
-        where = args.file
-        if exc.line is not None:
-            where += ":%d:%d" % (exc.line, exc.col or 0)
-        return _user_error("%s: %s" % (where, exc.message))
+        return _user_error(_located(args.file, exc))
     except UserError as exc:
         return _user_error(str(exc))
     print(output)

@@ -8,10 +8,7 @@ workers re-saturated it, and the incremental layer re-derived its
 procedure ownership by trimming at every update.  A
 :class:`SaturationArtifact` packages the saturation once, in the form
 all four consumers — memo, store, ``update_source`` survival, and
-cross-revision discovery
-(:func:`repro.engine.incremental.discover_artifacts`, which replays
-the survival decision from the store's per-revision saturation
-indexes with no live donor session) — need:
+cross-revision discovery — need:
 
 * ``automaton`` — the *trimmed* saturation automaton (the useful part
   only; trimming preserves the configuration language read from every
@@ -29,17 +26,20 @@ indexes with no live donor session) — need:
   contribute PDS rules mentioning it.  ``None`` means "unknown, treat
   as touching everything" (sessions built from a bare SDG).
 
-The footprint is what makes the artifact *relocatable*: an artifact
-survives a source edit iff its footprint avoids every changed
-procedure's content key, because any PDS rule the edit added or removed
-mentions a changed procedure's vertex or call site, and the first
-changed rule usable in a new derivation needs a configuration the old
-automaton already accepted that mentions such a symbol.  (Reachable-
-contexts criteria additionally require the shared Poststar to survive,
-because their query automata bake in its language — the caller's gate,
-not the artifact's.)  Content keys, not names, so the check composes
-with the store's content-addressed tables and stays meaningful across
-processes.
+The footprint is what makes the artifact *relocatable*.  Whether an
+artifact outlives an edit is decided in one place,
+:func:`repro.engine.incremental.carry_over`, for both the live
+``update_source`` and a cold process's discovery: across a structural
+edit it survives iff its footprint is a subset of the new revision's
+content keys (an empty footprint always is), because any PDS rule the
+edit added or removed mentions a changed procedure's vertex or call
+site, and the first changed rule usable in a new derivation needs a
+configuration the old automaton already accepted that mentions such a
+symbol.  Content keys, not names, so the check composes with the
+store's content-addressed tables and stays meaningful across
+processes; :func:`index_record` is the form a revision's saturation
+index keeps of each filed artifact, so the decision never unpickles
+one.
 
 Artifacts pickle deterministically: ``__getstate__`` renders the
 automaton through :func:`repro.fsa.serialize.automaton_to_payload` and
@@ -75,17 +75,6 @@ def _intern_values(value, memo):
     # Keyed by (class, value) so equal-comparing values of different
     # types (e.g. a str-subclass) stay distinct.
     return memo.setdefault((value.__class__, value), value)
-
-
-def translate_footprint(footprint, key_translation):
-    """A footprint re-addressed through ``{old content key -> new
-    content key}`` — how footprints follow procedures whose text (and
-    therefore key) changed across an update.  None stays None."""
-    if footprint is None or not key_translation:
-        return footprint
-    return frozenset(
-        key_translation.get(content_key, content_key) for content_key in footprint
-    )
 
 
 class SaturationArtifact(object):
@@ -135,39 +124,45 @@ class SaturationArtifact(object):
             -1 if self.footprint is None else len(self.footprint),
         )
 
-    # -- edit survival ---------------------------------------------------------
-
-    def survives(self, changed_content_keys):
-        """Whether this saturation is provably unaffected by an edit
-        that changed (or removed) exactly the procedures with the given
-        old content keys.  An unknown footprint never survives."""
-        return self.footprint is not None and self.footprint.isdisjoint(
-            changed_content_keys
-        )
+    # -- renaming across revisions -------------------------------------------------
 
     def translated(self, key_translation):
         """This artifact with its footprint re-addressed through
-        ``{old content key -> new content key}`` — the fast-path update
+        ``{old content key -> new content key}`` — the label-only edit
         case, where a procedure's text (and therefore key) changed but
         its PDS rules did not, so the automaton itself is still exact."""
-        footprint = translate_footprint(self.footprint, key_translation)
+        if self.footprint is None or not key_translation:
+            return self
+        footprint = frozenset(
+            key_translation.get(content_key, content_key)
+            for content_key in self.footprint
+        )
         if footprint == self.footprint:
             return self
         return SaturationArtifact(self.kind, self.key, self.automaton, footprint)
 
-    def relocated(self, new_key, vid_map, site_map, key_translation):
-        """This artifact renamed into an edited front half: transition
-        symbols are renumbered through the relocation maps and the
-        footprint through the content-key translation.  Callers must
-        have already checked :meth:`survives` — transitions on symbols
-        absent from the maps belong to rebuilt procedures, are off
-        every accepting path, and are dropped."""
+    def relocated(self, new_key, vid_map, site_map):
+        """This artifact renamed into an edited revision: transition
+        symbols are renumbered through the two revisions' layouts (see
+        :func:`repro.engine.incremental.carry_over`, which must have
+        kept it).  Transitions on symbols absent from the maps belong
+        to rebuilt procedures, are off every accepting path, and are
+        dropped.  The footprint lies within the procedures both
+        revisions share, so it carries over unchanged."""
         return SaturationArtifact(
             self.kind,
             new_key,
             remap_automaton(self.automaton, vid_map, site_map),
-            translate_footprint(self.footprint, key_translation),
+            self.footprint,
         )
+
+
+def index_record(artifact):
+    """The record a revision's saturation index keeps for a filed
+    artifact: ``(memo key, kind, sorted footprint tuple)`` — everything
+    the carry-over rule reads, so deciding survival never unpickles an
+    artifact."""
+    return (artifact.key, artifact.kind, tuple(sorted(artifact.footprint)))
 
 
 def symbol_owner_procs(sdg, automaton):
@@ -223,8 +218,8 @@ def make_artifact(kind, key, automaton, sdg, proc_keys, trimmed=True):
 
 
 def remap_automaton(automaton, vid_map, site_map):
-    """Rename an automaton's transition symbols through the relocation
-    maps of an incremental update.  Transitions labeled by symbols of
+    """Rename an automaton's transition symbols through the renumbering
+    maps between two revisions.  Transitions labeled by symbols of
     rebuilt procedures (absent from the maps) are dropped; callers must
     have already checked, via the artifact footprint, that no such
     symbol is on an accepting path, so the accepted language is

@@ -20,48 +20,52 @@ front half assemblable from per-procedure parts and teaches
 
 * :func:`update_session` diffs old and new keys, lifts the unchanged
   procedures' PDGs out of the old graph (re-keyed onto the new parse's
-  statement uids — content-key equality makes the ASTs token-identical),
-  rebuilds only the changed PDGs via :func:`repro.sdg.assemble_sdg`
-  (which numbers the result identically to a cold build), and prunes
-  the session memo as a pure function of **artifact footprints**
-  (:mod:`repro.engine.artifacts`) — every saturation's ownership
-  footprint was emitted when it was created, so the update never
-  re-derives procedure ownership from automata:
+  statement uids — content-key equality makes the ASTs token-identical)
+  and rebuilds only the changed PDGs via :func:`repro.sdg.assemble_sdg`
+  (which numbers the result identically to a cold build).
 
-  - **fast path** — every rebuilt procedure has the same
-    :meth:`~repro.sdg.parts.ProcPart.shape_key` as before (label-only
-    edits: changed constants, renamed locals, reworded prints): the
-    PDS is unchanged, the old encoding and *every* saturation artifact
-    are kept (footprints re-addressed onto the new content keys), and
-    slice / feature-removal / cleanup results survive whenever their
-    footprint avoids every changed procedure (surviving rendered slices
-    are re-pointed at the new parse's statement uids);
-  - **slow path** — dependence structure changed: the PDS is
-    re-encoded, and a saturation artifact is kept (relocated through
-    the renumbering maps) only when its footprint avoids every changed
-    procedure's content key.  Prestar and feature-cone entries for
-    ``contexts="reachable"`` criteria additionally require the shared
-    Poststar to have survived, because their query automaton was
-    derived from it.  Rendered results are conservatively recomputed
-    (cheap: their saturation is the expensive part and it hits).
+* :func:`carry_over` is **the one survival rule** for saturations
+  across revisions.  :func:`update_session` feeds it the live memo and
+  :func:`discover_artifacts` (a cold process, no donor session) feeds
+  it a stored revision's saturation index; both hand it the same
+  inputs — the two revisions' *layouts* (:func:`session_layout`) and
+  each saturation's key and ownership footprint
+  (:mod:`repro.engine.artifacts`) — so the two paths cannot drift:
 
-Why the keep-rule is sound: a saturation can only grow or shrink
+  - **fast-equivalent** revisions (a label-only edit: same procedure
+    sequence and numbering, every edited procedure shape-identical)
+    share one PDS, so every saturation carries over, its footprint
+    re-addressed onto the new content keys;
+  - otherwise a saturation carries over iff its footprint is a subset
+    of the new revision's content keys — an empty footprint always is
+    — renumbered through the two layouts.  A reachable-contexts
+    Prestar or feature cone additionally needs the shared Poststar to
+    carry over, because its query automaton was derived from it.
+
+  Rendered slice / feature-removal / cleanup results survive only a
+  fast-equivalent edit whose changed procedures their footprint
+  avoids (re-pointed at the new parse's statement uids); otherwise they
+  are recomputed (cheap: their saturation is the expensive part and it
+  carries over).
+
+Why the subset rule is sound: a saturation can only grow or shrink
 through a rule that the edit added or removed, and every such rule
 mentions a changed procedure's vertex or a call site in/on a changed
 procedure either on its left-hand side or in its right-hand word.  The
 first changed rule used in any new derivation therefore needs a
 configuration *already accepted by the old automaton* that mentions
-one of those symbols — and a footprint disjoint from every changed
-procedure's content key means no such symbol is on any accepting path.
-(The reachable-contexts caveat exists because those query automata
-bake in the old Poststar language, which the footprint cannot see;
-they are kept only when the Poststar itself is provably intact.)
+one of those symbols — and a footprint within the unchanged
+procedures' content keys means no such symbol is on any accepting
+path.  An empty footprint (an empty saturation, e.g. the Prestar of an
+unreachable print) stays empty for the same reason.  (The
+reachable-contexts caveat exists because those query automata bake in
+the old Poststar language, which the footprint cannot see; they are
+kept only when the Poststar itself carries over.)
 
-With a store attached, every surviving artifact is re-filed into the
-``__sats__`` table under the edited text's front-half hash, so the
-on-disk saturation cache survives source edits the same way the
-content-addressed ``__procs__`` table lets the front half survive
-them.
+With a store attached, every survivor is re-filed into the ``__sats__``
+table under the edited text's front-half hash, so the on-disk
+saturation cache survives source edits the same way the
+content-addressed ``__procs__`` table lets the front half survive them.
 """
 
 import hashlib
@@ -70,7 +74,7 @@ from concurrent.futures import Future
 
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.modref import compute_modref
-from repro.engine.artifacts import SaturationArtifact, translate_footprint
+from repro.engine.artifacts import SaturationArtifact, index_record
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
@@ -203,7 +207,7 @@ def load_front_half(source, store):
     """
     program, info = front_end(source)
     if store is None:
-        sdg, _relocations = assemble_sdg(program, info)
+        sdg = assemble_sdg(program, info)
         # parts_total 0: no store was consulted, so the stats must not
         # read as "N parts missed".
         return program, info, sdg, None, 0, 0
@@ -218,9 +222,7 @@ def load_front_half(source, store):
                 parts[proc.name] = part.retarget_uids(proc)
             except ValueError:
                 pass  # defensive: a mismatched part is just a miss
-    sdg, _relocations = assemble_sdg(
-        program, info, parts, call_graph=call_graph, modref=modref
-    )
+    sdg = assemble_sdg(program, info, parts, call_graph=call_graph, modref=modref)
     for proc in program.procs:
         if proc.name not in parts:
             store.put_proc(keys[proc.name], extract_part(sdg, proc.name))
@@ -231,8 +233,9 @@ def load_front_half(source, store):
 #
 # Which procedures a saturation or result can possibly observe is its
 # artifact footprint, computed once at creation (repro.engine.artifacts)
-# — the update only checks footprint disjointness and renames keys and
-# symbols; it never re-trims an automaton to re-derive ownership.
+# — the survival rule (carry_over, below) only tests footprints against
+# content keys and renames keys and symbols; it never re-trims an
+# automaton to re-derive ownership.
 
 
 def _remap_criterion_key(key, vid_map, site_map):
@@ -283,29 +286,15 @@ def _needs_poststar(key):
     return key[0] == VERTICES and len(key) == 3 and key[2] == "reachable"
 
 
-# -- cross-revision discovery ------------------------------------------------------
+# -- revision layouts --------------------------------------------------------------
 #
-# update_session can only re-file surviving artifacts because it holds
-# the *old* front half in memory.  A cold process opening edited text
-# has no old session — what it has is the store's per-revision
-# saturation indexes: each one records, for every artifact filed under
-# a revision, the memo key, the saturation kind, and the ownership
-# footprint, plus the revision's symbol *layout* (content key -> vertex
-# ids and call-site labels in build order).  Discovery replays the
-# exact survival check update_session performs, from the index alone:
-#
-#   footprint ⊆ new revision's content-key set
-#     ⟺  footprint ∩ (candidate's keys \ new keys) = ∅
-#     ⟺  footprint disjoint from every procedure the "edit" between the
-#         two revisions changed or removed
-#
-# and the renumbering maps come from zipping the two layouts
-# positionally (content-key equality makes the procedure ASTs
-# token-identical, so the PDG builders emit their vertices and call
-# sites in the same order on both sides).  Reachable-contexts Prestar
-# entries are additionally gated on the candidate revision's Poststar
-# *record* passing the same subset test — proving the baked-in
-# reachable language unchanged without loading the Poststar's file.
+# A layout is a revision's symbol coordinate system: one ``(name,
+# content key, shape digest, vertex ids, call-site labels)`` entry per
+# procedure, in program order, with the ids and labels in PDG build
+# order.  Both survival paths compare two layouts: a live update holds
+# the old and new revisions in memory, and a cold process reads the
+# old one from the store's per-revision saturation index (the index
+# keeps layouts in exactly this shape).
 
 
 def _shape_digest(sdg, name):
@@ -320,49 +309,62 @@ def _shape_digest(sdg, name):
     return hashlib.sha256(repr(stable).encode("utf-8")).hexdigest()
 
 
+def _build_layout(program, sdg, keys, known=()):
+    """The layout of a front half.  Shape digests are reused from the
+    ``known`` layout by content key (equal keys mean identical PDGs),
+    so a layout built next to its predecessor digests only the
+    procedures an edit rebuilt."""
+    shapes = {entry[1]: entry[2] for entry in known}
+    layout = []
+    for proc in program.procs:
+        key = keys[proc.name]
+        shape = shapes.get(key)
+        if shape is None:
+            shape = _shape_digest(sdg, proc.name)
+        layout.append(
+            (
+                proc.name,
+                key,
+                shape,
+                tuple(sdg.proc_vertices.get(proc.name, ())),
+                tuple(sdg.sites_in_proc.get(proc.name, ())),
+            )
+        )
+    return tuple(layout)
+
+
 def session_layout(session):
-    """The session's symbol layout, the coordinate system artifacts are
-    renumbered through across revisions: one ``(name, content key,
-    shape digest, vertex ids, call-site labels)`` entry per procedure,
-    in program order, with the ids and labels in PDG build order.
-    Cached per revision on the session (layouts are consulted on every
-    artifact filing)."""
+    """The session's layout, cached per revision on the session
+    (layouts are consulted on every artifact filing and update)."""
     cached = getattr(session, "_sat_layout", None)
     if cached is not None and cached[0] == session.source_hash:
         return cached[1]
-    keys = session_procedure_keys(session)
-    sdg = session.sdg
-    layout = tuple(
-        (
-            proc.name,
-            keys[proc.name],
-            _shape_digest(sdg, proc.name),
-            tuple(sdg.proc_vertices.get(proc.name, ())),
-            tuple(sdg.sites_in_proc.get(proc.name, ())),
-        )
-        for proc in session.program.procs
+    layout = _build_layout(
+        session.program, session.sdg, session_procedure_keys(session)
     )
     session._sat_layout = (session.source_hash, layout)
     return layout
 
 
-def _layouts_fast_equivalent(old_layout, new_layout):
-    """:func:`update_session`'s fast path, replayed from two layouts
-    alone: same procedure sequence, every procedure either
-    content-identical or shape-identical, and identical numbering
-    throughout — which together prove the two revisions' PDS are *the
-    same system*, so every saturation transfers verbatim.  Returns the
+# -- the survival rule -------------------------------------------------------------
+
+
+def _fast_translation(old_layout, new_layout):
+    """Whether two revisions are fast-equivalent — same procedure
+    sequence, every procedure either content-identical or
+    shape-identical, identical numbering throughout, which together
+    prove the two revisions' PDS are *the same system*.  Returns the
     content-key translation (old -> new for the label-edited
-    procedures), or None when the revisions are not fast-equivalent."""
+    procedures), or None when they are not."""
     if len(old_layout) != len(new_layout):
         return None
     key_translation = {}
     for old_entry, new_entry in zip(old_layout, new_layout):
         try:
             old_name, old_key, old_shape, old_vids, old_sites = old_entry
-            new_name, new_key, new_shape, new_vids, new_sites = new_entry
         except (TypeError, ValueError):
             return None
+        new_name, new_key, new_shape, new_vids, new_sites = new_entry
         if old_name != new_name or old_vids != new_vids or old_sites != new_sites:
             return None
         if old_key != new_key:
@@ -375,17 +377,13 @@ def _layouts_fast_equivalent(old_layout, new_layout):
 def _layout_maps(old_layout, new_layout):
     """The ``(vid_map, site_map)`` renumbering between two revisions'
     layouts, covering every procedure whose content key appears in
-    both.  None when the layouts disagree about a shared procedure's
-    shape — impossible for honestly computed layouts (content-key
-    equality fixes the vertex and site counts), so the whole candidate
-    revision is distrusted rather than partially mapped."""
-    new_by_key = {}
-    for entry in new_layout:
-        try:
-            _name, content_key, _shape, vids, sites = entry
-        except (TypeError, ValueError):
-            return None
-        new_by_key[content_key] = (vids, sites)
+    both (content-key equality makes the procedure ASTs
+    token-identical, so the PDG builders emit their vertices and call
+    sites in the same order on both sides).  None when the layouts
+    disagree about a shared procedure's shape — impossible for
+    honestly computed layouts, so the whole old revision is distrusted
+    rather than partially mapped."""
+    new_by_key = {entry[1]: (entry[3], entry[4]) for entry in new_layout}
     vid_map, site_map = {}, {}
     for entry in old_layout:
         try:
@@ -403,21 +401,88 @@ def _layout_maps(old_layout, new_layout):
     return vid_map, site_map
 
 
-def _poststar_record_intact(records, poststar_digest, new_key_set):
-    """Whether a candidate revision's shared-Poststar *record* proves
-    the reachable-configuration language unchanged under the new
-    revision: the record exists and its footprint passes the subset
-    test.  No artifact file is read."""
-    record = records.get(poststar_digest)
-    try:
-        key, _kind, footprint = record
-    except (TypeError, ValueError):
-        return False
-    return (
-        key == REACHABLE_KEY
-        and bool(footprint)
-        and frozenset(footprint) <= new_key_set
+def _within(footprint, content_keys):
+    """The footprint test: whether everything a saturation or result
+    can observe lies in procedures with the given content keys.  An
+    unknown (None) footprint never does; an empty one always does."""
+    return footprint is not None and content_keys.issuperset(footprint)
+
+
+def carry_over(old_layout, new_layout, saturations):
+    """The one survival rule for saturations across revisions, shared
+    by :func:`update_session` (the live memo) and
+    :func:`discover_artifacts` (a stored revision's index).
+
+    ``saturations`` is a sequence of ``(key, footprint)`` pairs, one
+    per saturation of the old revision.  Returns ``(fast, new_keys,
+    rename)``: whether the revisions are fast-equivalent, each
+    saturation's key in the new revision (input order; None when it is
+    dropped), and ``rename(artifact, new_key)``, which renames a
+    carried-over artifact into the new revision.
+
+    * Fast-equivalent revisions share one PDS: every saturation with a
+      known footprint carries over under its own key, its footprint
+      re-addressed onto the new content keys.
+    * Otherwise a saturation carries over iff its footprint is
+      within the new revision's content keys and its key
+      renumbers through the layouts; a reachable-contexts one also
+      needs the shared Poststar to carry over.
+    """
+    translation = _fast_translation(old_layout, new_layout)
+    if translation is not None:
+        return (
+            True,
+            [None if footprint is None else key for key, footprint in saturations],
+            lambda artifact, _new_key: artifact.translated(translation),
+        )
+    new_key_set = frozenset(entry[1] for entry in new_layout)
+    fits = [_within(footprint, new_key_set) for _key, footprint in saturations]
+    maps = _layout_maps(old_layout, new_layout) if any(fits) else None
+    if maps is None:
+        return False, [None] * len(saturations), None
+    vid_map, site_map = maps
+    poststar_carried = any(
+        fit and key == REACHABLE_KEY for (key, _footprint), fit in zip(saturations, fits)
     )
+
+    def new_key(key, fit):
+        if not fit:
+            return None
+        if key == REACHABLE_KEY:
+            return key
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return None
+        if _needs_poststar(key[1]) and not poststar_carried:
+            return None
+        inner = _remap_criterion_key(key[1], vid_map, site_map)
+        return None if inner is None else (key[0], inner)
+
+    return (
+        False,
+        [new_key(key, fit) for (key, _footprint), fit in zip(saturations, fits)],
+        lambda artifact, key: artifact.relocated(key, vid_map, site_map),
+    )
+
+
+def _refile(store, src_hash, layout, survivors):
+    """File carried-over artifacts (new key digest -> artifact) under a
+    revision's hash — artifact files where missing (an undo/redo loop
+    returning to already-seen text skips the re-serialization), plus
+    their index records and the revision's layout, which is what lets
+    a cold process discover them later."""
+    if not survivors:
+        return
+    for digest, artifact in survivors.items():
+        if not store.has_sat(src_hash, digest):
+            store.put_sat(src_hash, digest, artifact)
+    store.merge_sat_index(
+        src_hash,
+        layout=layout,
+        records={digest: index_record(artifact) for digest, artifact in survivors.items()},
+    )
+
+
+# -- cross-revision discovery ------------------------------------------------------
 
 
 def discover_artifacts(session):
@@ -427,96 +492,59 @@ def discover_artifacts(session):
     Runs at session creation when a store is attached.  Skips instantly
     when this revision's own index already records a shared Poststar
     (the warm-reopen hot path: everything expensive is directly
-    addressable).  Otherwise scans the store's saturation indexes,
-    newest revision first, and for every record whose footprint is a
-    subset of this revision's content keys: renumbers the memo key and
-    the automaton through the two layouts, installs the survivor in the
-    session memo, and re-files it (artifact + index record) under this
-    revision's hash — so the adoption is paid once per edit, not once
-    per process.  Adoptions count as ``index_hits`` on the store (and
-    ``sats_adopted`` on the session); records whose artifact file was
-    evicted or corrupted count as ``index_misses``.
+    addressable).  Otherwise feeds each candidate revision's index —
+    newest first — to :func:`carry_over`, loads and renames every
+    survivor the memo lacks, installs it, and re-files it (artifact +
+    index record) under this revision's hash, so the adoption is paid
+    once per edit, not once per process.  Adoptions count as
+    ``index_hits`` on the store (and ``sats_adopted`` on the session);
+    records whose artifact file was evicted or corrupted count as
+    ``index_misses``.
 
     Returns the number of artifacts adopted.
     """
     store = session.store
     new_hash = session.source_hash
-    poststar_digest = stable_key_digest(REACHABLE_KEY)
     own = store.get_sat_index(new_hash)
-    if own is not None and poststar_digest in (own.get("artifacts") or {}):
+    if own is not None and stable_key_digest(REACHABLE_KEY) in (
+        own.get("artifacts") or {}
+    ):
         return 0
     t0 = time.perf_counter()
-    new_keys = session_procedure_keys(session)
-    new_key_set = frozenset(new_keys.values())
     new_layout = session_layout(session)
-    adopted_records = {}
-    adopted = 0
+    survivors = {}
     # The inverted keymap narrows the scan to revisions that can
-    # possibly donate — sharing a content key (footprint-subset
-    # adoption needs one) or the full layout shape signature
-    # (fast-equivalent label edits may share none) — so discovery
-    # stays O(changed keys) however many revisions the store holds.
+    # possibly donate — sharing a content key or the full layout shape
+    # signature (fast-equivalent label edits may share none) — so
+    # discovery stays O(changed keys) however many revisions the store
+    # holds.
     candidates = store.sat_indexes_for(
-        new_key_set, store.layout_signature(new_layout)
+        frozenset(entry[1] for entry in new_layout),
+        store.layout_signature(new_layout),
     )
     for src_hash, index in candidates:
         if src_hash == new_hash:
             continue
-        records = index.get("artifacts") or {}
-        if not records:
-            continue
-        old_layout = index.get("layout") or ()
-        # Fast equivalence (a label-only edit between the revisions:
-        # same shapes, same numbering => same PDS): every record
-        # transfers verbatim, footprints re-addressed.  Otherwise fall
-        # back to per-record footprint-subset survival — the same check
-        # update_session's slow path runs, replayed from the index.
-        translation = _layouts_fast_equivalent(old_layout, new_layout)
-        maps = None  # built lazily, once per candidate revision
-        poststar_ok = None
-        for key_digest in sorted(records):
+        records = []
+        for key_digest, record in sorted((index.get("artifacts") or {}).items()):
             try:
-                key, _kind, footprint = records[key_digest]
+                key, _kind, footprint = record
             except (TypeError, ValueError):
                 continue
-            if translation is None:
-                footprint = frozenset(footprint or ())
-                if not footprint or not footprint <= new_key_set:
-                    continue
-                if maps is None:
-                    maps = _layout_maps(old_layout, new_layout)
-                    if maps is None:
-                        break
-                vid_map, site_map = maps
-                if key == REACHABLE_KEY:
-                    new_key = REACHABLE_KEY
-                elif isinstance(key, tuple) and len(key) == 2:
-                    if _needs_poststar(key[1]):
-                        # Reachable-contexts queries bake in the donor's
-                        # Poststar language; its *record* passing the
-                        # subset test proves the language unchanged.
-                        if poststar_ok is None:
-                            poststar_ok = _poststar_record_intact(
-                                records, poststar_digest, new_key_set
-                            )
-                        if not poststar_ok:
-                            continue
-                    inner = _remap_criterion_key(key[1], vid_map, site_map)
-                    if inner is None:
-                        continue
-                    new_key = (key[0], inner)
-                else:
-                    continue
-            else:
-                new_key = key
-            if not is_stable_key(new_key):
+            records.append((key_digest, key, footprint))
+        if not records:
+            continue
+        _fast, new_keys, rename = carry_over(
+            index.get("layout") or (),
+            new_layout,
+            [(key, footprint) for _digest, key, footprint in records],
+        )
+        for (key_digest, key, _footprint), new_key in zip(records, new_keys):
+            if new_key is None or not is_stable_key(new_key):
                 continue
-            new_digest = stable_key_digest(new_key)
-            if new_digest in adopted_records:
-                continue  # a newer revision already supplied this key
             with session._lock:
                 if ("saturation", new_key) in session._futures:
-                    continue
+                    continue  # a newer revision already supplied it
             artifact = store.get_sat(src_hash, key_digest)
             if not isinstance(artifact, SaturationArtifact) or artifact.key != key:
                 # Stale record: the artifact file was evicted (or
@@ -524,31 +552,15 @@ def discover_artifacts(session):
                 # compaction walk GCs the record.
                 store.count_index(False)
                 continue
-            if translation is not None:
-                survivor = artifact.translated(translation)
-            else:
-                # Footprint keys are, by the subset test, unchanged
-                # between the revisions — the content-key translation
-                # is identity.
-                survivor = artifact.relocated(new_key, vid_map, site_map, {})
-            if survivor.footprint is None:
-                continue
+            survivor = rename(artifact, new_key)
             session._install("saturation", new_key, survivor)
-            if not store.has_sat(new_hash, new_digest):
-                store.put_sat(new_hash, new_digest, survivor)
-            adopted_records[new_digest] = (
-                new_key,
-                survivor.kind,
-                tuple(sorted(survivor.footprint)),
-            )
+            survivors[stable_key_digest(new_key)] = survivor
             store.count_index(True)
-            adopted += 1
-    if adopted_records:
-        store.merge_sat_index(new_hash, layout=new_layout, records=adopted_records)
+    _refile(store, new_hash, new_layout, survivors)
     with session._lock:
-        session._stats["sats_adopted"] += adopted
+        session._stats["sats_adopted"] += len(survivors)
         session._stats["discovery_seconds"] += time.perf_counter() - t0
-    return adopted
+    return len(survivors)
 
 
 # -- the update itself -------------------------------------------------------------
@@ -594,64 +606,51 @@ def update_session(session, new_source):
         except ValueError:  # defensive: rebuild rather than trust a bad part
             kept.discard(name)
             changed.append(name)
-    new_sdg, relocations = assemble_sdg(
-        program, info, parts, call_graph=call_graph, modref=modref
+    new_sdg = assemble_sdg(program, info, parts, call_graph=call_graph, modref=modref)
+
+    # The survival rule, fed the live memo.
+    old_layout = session_layout(session)
+    new_layout = _build_layout(program, new_sdg, new_keys, known=old_layout)
+    with session._lock:
+        snapshot = dict(session._futures)
+    saturations = [
+        (key, future.result())
+        for (cache_kind, key), future in snapshot.items()
+        if cache_kind == "saturation" and _done(future)
+    ]
+    fast, new_sat_keys, rename = carry_over(
+        old_layout,
+        new_layout,
+        [(key, artifact.footprint) for key, artifact in saturations],
     )
-
-    # Fast path: same procedure sequence (which rules out removals) and
-    # every rebuilt procedure kept its dependence shape => the new PDS
-    # is the old PDS.
-    fast = new_names == old_names
-    if fast:
-        for name in changed:
-            old_shape = extract_part(old_sdg, name).shape_key()
-            if old_shape != extract_part(new_sdg, name).shape_key():
-                fast = False
-                break
-    vid_map, site_map = {}, {}
-    for part_vid_map, part_site_map in relocations.values():
-        vid_map.update(part_vid_map)
-        site_map.update(part_site_map)
-    if fast:
-        # Shape equality in program order implies identical numbering;
-        # verify rather than assume.
-        fast = all(old == new for old, new in vid_map.items()) and all(
-            old == new for old, new in site_map.items()
-        )
-
     if fast:
         encoding = session.encoding
         encoding.sdg = new_sdg
         new_sdg._pds_encoding = encoding
     else:
         encoding = encode_sdg(new_sdg)
-
-    # The edit, expressed in footprint space: the old content keys of
-    # every procedure the edit rebuilt or removed (a brand-new
-    # procedure has no old key, but adding one edits its caller, whose
-    # old key is here).  Survivors re-address their footprints through
-    # the key translation — the procedures whose text (and key)
-    # changed while staying shape-identical on the fast path.
-    changed_content_keys = frozenset(
-        old_keys[name]
-        for name in list(changed) + list(removed)
-        if name in old_keys
+    new_futures = {}
+    counts = {"saturations_kept": 0, "saturations_dropped": 0}
+    survivors = {}  # stable key digest -> survivor, for the store
+    for (key, artifact), new_key in zip(saturations, new_sat_keys):
+        if new_key is None:
+            counts["saturations_dropped"] += 1
+            continue
+        survivor = rename(artifact, new_key)
+        if new_key == REACHABLE_KEY:
+            # The criterion constructors read the shared Poststar off
+            # the encoding (as its query view); transplant the survivor.
+            encoding._reachable_configs = survivor.automaton
+            encoding._reachable_view = survivor.automaton
+        new_futures[("saturation", new_key)] = _completed(survivor)
+        counts["saturations_kept"] += 1
+        if is_stable_key(new_key):
+            survivors[stable_key_digest(new_key)] = survivor
+    result_futures, result_counts = _prune_results(
+        session, snapshot, new_sdg, encoding, fast, frozenset(new_keys.values())
     )
-    key_translation = {
-        old_keys[name]: new_keys[name]
-        for name in old_keys
-        if name in new_keys and old_keys[name] != new_keys[name]
-    }
-    new_futures, counts = _prune_memo(
-        session,
-        new_sdg,
-        encoding,
-        fast,
-        changed_content_keys,
-        key_translation,
-        vid_map,
-        site_map,
-    )
+    new_futures.update(result_futures)
+    counts.update(result_counts)
 
     with session._lock:
         old_hash = session.source_hash
@@ -662,6 +661,7 @@ def update_session(session, new_source):
         session.sdg = new_sdg
         session.encoding = encoding
         session._proc_keys = new_keys
+        session._sat_layout = (new_hash, new_layout)
         session._futures = new_futures
         session._stats["updates"] += 1
         session._stats["procs_reused"] += len(kept)
@@ -687,32 +687,10 @@ def update_session(session, new_source):
                     encoding._reachable_view = view
         for name in changed:
             session.store.put_proc(new_keys[name], extract_part(new_sdg, name))
-        # Footprint-aware store survival: re-file every surviving
-        # artifact under the edited text's front-half hash, so a fresh
-        # process opening the new text finds its saturations warm —
-        # composing with the __procs__ partial front-half hits.
-        # Existence-gated like the bundle above: an undo/redo loop
-        # returning to already-seen text skips the re-serialization.
-        sat_records = {}
-        for (cache_kind, memo_key), future in new_futures.items():
-            if cache_kind == "saturation" and is_stable_key(memo_key):
-                digest = stable_key_digest(memo_key)
-                artifact = future.result()
-                if not session.store.has_sat(new_hash, digest):
-                    session.store.put_sat(new_hash, digest, artifact)
-                if artifact.footprint is not None:
-                    sat_records[digest] = (
-                        memo_key,
-                        artifact.kind,
-                        tuple(sorted(artifact.footprint)),
-                    )
-        if sat_records:
-            # The per-revision saturation index (layout + records) is
-            # what lets a cold process discover these artifacts later
-            # (see discover_artifacts).
-            session.store.merge_sat_index(
-                new_hash, layout=session_layout(session), records=sat_records
-            )
+        # Re-file every survivor under the edited text's hash, so a
+        # fresh process opening the new text finds its saturations
+        # warm — composing with the __procs__ partial front-half hits.
+        _refile(session.store, new_hash, new_layout, survivors)
 
     import repro
 
@@ -729,94 +707,36 @@ def update_session(session, new_source):
     )
 
 
+def _done(future):
+    return future.done() and future.exception() is None
+
+
 def _completed(value):
     future = Future()
     future.set_result(value)
     return future
 
 
-def _prune_memo(
-    session, new_sdg, encoding, fast, changed_keys, key_translation, vid_map, site_map
-):
-    """Decide, entry by entry, what survives the update — a pure
-    function of the artifact footprints the entries were created with
-    (no automaton is trimmed or inspected here).  Returns the new
-    futures table and the kept/dropped counters."""
-    with session._lock:
-        snapshot = dict(session._futures)
+def _prune_results(session, snapshot, new_sdg, encoding, fast, new_key_set):
+    """Decide which rendered results survive the update: only across a
+    fast-equivalent edit (same PDS, same queries), and only when the
+    result's footprint lies within the new revision's content keys —
+    i.e. avoids every label-edited procedure.  No automaton is trimmed
+    or inspected here.  Returns the surviving result entries and the
+    kept/dropped counters."""
     new_futures = {}
-    counts = {
-        "saturations_kept": 0,
-        "saturations_dropped": 0,
-        "results_kept": 0,
-        "results_dropped": 0,
-    }
+    counts = {"results_kept": 0, "results_dropped": 0}
     kept_result_keys = {"slice": set(), "feature": set()}
-    poststar_kept = False
     # Rendered slices that survive keep their text but must name the new
-    # parse's statements (its uids are fresh), through the numbering the
-    # fast path verified identical.
+    # parse's statements (its uids are fresh), through the numbering
+    # fast equivalence proved identical.
     uid_map = _stmt_uid_map(session.sdg, new_sdg) if fast else {}
 
-    def done(future):
-        return future.done() and future.exception() is None
-
-    # Saturation artifacts first: the Poststar verdict gates every
-    # reachable-contexts entry, and result survival gates the
-    # executable/cleanup tables.
-    saturations = [
-        (key, future)
-        for (cache_kind, key), future in snapshot.items()
-        if cache_kind == "saturation" and done(future)
-    ]
-    saturations.sort(key=lambda item: item[0] != REACHABLE_KEY)
-    for key, future in saturations:
-        artifact = future.result()
-        if fast:
-            # The PDS is unchanged, so every saturation is still exact;
-            # only the footprint addressing moves to the new content
-            # keys of the label-edited procedures.
-            new_futures[("saturation", key)] = _completed(
-                artifact.translated(key_translation)
-            )
-            counts["saturations_kept"] += 1
-            if key == REACHABLE_KEY:
-                poststar_kept = True
-            continue
-        if key == REACHABLE_KEY:
-            if not artifact.survives(changed_keys):
-                counts["saturations_dropped"] += 1
-                continue
-            survivor = artifact.relocated(key, vid_map, site_map, key_translation)
-            # The criterion constructors read the shared Poststar off
-            # the encoding (as its query view); transplant the survivor.
-            encoding._reachable_configs = survivor.automaton
-            encoding._reachable_view = survivor.automaton
-            poststar_kept = True
-            new_key = key
-        else:
-            if _needs_poststar(key[1]) and not poststar_kept:
-                # Reachable-contexts query automata bake in the old
-                # Poststar language; without it the entry is
-                # unverifiable (an edit can create contexts that an
-                # empty or narrow cone never witnessed).
-                counts["saturations_dropped"] += 1
-                continue
-            inner = _remap_criterion_key(key[1], vid_map, site_map)
-            if inner is None or not artifact.survives(changed_keys):
-                counts["saturations_dropped"] += 1
-                continue
-            new_key = (key[0], inner)
-            survivor = artifact.relocated(new_key, vid_map, site_map, key_translation)
-        new_futures[("saturation", new_key)] = _completed(survivor)
-        counts["saturations_kept"] += 1
-
     for (cache_kind, key), future in snapshot.items():
-        if cache_kind not in ("slice", "feature") or not done(future):
+        if cache_kind not in ("slice", "feature") or not _done(future):
             continue
         value = future.result()
-        footprint = getattr(value, "footprint", None)
-        if fast and footprint is not None and footprint.isdisjoint(changed_keys):
+        if fast and _within(getattr(value, "footprint", None), new_key_set):
             # The result's whole cone lies in unchanged procedures: the
             # result (and its rendered text) is still exact.  Re-point
             # its front-half references at the new graph.  Feature
@@ -826,7 +746,6 @@ def _prune_memo(
             # residual program could render matter.
             value.source_sdg = new_sdg
             value.encoding = encoding
-            value.footprint = translate_footprint(footprint, key_translation)
             new_futures[(cache_kind, key)] = future
             kept_result_keys[cache_kind].add(key)
             counts["results_kept"] += 1
@@ -834,7 +753,7 @@ def _prune_memo(
             counts["results_dropped"] += 1
 
     for (cache_kind, key), future in snapshot.items():
-        if not done(future):
+        if not _done(future):
             continue
         if cache_kind == "executable":
             # Rides its slice's fate; not counted separately (the

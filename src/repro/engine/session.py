@@ -48,7 +48,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from repro.core.criteria import configs_criterion
 from repro.core.executable import executable_program
 from repro.core.specialize import resolve_criterion, specialization_slice
-from repro.engine.artifacts import SaturationArtifact, make_artifact
+from repro.engine.artifacts import SaturationArtifact, index_record, make_artifact
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
@@ -648,16 +648,8 @@ class SlicingSession(object):
                     "saturation", sat_key, table_check=False
                 )
                 if digest is not None:
-                    value = self.store.get_sat(src_hash, digest)
-                    loaded = (
-                        isinstance(value, SaturationArtifact)
-                        and value.key == sat_key
-                    )
-                    with self._lock:
-                        self._stats[
-                            "sat_persist_hits" if loaded else "sat_persist_misses"
-                        ] += 1
-                    if loaded:
+                    value = self._load_sat(src_hash, digest, sat_key)
+                    if value is not None:
                         future.set_result(value)
                         continue
                 pending.append((sat_key, kind, payload, future, digest))
@@ -682,8 +674,7 @@ class SlicingSession(object):
                 sat_key, kind, payload, future, digest = entry
                 artifact = self._make_artifact(sat_kind, sat_key, automaton)
                 if digest is not None:
-                    self.store.put_sat(src_hash, digest, artifact)
-                    self._index_filed(src_hash, digest, artifact)
+                    self._file_sat(src_hash, digest, artifact)
                 future.set_result(artifact)
         except BaseException as exc:
             with self._lock:
@@ -756,27 +747,32 @@ class SlicingSession(object):
         pre-compute snapshot of the front-half hash."""
         digest = self._persist_digest("saturation", key, table_check=False)
         if digest is not None:
-            value = self.store.get_sat(src_hash, digest)
-            loaded = isinstance(value, SaturationArtifact) and value.key == key
-            with self._lock:
-                self._stats[
-                    "sat_persist_hits" if loaded else "sat_persist_misses"
-                ] += 1
-            if loaded:
+            value = self._load_sat(src_hash, digest, key)
+            if value is not None:
                 return value
         value = compute()
         if digest is not None:
-            self.store.put_sat(src_hash, digest, value)
-            self._index_filed(src_hash, digest, value)
+            self._file_sat(src_hash, digest, value)
         return value
 
-    def _index_filed(self, src_hash, digest, artifact):
-        """Record a freshly filed saturation artifact in its revision's
-        saturation index (layout + one record), making it discoverable
-        by cold sessions on *other* revisions.  Skipped when ownership
-        is unknown or a concurrent ``update_source`` re-pointed the
-        session mid-compute (the snapshot hash no longer names this
-        front half, so this session's layout would be the wrong one)."""
+    def _load_sat(self, src_hash, digest, key):
+        """The artifact filed in ``__sats__`` for ``key``, or None;
+        counted as ``sat_persist_hits`` / ``sat_persist_misses``."""
+        value = self.store.get_sat(src_hash, digest)
+        loaded = isinstance(value, SaturationArtifact) and value.key == key
+        with self._lock:
+            self._stats["sat_persist_hits" if loaded else "sat_persist_misses"] += 1
+        return value if loaded else None
+
+    def _file_sat(self, src_hash, digest, artifact):
+        """Persist a fresh artifact in ``__sats__`` and record it in its
+        revision's saturation index (layout + one record), making it
+        discoverable by cold sessions on *other* revisions.  The index
+        record is skipped when ownership is unknown or a concurrent
+        ``update_source`` re-pointed the session mid-compute (the
+        snapshot hash no longer names this front half, so this
+        session's layout would be the wrong one)."""
+        self.store.put_sat(src_hash, digest, artifact)
         if artifact.footprint is None or src_hash != self.source_hash:
             return
         from repro.engine.incremental import session_layout
@@ -784,13 +780,7 @@ class SlicingSession(object):
         self.store.merge_sat_index(
             src_hash,
             layout=session_layout(self),
-            records={
-                digest: (
-                    artifact.key,
-                    artifact.kind,
-                    tuple(sorted(artifact.footprint)),
-                )
-            },
+            records={digest: index_record(artifact)},
         )
 
     def _slim(self, value):

@@ -98,9 +98,6 @@ class ProcPart(object):
         graph and call-site labels from ``context`` in build order (the
         same order a :class:`~repro.sdg.pdg_builder.PDGBuilder` run for
         the procedure would draw them).
-
-        Returns ``(vid_map, site_map)``: donor vid -> new vid and donor
-        site label -> new site label.
         """
         name = self.name
         uid_map = self._uid_map or {}
@@ -143,7 +140,6 @@ class ProcPart(object):
             sdg.add_edge(vid_map[src], vid_map[dst], kind)
         for uid, vid in self.stmt_vertices.items():
             sdg.vertex_of_stmt[uid_map.get(uid, uid)] = vid_map[vid]
-        return vid_map, site_map
 
     def shape_key(self):
         """The part's dependence structure in position space (vertex ids

@@ -37,8 +37,7 @@ def build_sdg(program, info, with_summary=True):
     Returns:
         a :class:`SystemDependenceGraph`.
     """
-    sdg, _relocations = assemble_sdg(program, info, with_summary=with_summary)
-    return sdg
+    return assemble_sdg(program, info, with_summary=with_summary)
 
 
 def assemble_sdg(program, info, parts=None, with_summary=True, call_graph=None, modref=None):
@@ -59,9 +58,7 @@ def assemble_sdg(program, info, parts=None, with_summary=True, call_graph=None, 
             from content-key computation); computed here otherwise.
 
     Returns:
-        ``(sdg, relocations)`` where ``relocations`` maps each reused
-        procedure name to its ``(vid_map, site_map)`` donor-to-new
-        renaming.
+        the :class:`SystemDependenceGraph`.
     """
     if call_graph is None:
         call_graph = build_call_graph(program)
@@ -72,18 +69,17 @@ def assemble_sdg(program, info, parts=None, with_summary=True, call_graph=None, 
     sdg.modref = modref
 
     context = BuildContext(sdg, program, info, modref, call_graph)
-    relocations = {}
     for proc in program.procs:
         part = parts.get(proc.name) if parts else None
         if part is None:
             PDGBuilder(context, proc).build()
         else:
-            relocations[proc.name] = part.add_to(sdg, context)
+            part.add_to(sdg, context)
 
     _connect_pdgs(sdg)
     if with_summary:
         compute_summary_edges(sdg)
-    return sdg, relocations
+    return sdg
 
 
 def _connect_pdgs(sdg):

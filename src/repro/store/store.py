@@ -155,7 +155,7 @@ _TIER_BY_TABLE = {
     _SAT_INDEX: TIER_PRECIOUS,
 }
 
-#: lifetime counters persisted across processes in __meta__.slc
+#: lifetime counters persisted across processes in the __sats__/meta sidecar
 _LIFETIME_COUNTERS = ("evictions", "compactions", "gc_index_pruned")
 
 
@@ -441,11 +441,13 @@ class SliceStore(object):
         for a revision with the given content keys and layout shape
         signature, most recently touched first — the exact candidate
         set of :meth:`sat_indexes` restricted through the inverted
-        keymap.  Exactness: a donor adoptable by footprint subset
-        shares a content key with the asker (footprints are nonempty
-        subsets of both layouts' key sets), and a fast-equivalent donor
-        either shares a key or matches the shape signature; either way
-        it is in the candidate set.  When the keymap sidecar is missing
+        keymap.  Exactness: a donor record with a nonempty footprint
+        adoptable by footprint subset shares a content key with the
+        asker (its footprint is a subset of both layouts' key sets),
+        and a fast-equivalent donor either shares a key or matches the
+        shape signature; either way it is in the candidate set.  (A
+        donor sharing neither can only offer empty saturations, which
+        cost nothing to recompute.)  When the keymap sidecar is missing
         or unreadable (an older store, a crashed writer) this falls
         back to the full scan and rebuilds the sidecar from what it
         finds."""

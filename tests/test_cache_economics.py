@@ -360,6 +360,51 @@ def test_reachable_prestar_gated_on_poststar_record(tmp_path):
     assert result.version_counts() == cold.slice(("print", 0)).version_counts()
 
 
+#: ``d`` and ``e`` are never called, so their prints are unreachable and
+#: their reachable-contexts Prestars are empty: empty footprints
+UNCALLED = (
+    "int g;\n"
+    "void f() { g = g + 1; }\n"
+    'void d() { print("%d", 1); }\n'
+    'void e() { print("%d", 2); }\n'
+    'int main() { f(); print("%d", g); return 0; }\n'
+)
+#: structural edit inside ``d`` (new vertices; ``e`` is renumbered)
+UNCALLED_EDIT = UNCALLED.replace('print("%d", 1);', 'int z = 1; print("%d", z);')
+
+
+def test_empty_footprint_carries_over_on_both_paths(tmp_path):
+    """An empty footprint is a subset of every key set, so a live
+    ``update_source`` and a cold process's discovery both keep the
+    empty Prestar of the uncalled ``e``'s print across an edit in
+    ``d``: the Poststar carried over, so that print is still
+    unreachable and its Prestar still empty."""
+    live = SlicingSession(UNCALLED)
+    criteria = [
+        ("print", index) for index in range(len(live.sdg.print_call_vertices()))
+    ]
+    live.slice_many(criteria)
+    # The Poststar, main's print Prestar, and e's empty Prestar.
+    assert live.update_source(UNCALLED_EDIT)["saturations_kept"] == 3
+
+    cache = str(tmp_path / "cache")
+    SlicingSession(UNCALLED, store=SliceStore(cache)).slice_many(criteria)
+    reader = SlicingSession(UNCALLED_EDIT, store=SliceStore(cache))
+    assert reader.stats["sats_adopted"] == 3
+
+    cold = SlicingSession(UNCALLED_EDIT)
+    sdg = cold.sdg
+    (e_print,) = [
+        index
+        for index, vid in enumerate(sdg.print_call_vertices())
+        if sdg.vertices[vid].proc == "e"
+    ]
+    assert pretty(reader.executable(("print", e_print)).program) == pretty(
+        cold.executable(("print", e_print)).program
+    )
+    assert reader.stats["saturation_misses"] == 0
+
+
 def test_evicted_artifact_under_live_index_is_an_index_miss(tmp_path):
     """A record whose artifact file was evicted between indexing and
     discovery counts as ``index_misses`` and falls through to an honest

@@ -175,16 +175,30 @@ def test_slice_batch_reports_the_fused_pass(tmp_path):
 def test_tinyc_errors_are_one_line_and_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.tc"
     path.write_text(text)
-    for command in (["info"], ["slice"], ["slice-batch"], ["run"]):
+    good = tmp_path / "good.tc"
+    good.write_text(FIG1_SOURCE)
+    for command in (
+        ["info"],
+        ["slice"],
+        ["slice-batch"],
+        ["run"],
+        ["slice-batch", "--reuse-from", str(good)],
+        ["slice-batch", str(good), "--reuse-from"],
+    ):
         assert main(command + [str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "%s:%s\n" % (path, message), command
 
 
-def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys):
+def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys, fig1_file):
     missing = str(tmp_path / "nope.tc")
-    for command in (["info"], ["slice-batch"]):
+    for command in (
+        ["info"],
+        ["slice-batch"],
+        ["slice-batch", "--reuse-from", fig1_file],
+        ["slice-batch", fig1_file, "--reuse-from"],
+    ):
         assert main(command + [missing]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["%s: cannot read: No such file or directory" % missing]
@@ -199,6 +213,17 @@ def test_internal_errors_keep_their_traceback(fig1_file, monkeypatch):
     monkeypatch.setattr(repro.cli, "build_sdg", broken)
     with pytest.raises(RuntimeError):
         main(["info", fig1_file])
+
+
+def test_reuse_from_internal_errors_keep_their_traceback(fig1_file, monkeypatch):
+    from repro.engine import SlicingSession
+
+    def broken(*_args):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(SlicingSession, "update_source", broken)
+    with pytest.raises(RuntimeError):
+        main(["slice-batch", fig1_file, "--reuse-from", fig1_file])
 
 
 def test_module_entry_exits_2_without_traceback(tmp_path):

@@ -389,3 +389,84 @@ def test_chained_updates_stay_faithful():
             cold.executable("prints").program
         ), step
         current = edited
+
+
+def _warm(session):
+    """The state both survival paths are fed: every print sliced (up to
+    the cap) plus one feature removal, so the memo holds the shared
+    Poststar, reachable-contexts Prestars, and a feature-cone Poststar."""
+    prints = len(session.sdg.print_call_vertices())
+    session.slice_many([("print", index) for index in range(min(prints, MAX_CRITERIA))])
+    session.remove_features_many([("print", 0)])
+
+
+def _saturation_bytes(session):
+    import pickle
+
+    return {
+        key: pickle.dumps(future.result())
+        for (cache_kind, key), future in session._futures.items()
+        if cache_kind == "saturation"
+    }
+
+
+def test_update_and_discovery_carry_over_the_same_saturations(tmp_path):
+    """``update_source`` and cross-revision discovery apply one survival
+    rule: over the whole mutation corpus, the saturations an updated
+    session keeps are exactly the ones a cold store-backed session on
+    the edited text adopts from the base revision's store — same keys,
+    same pickled bytes.  The tallies pin that the agreement is not
+    vacuous (both label-only and structural edits occur, and feature
+    cones survive some of them)."""
+    from repro.engine.canonical import SAT_POSTSTAR
+    from repro.store import SliceStore
+
+    mismatches = []
+    fast = slow = cones_kept = 0
+    for number, (label, base, edited) in enumerate(CORPUS):
+        session = SlicingSession(base)
+        _warm(session)
+        summary = session.update_source(edited)
+        updated = _saturation_bytes(session)
+
+        cache = str(tmp_path / ("cache%d" % number))
+        _warm(SlicingSession(base, store=SliceStore(cache)))
+        adopted = _saturation_bytes(SlicingSession(edited, store=SliceStore(cache)))
+
+        if updated != adopted:
+            mismatches.append((label, sorted(updated, key=repr), sorted(adopted, key=repr)))
+        if summary["fast_path"]:
+            fast += 1
+        else:
+            slow += 1
+        cones_kept += sum(
+            1 for key in updated if len(key) == 2 and key[0] == SAT_POSTSTAR
+        )
+    assert mismatches == []
+    assert (fast, slow, cones_kept) == (20, 30, 20)
+
+
+def test_storeless_session_digests_one_whole_layout(monkeypatch):
+    """Update compares layouts, and layouts reuse shape digests by
+    content key: a storeless session digests every procedure once, at
+    its first update, and afterwards only the procedures an edit
+    rebuilt."""
+    import repro.engine.incremental as incremental
+    from repro.workloads.wc import scaled_wc_source
+
+    digested = []
+    shape_digest = incremental._shape_digest
+
+    def counting(sdg, name):
+        digested.append(name)
+        return shape_digest(sdg, name)
+
+    monkeypatch.setattr(incremental, "_shape_digest", counting)
+    base = scaled_wc_source(4)
+    session = SlicingSession(base)
+    procs = len(session.program.procs)
+    for step, constant in enumerate(("5", "4", "3")):
+        del digested[:]
+        summary = session.update_source(base.replace("c % 6 == 0", "c % 6 == " + constant))
+        assert summary["fast_path"] and summary["procs_rebuilt"] == 1
+        assert len(digested) == (procs + 1 if step == 0 else 1)
