@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke test-economics bench-smoke bench-full bench-selftest lint
+.PHONY: test smoke test-economics test-store bench-smoke bench-full bench-selftest lint
 
 # The tier-1 gate: the full test + benchmark suite.
 test:
@@ -19,6 +19,16 @@ smoke:
 # cost-tier ordering and the degraded paths CI's economics lane pins.
 test-economics:
 	REPRO_CACHE_MAX_BYTES=1000000 $(PYTHON) -m pytest tests/test_store.py tests/test_cache_economics.py -q
+
+# Every store-backed suite, whole (not only its smoke-marked tests), at
+# the default cache cap (an empty REPRO_CACHE_MAX_BYTES means the
+# default): about 25 s on 2 cores.
+STORE_SUITES = tests/test_store.py tests/test_cache_economics.py \
+	tests/test_artifacts.py tests/test_fused_saturation.py \
+	benchmarks/test_store_warm.py benchmarks/test_saturation_store.py \
+	benchmarks/test_cross_revision.py
+test-store:
+	REPRO_CACHE_MAX_BYTES= $(PYTHON) -m pytest $(STORE_SUITES) -q
 
 # Quick benchmark pass: QUICK_SUITE with capped slice counts.
 # Both bench targets leave a machine-readable BENCH_<n>.json in the

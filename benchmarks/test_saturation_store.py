@@ -141,7 +141,7 @@ def test_prestar_siblings_load_when_keys_match(tmp_path):
     cache = str(tmp_path / "cache")
     writer = SlicingSession(source, store=SliceStore(cache))
     writer.slice(("print", 0))
-    for path in glob.glob(os.path.join(cache, "*", "slice-*.slc")):
+    for path in glob.glob(os.path.join(cache, "*", "results-*.slc")):
         os.unlink(path)
 
     reader = SlicingSession(source, store=SliceStore(cache))

@@ -39,7 +39,12 @@ symbol.  Content keys, not names, so the check composes with the
 store's content-addressed tables and stays meaningful across
 processes; :func:`index_record` is the form a revision's saturation
 index keeps of each filed artifact, so the decision never unpickles
-one.
+one.  The store files an artifact *without* its footprint
+(:meth:`SaturationArtifact.without_footprint`), named by the digest of
+those bytes, and the record carries the footprint instead: a label
+edit re-addresses footprints but keeps every automaton, so the edited
+revision's records name the very files its donor's do
+(:func:`load_filed` puts the two halves back together).
 
 Artifacts pickle deterministically: ``__getstate__`` renders the
 automaton through :func:`repro.fsa.serialize.automaton_to_payload` and
@@ -124,6 +129,11 @@ class SaturationArtifact(object):
             -1 if self.footprint is None else len(self.footprint),
         )
 
+    def without_footprint(self):
+        """This artifact with footprint None: the form the store files,
+        whose bytes depend only on kind, key, and automaton."""
+        return SaturationArtifact(self.kind, self.key, self.automaton, None)
+
     # -- renaming across revisions -------------------------------------------------
 
     def translated(self, key_translation):
@@ -157,12 +167,28 @@ class SaturationArtifact(object):
         )
 
 
-def index_record(artifact):
-    """The record a revision's saturation index keeps for a filed
-    artifact: ``(memo key, kind, sorted footprint tuple)`` — everything
-    the carry-over rule reads, so deciding survival never unpickles an
-    artifact."""
-    return (artifact.key, artifact.kind, tuple(sorted(artifact.footprint)))
+def index_record(artifact, name):
+    """The record a revision's saturation index keeps for an artifact
+    filed as ``__sats__`` file ``name``: ``(memo key, kind, sorted
+    footprint tuple, name)`` — everything the carry-over rule reads,
+    so deciding survival never unpickles an artifact."""
+    return (artifact.key, artifact.kind, tuple(sorted(artifact.footprint)), name)
+
+
+def load_filed(store, record):
+    """The artifact an index record names, its footprint restored from
+    the record, or None when the record is malformed or its file is
+    missing, corrupt, or holds another key."""
+    try:
+        key, _kind, footprint, name = record
+        footprint = frozenset(footprint)
+    except (TypeError, ValueError):
+        return None
+    artifact = store.get_sat(name, key)
+    if not isinstance(artifact, SaturationArtifact):
+        return None
+    artifact.footprint = footprint
+    return artifact
 
 
 def symbol_owner_procs(sdg, automaton):

@@ -62,10 +62,13 @@ reachable-contexts caveat exists because those query automata bake in
 the old Poststar language, which the footprint cannot see; they are
 kept only when the Poststar itself carries over.)
 
-With a store attached, every survivor is re-filed into the ``__sats__``
-table under the edited text's front-half hash, so the on-disk
-saturation cache survives source edits the same way the
-content-addressed ``__procs__`` table lets the front half survive them.
+With a store attached, every survivor is recorded in the edited
+revision's saturation index, so the on-disk saturation cache survives
+source edits the same way the content-addressed ``__procs__`` table
+lets the front half survive them.  ``__sats__`` files are named by
+their footprint-free bytes, so a survivor of a fast-equivalent edit
+keeps its donor's file (the record carries the re-addressed
+footprint) and only a renumbered survivor is written anew.
 """
 
 import hashlib
@@ -74,7 +77,7 @@ from concurrent.futures import Future
 
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.modref import compute_modref
-from repro.engine.artifacts import SaturationArtifact, index_record
+from repro.engine.artifacts import index_record, load_filed
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
@@ -465,21 +468,22 @@ def carry_over(old_layout, new_layout, saturations):
 
 
 def _refile(store, src_hash, layout, survivors):
-    """File carried-over artifacts (new key digest -> artifact) under a
-    revision's hash — artifact files where missing (an undo/redo loop
-    returning to already-seen text skips the re-serialization), plus
-    their index records and the revision's layout, which is what lets
-    a cold process discover them later."""
-    if not survivors:
-        return
-    for digest, artifact in survivors.items():
-        if not store.has_sat(src_hash, digest):
-            store.put_sat(src_hash, digest, artifact)
-    store.merge_sat_index(
-        src_hash,
-        layout=layout,
-        records={digest: index_record(artifact) for digest, artifact in survivors.items()},
-    )
+    """Record carried-over artifacts (new key digest -> ``(artifact,
+    file name or None)``) in a revision's index, beside the revision's
+    layout, with one write — which is what lets a cold process discover
+    them later.  A survivor with a file name is byte-identical to the
+    donor file it names; the others are filed first
+    (:meth:`~repro.store.SliceStore.put_sat` writes only a file that
+    is missing or invalid, so an undo/redo loop returning to seen text
+    writes none)."""
+    records = {}
+    for digest, (artifact, name) in survivors.items():
+        if name is None:
+            name = store.put_sat(artifact.without_footprint())
+        if name is not None:
+            records[digest] = index_record(artifact, name)
+    if records:
+        store.merge_sat_index(src_hash, layout=layout, records=records)
 
 
 # -- cross-revision discovery ------------------------------------------------------
@@ -494,9 +498,10 @@ def discover_artifacts(session):
     (the warm-reopen hot path: everything expensive is directly
     addressable).  Otherwise feeds each candidate revision's index —
     newest first — to :func:`carry_over`, loads and renames every
-    survivor the memo lacks, installs it, and re-files it (artifact +
-    index record) under this revision's hash, so the adoption is paid
-    once per edit, not once per process.  Adoptions count as
+    survivor the memo lacks, installs it, and records it in this
+    revision's index (one write; a fast-equivalent donor's files are
+    named, not copied), so the adoption is paid once per edit, not
+    once per process.  Adoptions count as
     ``index_hits`` on the store (and ``sats_adopted`` on the session);
     records whose artifact file was evicted or corrupted count as
     ``index_misses``.
@@ -526,27 +531,27 @@ def discover_artifacts(session):
         if src_hash == new_hash:
             continue
         records = []
-        for key_digest, record in sorted((index.get("artifacts") or {}).items()):
+        for _key_digest, record in sorted((index.get("artifacts") or {}).items()):
             try:
-                key, _kind, footprint = record
+                key, _kind, footprint, name = record
             except (TypeError, ValueError):
                 continue
-            records.append((key_digest, key, footprint))
+            records.append((key, footprint, name, record))
         if not records:
             continue
-        _fast, new_keys, rename = carry_over(
+        fast, new_keys, rename = carry_over(
             index.get("layout") or (),
             new_layout,
-            [(key, footprint) for _digest, key, footprint in records],
+            [(key, footprint) for key, footprint, _name, _record in records],
         )
-        for (key_digest, key, _footprint), new_key in zip(records, new_keys):
+        for (_key, _footprint, name, record), new_key in zip(records, new_keys):
             if new_key is None or not is_stable_key(new_key):
                 continue
             with session._lock:
                 if ("saturation", new_key) in session._futures:
                     continue  # a newer revision already supplied it
-            artifact = store.get_sat(src_hash, key_digest)
-            if not isinstance(artifact, SaturationArtifact) or artifact.key != key:
+            artifact = load_filed(store, record)
+            if artifact is None:
                 # Stale record: the artifact file was evicted (or
                 # corrupted) out from under its index entry.  The next
                 # compaction walk GCs the record.
@@ -554,7 +559,9 @@ def discover_artifacts(session):
                 continue
             survivor = rename(artifact, new_key)
             session._install("saturation", new_key, survivor)
-            survivors[stable_key_digest(new_key)] = survivor
+            # A fast rename re-addresses only the footprint, which the
+            # file does not hold: the survivor's file is the donor's.
+            survivors[stable_key_digest(new_key)] = (survivor, name if fast else None)
             store.count_index(True)
     _refile(store, new_hash, new_layout, survivors)
     with session._lock:
@@ -631,7 +638,7 @@ def update_session(session, new_source):
         encoding = encode_sdg(new_sdg)
     new_futures = {}
     counts = {"saturations_kept": 0, "saturations_dropped": 0}
-    survivors = {}  # stable key digest -> survivor, for the store
+    survivors = {}  # stable key digest -> (survivor, None), for the store
     for (key, artifact), new_key in zip(saturations, new_sat_keys):
         if new_key is None:
             counts["saturations_dropped"] += 1
@@ -645,7 +652,7 @@ def update_session(session, new_source):
         new_futures[("saturation", new_key)] = _completed(survivor)
         counts["saturations_kept"] += 1
         if is_stable_key(new_key):
-            survivors[stable_key_digest(new_key)] = survivor
+            survivors[stable_key_digest(new_key)] = (survivor, None)
     result_futures, result_counts = _prune_results(
         session, snapshot, new_sdg, encoding, fast, frozenset(new_keys.values())
     )
@@ -687,9 +694,9 @@ def update_session(session, new_source):
                     encoding._reachable_view = view
         for name in changed:
             session.store.put_proc(new_keys[name], extract_part(new_sdg, name))
-        # Re-file every survivor under the edited text's hash, so a
-        # fresh process opening the new text finds its saturations
-        # warm — composing with the __procs__ partial front-half hits.
+        # Record every survivor in the edited text's index, so a fresh
+        # process opening the new text finds its saturations warm —
+        # composing with the __procs__ partial front-half hits.
         _refile(session.store, new_hash, new_layout, survivors)
 
     import repro

@@ -26,7 +26,10 @@ front half:
   keys (digested by :func:`repro.engine.canonical.stable_key_digest`),
   so a fresh process answering a repeated batch does no saturation
   work at all — and one answering a *new* criterion against a warm
-  front half loads the Poststar artifact instead of re-saturating;
+  front half loads the Poststar artifact instead of re-saturating.
+  Writes are batched: each public query method files the results it
+  computed as one ``results`` entry, and each saturation pass merges
+  its artifacts' records into the revision's index with one write;
 * :meth:`SlicingSession.slice_many` saturates the batch's cold
   criteria in one fused kernel pass, then fans the per-criterion MRD
   and read-out out over a thread pool sharing the read-only encoding,
@@ -40,7 +43,10 @@ Sessions are thread-safe: the memo tables hold one future per key, so
 concurrent submissions of the same criterion compute it exactly once.
 """
 
+import functools
+import hashlib
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -48,7 +54,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from repro.core.criteria import configs_criterion
 from repro.core.executable import executable_program
 from repro.core.specialize import resolve_criterion, specialization_slice
-from repro.engine.artifacts import SaturationArtifact, index_record, make_artifact
+from repro.engine.artifacts import index_record, load_filed, make_artifact
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
@@ -65,11 +71,38 @@ from repro.engine.canonical import (
 )
 from repro.pds import encode_sdg, poststar, poststar_many, prestar, prestar_many
 from repro.store import source_hash as _source_hash
+from repro.store.store import RESULTS_TABLE
 
-#: memo tables whose values are persisted when a store is attached
-#: (saturation artifacts are persisted too, through the store's
-#: dedicated ``__sats__`` table rather than the per-program one)
+#: memo tables whose values are persisted when a store is attached, in
+#: the revision's ``results`` entries (saturation artifacts are
+#: persisted too, through the store's dedicated ``__sats__`` table)
 PERSISTED_TABLES = frozenset(["slice", "feature", "feature_clean"])
+
+
+def _files_results(method):
+    """Mark a public query method: when it returns (or raises), the
+    slim results it computed are filed as one ``results`` entry (see
+    :meth:`SlicingSession._file_results`)."""
+
+    @functools.wraps(method)
+    def filing(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._file_results()
+
+    return filing
+
+
+def _unpickle(blob):
+    """A pickled results-entry value, or None when there is none or it
+    no longer loads (a miss, like any other defective entry)."""
+    if blob is None:
+        return None
+    try:
+        return pickle.loads(blob)
+    except Exception:
+        return None
 
 
 class SlicingSession(object):
@@ -82,7 +115,8 @@ class SlicingSession(object):
     Pass ``store`` (a :class:`repro.store.SliceStore`) to read and
     write the persistent cache: the front half is loaded from disk when
     warm, and slice/feature results are stored under their canonical
-    criterion keys.  Store-less sessions behave exactly as before.
+    criterion keys, one ``results`` entry per public call.  Store-less
+    sessions behave exactly as before.
 
     Attributes:
         source: the source text, or None when built from an SDG.
@@ -150,6 +184,13 @@ class SlicingSession(object):
         # states per construction; the saturation and the read-out must
         # see the same automaton object, as the sequential path does).
         self._batch_queries = {}  # saturation key -> (encoding, automaton)
+        # The store's results for one revision, read once: (source
+        # hash, {(memo table, key digest): pickled slim value}).
+        self._results = None
+        self._results_lock = threading.Lock()
+        # Pickled slim results computed but not filed yet, by the
+        # source hash they were computed against.
+        self._unfiled = {}
         self._stats = {
             "kernel_rules_compiled": 0,
             "kernel_worklist_pops": 0,
@@ -211,6 +252,7 @@ class SlicingSession(object):
 
     # -- queries ---------------------------------------------------------------
 
+    @_files_results
     def slice(self, criterion=PRINTS, contexts="reachable"):
         """Algorithm 1 for one criterion; memoized.
 
@@ -249,6 +291,7 @@ class SlicingSession(object):
 
         return self._memoized("slice", key, compute)
 
+    @_files_results
     def slice_many(self, criteria, contexts="reachable", max_workers=None):
         """The batch driver: slice each criterion, fanning independent
         queries out over a thread pool that shares this session's
@@ -279,6 +322,7 @@ class SlicingSession(object):
             ]
         return [future.result() for future in futures]
 
+    @_files_results
     def executable(self, criterion=PRINTS, contexts="reachable"):
         """The runnable :class:`ExecutableSlice` for a criterion;
         memoized on top of :meth:`slice`.  The slice's
@@ -294,6 +338,7 @@ class SlicingSession(object):
 
         return self._memoized("executable", key, compute)
 
+    @_files_results
     def remove_feature(self, feature, contexts="reachable"):
         """Algorithm 2 through the session: ``feature`` is either a
         label substring (as in ``repro remove --feature``) or any
@@ -340,6 +385,7 @@ class SlicingSession(object):
 
         return self._memoized("feature", key, compute)
 
+    @_files_results
     def remove_features_many(self, features, contexts="reachable"):
         """Batch driver for :meth:`remove_feature`: results in input
         order, duplicates computed once.  The cold features'
@@ -361,6 +407,7 @@ class SlicingSession(object):
             for kind, payload in specs
         ]
 
+    @_files_results
     def remove_feature_cleaned(self, feature, contexts="reachable"):
         """Feature removal followed by the §7 interprocedural
         useless-code-elimination pass (:mod:`repro.core.cleanup`),
@@ -375,7 +422,7 @@ class SlicingSession(object):
 
         kind, payload = self._feature_spec(feature)
         key = canonical_key(kind, payload, contexts)
-        result = self.remove_feature(feature, contexts)
+        result = self._remove_feature_resolved(kind, payload, contexts)
 
         def compute():
             return clean_feature_removal(result)
@@ -614,19 +661,18 @@ class SlicingSession(object):
                 if ("saturation", sat_key) in self._futures:
                     continue
                 cold[sat_key] = (key, kind, payload)
-        if self.store is not None and self.source_hash is not None:
+        src_hash = self.source_hash
+        if self.store is not None and src_hash is not None:
             # A criterion whose *result* is persisted never saturates on
-            # the sequential path either — peek (no counters; the memo
-            # miss and persist hit are counted later, by the ordinary
-            # path) and leave it out of the fused pass.
+            # the sequential path either — leave it out of the fused
+            # pass (its memo miss and persist hit are counted later, by
+            # the ordinary path).
+            persisted = self._persisted_results(src_hash)
             for sat_key in list(cold):
                 key, kind, payload = cold[sat_key]
                 digest = self._persist_digest(result_table, key)
-                if digest is not None and self.store.has(
-                    self.source_hash, result_table, digest
-                ):
+                if digest is not None and (result_table, digest) in persisted:
                     del cold[sat_key]
-        src_hash = self.source_hash
         claimed = []
         with self._lock:
             for sat_key, (key, kind, payload) in cold.items():
@@ -643,12 +689,15 @@ class SlicingSession(object):
             # Warm ``__sats__`` artifacts answer without saturating,
             # exactly as _saturation_through_store would.
             pending = []
+            records = None
             for sat_key, kind, payload, future in claimed:
                 digest = self._persist_digest(
                     "saturation", sat_key, table_check=False
                 )
                 if digest is not None:
-                    value = self._load_sat(src_hash, digest, sat_key)
+                    if records is None:
+                        records = self._filed_records(src_hash)
+                    value = self._load_sat(records, digest, sat_key)
                     if value is not None:
                         future.set_result(value)
                         continue
@@ -670,11 +719,17 @@ class SlicingSession(object):
             with self._lock:
                 self._stats["fused_batches"] += 1
                 self._stats["fused_criteria"] += len(pending)
-            for entry, automaton in zip(pending, saturated):
-                sat_key, kind, payload, future, digest = entry
-                artifact = self._make_artifact(sat_kind, sat_key, automaton)
-                if digest is not None:
-                    self._file_sat(src_hash, digest, artifact)
+            fresh = [
+                (digest, future, self._make_artifact(sat_kind, sat_key, automaton))
+                for (sat_key, _kind, _payload, future, digest), automaton in zip(
+                    pending, saturated
+                )
+            ]
+            self._file_sats(
+                src_hash,
+                {digest: artifact for digest, _future, artifact in fresh if digest},
+            )
+            for _digest, future, artifact in fresh:
                 future.set_result(artifact)
         except BaseException as exc:
             with self._lock:
@@ -725,7 +780,8 @@ class SlicingSession(object):
             return self._saturation_through_store(src_hash, key, compute)
         digest = self._persist_digest(cache_kind, key)
         if digest is not None:
-            value = self.store.get(src_hash, cache_kind, digest)
+            persisted = self._persisted_results(src_hash)
+            value = _unpickle(persisted.get((cache_kind, digest)))
             with self._lock:
                 self._stats[
                     "persist_hits" if value is not None else "persist_misses"
@@ -734,53 +790,105 @@ class SlicingSession(object):
                 return self._rehydrate(value)
         value = compute()
         if digest is not None:
-            self.store.put(src_hash, cache_kind, digest, self._slim(value))
+            # Pickled now, not when the call files it: the memo's value
+            # can change meanwhile (a cleanup pair gets its result
+            # re-linked).
+            blob = pickle.dumps(self._slim(value), protocol=pickle.HIGHEST_PROTOCOL)
+            with self._lock:
+                self._unfiled.setdefault(src_hash, {})[(cache_kind, digest)] = blob
         return value
+
+    def _persisted_results(self, src_hash):
+        """The results the store holds for one revision, ``(memo table,
+        key digest) -> pickled slim value``: every ``results`` entry in
+        its directory, read once per revision (at the session's first
+        persisted lookup) and merged."""
+        with self._results_lock:
+            if self._results is None or self._results[0] != src_hash:
+                merged = {}
+                for digest in self.store.keys(src_hash, RESULTS_TABLE):
+                    entry = self.store.get(src_hash, RESULTS_TABLE, digest)
+                    if isinstance(entry, dict):
+                        merged.update(entry)
+                self._results = (src_hash, merged)
+            return self._results[1]
+
+    def _file_results(self):
+        """File the (pickled) slim results computed since the last
+        filing as one ``results`` entry per source hash they were
+        computed against — one entry, normally; a value computed before
+        a concurrent ``update_source`` goes under the hash it belongs
+        to.  The entry is named by a digest of its keys, so a process
+        filing the same answers rewrites one file rather than adding
+        another."""
+        if not self._unfiled:
+            return
+        with self._lock:
+            unfiled, self._unfiled = self._unfiled, {}
+        for src_hash, values in unfiled.items():
+            digest = hashlib.sha256(repr(sorted(values)).encode("utf-8")).hexdigest()
+            self.store.put(src_hash, RESULTS_TABLE, digest, values)
 
     def _saturation_through_store(self, src_hash, key, compute):
         """Saturation artifacts go through the store's ``__sats__``
-        table (front-half hash + stable key digest): a warm store hands
-        back the relocatable artifact — a new criterion against a warm
-        front half skips Poststar entirely and loads any Prestar
-        sibling whose key matches — and freshly computed artifacts are
-        persisted for the next process.  ``src_hash`` is the caller's
-        pre-compute snapshot of the front-half hash."""
+        table, found through the revision's saturation index: a warm
+        store hands back the relocatable artifact — a new criterion
+        against a warm front half skips Poststar entirely and loads any
+        Prestar sibling whose key matches — and freshly computed
+        artifacts are persisted for the next process.  ``src_hash`` is
+        the caller's pre-compute snapshot of the front-half hash."""
         digest = self._persist_digest("saturation", key, table_check=False)
         if digest is not None:
-            value = self._load_sat(src_hash, digest, key)
+            value = self._load_sat(self._filed_records(src_hash), digest, key)
             if value is not None:
                 return value
         value = compute()
         if digest is not None:
-            self._file_sat(src_hash, digest, value)
+            self._file_sats(src_hash, {digest: value})
         return value
 
-    def _load_sat(self, src_hash, digest, key):
-        """The artifact filed in ``__sats__`` for ``key``, or None;
-        counted as ``sat_persist_hits`` / ``sat_persist_misses``."""
-        value = self.store.get_sat(src_hash, digest)
-        loaded = isinstance(value, SaturationArtifact) and value.key == key
+    def _filed_records(self, src_hash):
+        """The saturation index records of one revision (key digest ->
+        record), read once per saturation pass."""
+        index = self.store.get_sat_index(src_hash) or {}
+        return index.get("artifacts") or {}
+
+    def _load_sat(self, records, digest, key):
+        """The artifact the index ``records`` file under ``digest`` for
+        ``key``, or None; counted as ``sat_persist_hits`` /
+        ``sat_persist_misses``."""
+        record = records.get(digest)
+        value = None if record is None else load_filed(self.store, record)
+        loaded = value is not None and value.key == key
         with self._lock:
             self._stats["sat_persist_hits" if loaded else "sat_persist_misses"] += 1
         return value if loaded else None
 
-    def _file_sat(self, src_hash, digest, artifact):
-        """Persist a fresh artifact in ``__sats__`` and record it in its
-        revision's saturation index (layout + one record), making it
-        discoverable by cold sessions on *other* revisions.  The index
-        record is skipped when ownership is unknown or a concurrent
-        ``update_source`` re-pointed the session mid-compute (the
-        snapshot hash no longer names this front half, so this
-        session's layout would be the wrong one)."""
-        self.store.put_sat(src_hash, digest, artifact)
-        if artifact.footprint is None or src_hash != self.source_hash:
+    def _file_sats(self, src_hash, artifacts):
+        """Persist one saturation pass's fresh artifacts (key digest ->
+        artifact) in ``__sats__`` and record them in their revision's
+        saturation index — layout plus records, one index write —
+        making them discoverable by cold sessions on *other* revisions.
+        Nothing is filed when a concurrent ``update_source`` re-pointed
+        the session mid-compute (the snapshot hash no longer names this
+        front half, so this session's layout would be the wrong one),
+        nor for an artifact of unknown ownership: a file no record
+        names would only be an orphan."""
+        if src_hash != self.source_hash:
+            return
+        records = {}
+        for digest, artifact in artifacts.items():
+            if artifact.footprint is None:
+                continue
+            name = self.store.put_sat(artifact.without_footprint())
+            if name is not None:
+                records[digest] = index_record(artifact, name)
+        if not records:
             return
         from repro.engine.incremental import session_layout
 
         self.store.merge_sat_index(
-            src_hash,
-            layout=session_layout(self),
-            records={digest: index_record(artifact)},
+            src_hash, layout=session_layout(self), records=records
         )
 
     def _slim(self, value):

@@ -30,20 +30,22 @@ Calls may appear anywhere an expression is allowed syntactically; the
 semantic checker restricts them to statement position or the entire
 right-hand side of an assignment (which is how the SDG models calls).
 
-An expression may nest at most :data:`MAX_NESTING` levels of
-parentheses (grouping or call arguments) and unary operators, counted
-together; the opener of the next level is a :class:`ParseError`.
+A program may nest at most :data:`MAX_NESTING` levels of ``if`` and
+``while`` bodies (an ``else if`` nests inside its ``if``), parentheses
+(grouping or call arguments) and unary operators, all counted together;
+the opener of the next level is a :class:`ParseError`.
 """
 
 from repro.lang import ast_nodes as A
 from repro.lang.errors import ParseError
 from repro.lang.tokens import tokenize
 
-#: The deepest nesting of parenthesized subexpressions, call argument
-#: lists, and unary operators one expression may have.  Every level
-#: costs several Python frames here and in each later tree walk
-#: (checker, lowering, interpreter, printer); at this depth the whole
-#: pipeline stays inside the interpreter's default recursion limit.
+#: The deepest nesting of ``if``/``while`` bodies, parenthesized
+#: subexpressions, call argument lists, and unary operators, counted
+#: together.  Every level costs several Python frames here and in each
+#: later tree walk (checker, lowering, interpreter, printer); at this
+#: depth the whole pipeline stays inside the interpreter's default
+#: recursion limit.
 MAX_NESTING = 100
 
 
@@ -51,7 +53,7 @@ class Parser(object):
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
-        self.depth = 0  # open expression nesting levels (MAX_NESTING)
+        self.depth = 0  # open nesting levels (MAX_NESTING)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -80,13 +82,14 @@ class Parser(object):
     def _pos(token):
         return (token.line, token.col)
 
-    def _nest(self, token):
-        """Open one expression nesting level at ``token`` (a ``(`` or a
-        unary operator); the caller closes it with ``depth -= 1``."""
+    def _nest(self, token, what="expression"):
+        """Open one nesting level at ``token`` (a ``(``, a unary
+        operator, or — ``what="statement"`` — an ``if``/``while``); the
+        caller closes it with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(
-                "expression nested deeper than %d levels" % MAX_NESTING,
+                "%s nested deeper than %d levels" % (what, MAX_NESTING),
                 token.line,
                 token.col,
             )
@@ -212,6 +215,7 @@ class Parser(object):
 
     def _parse_if(self):
         token = self._expect("if")
+        self._nest(token, "statement")
         self._expect("(")
         cond = self._parse_expr()
         self._expect(")")
@@ -225,14 +229,17 @@ class Parser(object):
                 els = A.Block([nested], pos=nested.pos)
             else:
                 els = self._parse_block()
+        self.depth -= 1
         return A.If(cond, then, els, pos=self._pos(token))
 
     def _parse_while(self):
         token = self._expect("while")
+        self._nest(token, "statement")
         self._expect("(")
         cond = self._parse_expr()
         self._expect(")")
         body = self._parse_block()
+        self.depth -= 1
         return A.While(cond, body, pos=self._pos(token))
 
     def _parse_return(self):

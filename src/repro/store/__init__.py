@@ -4,11 +4,13 @@ The in-memory :class:`repro.engine.SlicingSession` memo dies with its
 process; this package is the durable layer underneath it:
 
 * :class:`SliceStore` — a content-addressed on-disk cache of front-half
-  bundles (parsed program + SDG + PDS encoding), per-criterion
-  results, per-procedure parts (``__procs__``), relocatable
-  saturation artifacts plus per-revision saturation indexes
-  (``__sats__``), keyed by source-text hash and the engine's canonical
-  keys, with versioned checksummed entries and atomic writes.  The
+  bundles (parsed program + SDG + PDS encoding), slim results (one
+  ``results`` entry per public call), per-procedure parts
+  (``__procs__``), relocatable saturation artifacts — one file per
+  distinct automaton, shared across revisions — plus per-revision
+  saturation indexes (``__sats__``), keyed by source-text hash and the
+  engine's canonical keys, with versioned checksummed entries and
+  atomic writes.  The
   size cap evicts in *recompute-cost* order (slim results first,
   front-half bundles and indexes last; recency breaks ties within a
   tier), and the store degrades instead of failing: a write error is

@@ -1,80 +1,97 @@
 """The persistent slice store: a content-addressed on-disk cache.
 
-Layout.  One directory per program (named by the sha256 of its source
-text), one file per cached object inside it::
+Layout.  One directory per program revision (named by the sha256 of
+its source text), plus three tables shared by every revision::
 
     <cache_dir>/
       <source_hash>/
         fronthalf.slc                  # pickled SDG (program+info+PDS encoding)
-        slice-<key_digest>.slc         # pickled SpecializationResult
-        feature-<key_digest>.slc       # pickled feature-removal result
-        feature_clean-<key_digest>.slc # pickled (raw, cleaned) slice pair
+        results-<digest>.slc           # the slim results one public call computed
       __procs__/
         proc-<content_key>.slc         # pickled per-procedure ProcPart
       __sats__/
-        sat-<digest>.slc               # pickled SaturationArtifact
+        sat-<payload_sha256>.slc       # one saturation (kind, key, automaton)
         idx-<source_hash>.slc          # per-revision saturation index
+      __pds__/
+        pds-<source_hash>.slc          # relocatable compiled-PDS payload
 
-``key_digest`` is :func:`repro.engine.canonical.stable_key_digest` of
-the same canonical criterion key the in-memory session memo uses, so
-the two cache layers can never disagree about which queries are "the
-same".  The ``__procs__`` table is content-addressed by
-:func:`repro.engine.incremental.procedure_keys` digests: an edited
-program whose whole-program bundle misses can still assemble its front
-half from the unchanged procedures' parts (a *partial* hit, counted by
-``proc_hits``/``proc_misses``).  The ``__sats__`` table holds
-relocatable :class:`repro.engine.artifacts.SaturationArtifact` objects
-— the shared Poststar and the per-criterion Prestar/Poststar automata
-— keyed by front-half hash **plus** the saturation's stable key digest
-(``sat-<sha256(front_half_hash : key_digest)>``); a fresh process
-answering a *new* criterion against a warm front half loads the
-Poststar artifact instead of re-saturating, and an incremental
-``update_source`` re-files every surviving artifact under the edited
-text's hash (footprint-aware survival, composing with ``__procs__``).
+A ``results`` entry maps ``(table, key digest)`` to a slim slice,
+feature-removal, or cleanup result (``table`` is the session memo
+table, ``key digest`` :func:`repro.engine.canonical.stable_key_digest`
+of the memo's canonical key, so the two cache layers can never
+disagree about which queries are "the same").  A session files the
+results one public call computed as one entry and reads its revision's
+entries once, at its first persisted lookup.  The ``__procs__`` table
+is content-addressed by :func:`repro.engine.incremental.procedure_keys`
+digests: an edited program whose whole-program bundle misses can still
+assemble its front half from the unchanged procedures' parts (a
+*partial* hit, counted by ``proc_hits``/``proc_misses``).
+
+The ``__sats__`` table holds the saturations — the shared Poststar and
+the per-criterion Prestar/Poststar automata — as
+:class:`repro.engine.artifacts.SaturationArtifact` objects pickled
+*without* their ownership footprint, each in a file named by the
+sha256 of its payload (the checksum its entry header carries).  Equal
+saturations are therefore one file, whichever revisions own them: a
+label-only edit keeps every automaton byte for byte, so adopting a
+revision's saturations writes one index that names the donor's files.
 
 The saturation index.  Beside the artifacts, ``__sats__`` keeps one
 small ``idx-<source_hash>.slc`` file per revision: the revision's
 per-procedure symbol *layout* (each procedure's content key, dependence
 shape digest, vertex ids, and call-site labels, in build order) plus
-one record per filed
-artifact (memo key, saturation kind, ownership footprint).  The index
-is what makes artifacts discoverable **across revisions with no live
-session**: a cold process opening edited text computes its procedure
-content keys, scans the indexes of other revisions for artifacts whose
-footprint is a subset of its unchanged keys, renumbers them through the
-two layouts, and adopts them (see
+one record per saturation, ``(memo key, kind, ownership footprint,
+file name)``, under the saturation's key digest.  The footprint lives
+in the record, not the file, because it names content keys that a
+label edit changes.  A session writes its index once per saturation
+pass.  The index is what makes artifacts discoverable **across
+revisions with no live session**: a cold process opening edited text
+computes its procedure content keys, scans the indexes of other
+revisions for artifacts whose footprint is a subset of its unchanged
+keys, renumbers them through the two layouts, and adopts them (see
 :func:`repro.engine.incremental.discover_artifacts`).  The kind in
-each record also tells the evictor how expensive the artifact is to
+each record also tells the evictor how expensive a file is to
 recompute without unpickling it.
 
 Entry format.  Every file is ``MAGIC | version | sha256(payload) |
-payload`` with the payload a pickle.  Reads verify all three prefixes;
-any mismatch — a truncated write, a flipped byte, a file written by an
+payload`` with the payload a pickle.  Reads verify all three prefixes
+and, for a ``__sats__`` file, that its name is its checksum; any
+mismatch — a truncated write, a flipped byte, a file written by an
 older store version — makes the entry a *miss* and deletes it, so a
 corrupted cache degrades to a cold one instead of failing or serving
-bad results.
+bad results.  A saturation whose key differs from the key its index
+record names is a miss too.
 
 Writes are atomic (temp file + :func:`os.replace` in the same
 directory), which also makes concurrent writers safe: the last
-complete write wins and readers only ever observe whole entries.
-Writes are also *optional*: the store is an optimization, never a
-dependency, so an ``OSError`` on the write path (ENOSPC, EACCES, a
-read-only cache dir) degrades to a counted no-op (``write_errors``)
-instead of failing the query whose answer already exists.
+complete write wins and readers only ever observe whole entries.  A
+``__sats__`` file is written only when no valid file of its name
+exists.  Writes are also *optional*: the store is an optimization,
+never a dependency, so an ``OSError`` on the write path (ENOSPC,
+EACCES, a read-only cache dir) degrades to a counted no-op
+(``write_errors``) instead of failing the query whose answer already
+exists.
 
 Eviction.  The store is capped at ``max_bytes`` (default 256 MiB,
 overridable via ``REPRO_CACHE_MAX_BYTES``; a malformed value falls
 back to the default with a warning rather than crashing every
-session).  Eviction is **recompute-cost-aware**, not flat LRU: entries
-are ranked by how expensive they are to rebuild — slim results first
+session).  A store object learns the store's size with one stat-only
+scan at its first write and keeps a running estimate; only a write
+that takes the estimate past the cap runs the compaction walk.
+Eviction is **recompute-cost-aware**, not flat LRU: entries are ranked
+by how expensive they are to rebuild — results entries first
 (milliseconds, given warm saturations), then per-procedure parts, then
-Prestar artifacts, then Poststar artifacts, and front-half bundles and
+Prestar files, then Poststar files, and front-half bundles and
 saturation indexes last — with oldest-mtime-first (reads bump mtime,
 so LRU) as the tie-break *within* a tier.  A 256 MiB cache under
 pressure therefore sheds cheap rendered results and keeps the shared
-Poststar that costs seconds to re-saturate.  Every eviction walk also
-garbage-collects the saturation indexes (records whose artifact file
-is gone are pruned; ``gc_index_pruned``), and any walk that evicted or
+Poststar that costs seconds to re-saturate.  A ``__sats__`` file's
+tier comes from the records that name it; evicting a file shared by
+several revisions stales each of their records.  Every compaction walk
+also garbage-collects the saturation indexes (records whose file is
+gone are pruned; ``gc_index_pruned``) and deletes ``__sats__`` files
+that no index names once they are older than a grace period (a writer
+files a saturation before its record).  Any walk that evicted or
 pruned something bumps the lifetime counters persisted in the
 ``__sats__/meta`` sidecar, which ``repro cache stats`` reports across
 processes.
@@ -86,6 +103,7 @@ import pickle
 import struct
 import tempfile
 import threading
+import time
 import warnings
 
 MAGIC = b"RSLC"
@@ -98,7 +116,10 @@ MAGIC = b"RSLC"
 #: v4: the relocatable compiled-PDS payload table (``__pds__``), keyed
 #: by front-half hash, so a fresh process adopts packed rule arrays
 #: instead of recompiling.
-STORE_VERSION = 4
+#: v5: ``__sats__`` files are named by their footprint-free payload's
+#: sha256 and shared across revisions; index records name the file;
+#: per-criterion result files became one ``results`` entry per call.
+STORE_VERSION = 5
 
 _VERSION_STRUCT = struct.Struct(">H")
 _HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size + hashlib.sha256().digest_size
@@ -106,6 +127,8 @@ _HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size + hashlib.sha256().digest_size
 _SUFFIX = ".slc"
 _TMP_SUFFIX = ".tmp"
 _FRONTHALF = "fronthalf"
+#: the per-revision table of slim results, one entry per public call
+RESULTS_TABLE = "results"
 #: the content-addressed per-procedure and saturation-artifact tables
 #: live beside the per-program directories (source hashes are hex, so
 #: no collision)
@@ -115,7 +138,9 @@ _SATS_DIR = "__sats__"
 #: ``repro.pds.kernel.compiled_payload`` tuple per front-half hash)
 _PDS_DIR = "__pds__"
 _SPECIAL_DIRS = frozenset([_PARTS_DIR, _SATS_DIR, _PDS_DIR])
-#: the per-revision saturation-index table (files in __sats__)
+#: the content-addressed saturation table and the per-revision
+#: saturation-index table (both files in __sats__)
+_SAT = "sat"
 _SAT_INDEX = "idx"
 #: the lifetime-counter sidecar, kept in __sats__ under a non-entry
 #: name (never evicted, invisible to _entries, removed only by clear())
@@ -126,13 +151,14 @@ _META_NAME = "meta"
 #: revisions that can possibly donate instead of scanning every
 #: ``idx-<hash>.slc`` in the store
 _KEYMAP_NAME = "keymap"
-#: orphaned temp files older than this are swept during eviction/clear
+#: orphaned temp files older than this are swept during eviction/clear,
+#: and unindexed ``__sats__`` files during the compaction walk
 _TMP_GRACE_SECONDS = 60
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Recompute-cost tiers for eviction, cheapest-to-rebuild first.  Slim
-#: results are re-rendered in milliseconds once their saturation is
+#: results are re-rendered in milliseconds once their saturations are
 #: warm; a procedure part is one PDG build; a Prestar is one criterion
 #: saturation; a Poststar (the shared reachable-configs one above all)
 #: costs seconds on large programs; the front-half bundle and the
@@ -144,9 +170,7 @@ TIER_SAT_POSTSTAR = 3
 TIER_PRECIOUS = 4
 
 _TIER_BY_TABLE = {
-    "slice": TIER_RESULT,
-    "feature": TIER_RESULT,
-    "feature_clean": TIER_RESULT,
+    RESULTS_TABLE: TIER_RESULT,
     "proc": TIER_PROC,
     # a compiled-PDS payload rebuilds in one compile pass — cheap, like
     # a procedure part, and far cheaper than any saturation
@@ -262,10 +286,19 @@ class SliceStore(object):
         table, criterion)`` — the generic-table twin of
         :meth:`has_program`.  Only the header (magic + version) is
         checked, nothing is deserialized, and no hit/miss counter
-        moves: this is a peek (the fused batch path uses it to leave
-        persisted criteria to the ordinary memo path, whose own lookup
-        does the counting)."""
+        moves: this is a peek."""
         return self._has_valid_header(self._entry_path(src_hash, table, key_digest))
+
+    def keys(self, src_hash, table):
+        """The key digests of ``table``'s entries in one program's
+        directory, sorted — a directory listing: nothing is read and
+        no counter moves (each :meth:`get` of one counts as usual)."""
+        prefix = table + "-"
+        return sorted(
+            name[len(prefix):-len(_SUFFIX)]
+            for name in _listdir(os.path.join(self.cache_dir, src_hash))
+            if name.startswith(prefix) and name.endswith(_SUFFIX)
+        )
 
     # -- the front-half bundle -------------------------------------------------
 
@@ -310,48 +343,43 @@ class SliceStore(object):
 
     # -- the saturation-artifact table -----------------------------------------
 
-    @staticmethod
-    def sat_name(src_hash, key_digest):
-        """The ``__sats__`` file key for a saturation: sha256 over the
-        front-half hash and the saturation's stable key digest.  Both
-        inputs are deterministic hex digests, so the combined name is
-        stable across processes and interpreter runs."""
-        return hashlib.sha256(
-            ("%s:%s" % (src_hash, key_digest)).encode("utf-8")
-        ).hexdigest()
-
-    def get_sat(self, src_hash, key_digest):
-        """The cached :class:`~repro.engine.artifacts.SaturationArtifact`
-        for ``(front half, saturation key)``, or None.  Counted by
-        ``sat_hits``/``sat_misses``."""
-        value, ok = self._read(
-            self._entry_path(_SATS_DIR, "sat", self.sat_name(src_hash, key_digest))
-        )
+    def get_sat(self, name, key):
+        """The saturation filed in ``__sats__`` as ``name`` (a file name
+        from an index record), or None.  Besides every check a read
+        makes, the file's checksum must equal its name and the
+        object's ``key`` must equal ``key``, the key the record names;
+        any mismatch is a miss.  Counted by ``sat_hits``/``sat_misses``.
+        The object carries no footprint: its index record holds it."""
+        value, ok = None, False
+        if _is_sha256_hex(name):
+            value, ok = self._read(self._sat_path(name))
+            ok = ok and getattr(value, "key", None) == key
         self._count("sat_hits" if ok else "sat_misses")
-        return value
+        return value if ok else None
 
-    def put_sat(self, src_hash, key_digest, artifact):
-        """Cache one saturation artifact under its front-half hash and
-        key digest."""
-        written = self._write(
-            self._entry_path(_SATS_DIR, "sat", self.sat_name(src_hash, key_digest)),
-            artifact,
-        )
+    def put_sat(self, value):
+        """File one footprint-free saturation in ``__sats__`` and return
+        its name, the sha256 of its pickled payload, or None when the
+        filesystem refused the write.  A valid file of that name holds
+        these very bytes, so it is only touched (which keeps it out of
+        the orphan sweep until a record names it), not rewritten."""
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        name = hashlib.sha256(payload).hexdigest()
+        path = self._sat_path(name)
+        if self._has_valid_header(path):
+            _touch(path)
+            return name
+        written = self._write(path, _Pickled(payload))
         self._count("stores")
         self._note_written(written)
+        return name if written else None
 
-    def has_sat(self, src_hash, key_digest):
-        """Whether a *plausibly valid* saturation artifact exists on
-        disk for the given front-half hash and key digest.  Lets
-        ``update_source`` skip re-persisting survivors the store
-        already holds (the undo/redo editor loop) — but the header
-        (magic + version) is validated cheaply, so a corrupt or
-        stale-``STORE_VERSION`` file reads as absent and the survivor
-        is re-persisted instead of being silently lost on the next
-        read."""
-        return self._has_valid_header(
-            self._entry_path(_SATS_DIR, "sat", self.sat_name(src_hash, key_digest))
-        )
+    def has_sat(self, name):
+        """Whether a *plausibly valid* ``__sats__`` file of this name
+        exists: its header carries the current magic and version and a
+        checksum equal to its name (the payload itself is verified on
+        read)."""
+        return _is_sha256_hex(name) and self._has_valid_header(self._sat_path(name))
 
     # -- the compiled-PDS payload table ----------------------------------------
 
@@ -387,8 +415,9 @@ class SliceStore(object):
           revision, in program order (the coordinate system artifacts
           are renumbered through), and
         * ``"artifacts"`` — saturation key digest -> ``(memo key,
-          kind, footprint tuple)`` for every artifact filed under the
-          revision.
+          kind, footprint tuple, file name)`` for every saturation of
+          the revision (the file is a ``__sats__`` name, possibly
+          shared with other revisions).
 
         Indexes ride the same header/checksum format as entries, so a
         corrupt index degrades to "revision not discoverable"."""
@@ -399,10 +428,11 @@ class SliceStore(object):
 
     def merge_sat_index(self, src_hash, layout=None, records=None):
         """Merge ``records`` (key digest -> ``(memo key, kind,
-        footprint)``) — and, the first time, the revision's ``layout``
-        — into the revision's index file.  Read-modify-write under the
-        in-process lock; cross-process races are last-writer-wins (a
-        lost record only costs discoverability, never correctness)."""
+        footprint, file name)``) — and, the first time, the revision's
+        ``layout`` — into the revision's index file.  Read-modify-write
+        under the in-process lock; cross-process races are
+        last-writer-wins (a lost record only costs discoverability,
+        never correctness).  Callers merge once per saturation pass."""
         with self._index_lock:
             index = self.get_sat_index(src_hash)
             if index is None:
@@ -596,11 +626,11 @@ class SliceStore(object):
         ``lifetime`` GC/compaction totals from the ``__sats__/meta``
         sidecar.
 
-        ``tables`` maps table name (``fronthalf``, ``slice``,
-        ``feature``, ``feature_clean``, ``proc``, ``sat``, ``idx``,
-        ``pds``) to entry count; ``table_bytes`` maps the same names to total
-        bytes, so the new ``__sats__`` table (and every other one) is
-        observable from ``repro cache stats``.
+        ``tables`` maps table name (``fronthalf``, ``results``,
+        ``proc``, ``sat``, ``idx``, ``pds``) to entry count;
+        ``table_bytes`` maps the same names to total bytes, so every
+        table is observable from ``repro cache stats`` (a ``sat`` file
+        shared by several revisions counts once).
         """
         entries = self._entries()
         programs = set()
@@ -637,6 +667,9 @@ class SliceStore(object):
     def _sat_index_path(self, src_hash):
         return self._entry_path(_SATS_DIR, _SAT_INDEX, src_hash)
 
+    def _sat_path(self, name):
+        return self._entry_path(_SATS_DIR, _SAT, name)
+
     def _meta_path(self):
         return os.path.join(self.cache_dir, _SATS_DIR, _META_NAME)
 
@@ -650,7 +683,8 @@ class SliceStore(object):
         return table
 
     def _read(self, path):
-        """Returns ``(value, ok)``; drops the file on any defect."""
+        """Returns ``(value, ok)``; drops the file on any defect,
+        including a ``__sats__`` file whose name is not its checksum."""
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
@@ -666,7 +700,7 @@ class SliceStore(object):
         offset = len(MAGIC) + _VERSION_STRUCT.size
         digest = blob[offset:_HEADER_LEN]
         payload = blob[_HEADER_LEN:]
-        if hashlib.sha256(payload).digest() != digest:
+        if hashlib.sha256(payload).digest() != digest or not _named_by(path, digest):
             self._drop_invalid(path)
             return None, False
         try:
@@ -679,27 +713,32 @@ class SliceStore(object):
 
     def _has_valid_header(self, path):
         """Cheap existence-plus-plausibility: the file starts with our
-        magic and the current version.  The payload checksum is *not*
-        read — that stays on the read path — but a truncated, foreign,
-        or old-version file correctly reads as absent."""
+        magic and the current version (and, in ``__sats__``, the
+        checksum its name promises).  The payload checksum is *not*
+        verified — that stays on the read path — but a truncated,
+        foreign, or old-version file correctly reads as absent."""
         want = len(MAGIC) + _VERSION_STRUCT.size
         try:
             with open(path, "rb") as handle:
-                head = handle.read(want)
+                head = handle.read(_HEADER_LEN)
         except OSError:
             return False
         if len(head) < want or not head.startswith(MAGIC):
             return False
         (version,) = _VERSION_STRUCT.unpack_from(head, len(MAGIC))
-        return version == STORE_VERSION
+        return version == STORE_VERSION and _named_by(path, head[want:])
 
     def _write(self, path, value):
         """Atomically write one entry; returns the bytes written, or 0
         when the filesystem refused (ENOSPC, EACCES, read-only dir) —
         the store is an optimization, so a failed write is a counted
         no-op (``write_errors``), never an exception on the query
-        path.  Pickling errors (a programming bug) still raise."""
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        path.  Pickling errors (a programming bug) still raise.  A
+        :class:`_Pickled` value is written as the payload it holds."""
+        if isinstance(value, _Pickled):
+            payload = value.payload
+        else:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = (
             MAGIC
             + _VERSION_STRUCT.pack(STORE_VERSION)
@@ -728,28 +767,35 @@ class SliceStore(object):
 
     def _note_written(self, nbytes):
         """Incremental size accounting: a write only triggers the
-        O(entries) eviction walk when the running estimate crosses the
-        cap (the estimate over-counts overwrites, which merely causes
-        an early — and correcting — scan).  A degraded write (0 bytes)
-        with a known total is a no-op."""
+        compaction walk when the running estimate crosses the cap (the
+        estimate over-counts overwrites, which merely causes an early —
+        and correcting — walk).  The first write of a store object
+        learns the total with a stat-only scan, which reads no entry.
+        A degraded write (0 bytes) with a known total is a no-op."""
         with self._lock:
-            unknown = self._approx_bytes is None
-            over = False
-            if not unknown:
+            known = self._approx_bytes is not None
+            if known:
                 self._approx_bytes += nbytes
                 over = self._approx_bytes > self.max_bytes
-        if unknown or over:
+        if not known:
+            total = sum(size for _path, size, _mtime in self._entries())
+            with self._lock:
+                self._approx_bytes = total
+            over = total > self.max_bytes
+        if over:
             self._evict()
 
     def _evict(self):
         """The compaction walk: sweep stale temp files, GC the
-        saturation indexes, and — when over the cap — drop entries in
-        recompute-cost order (cheapest tier first, oldest mtime first
-        within a tier) until the store fits."""
+        saturation indexes, delete ``__sats__`` files no index names
+        (past the grace period), and — when over the cap — drop entries
+        in recompute-cost order (cheapest tier first, oldest mtime
+        first within a tier) until the store fits."""
         self._sweep_stale_temp()
         entries = self._entries()
         self._count("compactions")
         sat_tiers, pruned = self._gc_sat_indexes(entries)
+        entries = self._sweep_orphans(entries, sat_tiers)
         total = sum(size for _path, size, _mtime in entries)
         evicted = 0
         if total > self.max_bytes:
@@ -766,38 +812,38 @@ class SliceStore(object):
         self._bump_lifetime(compactions=1, evictions=evicted, gc_index_pruned=pruned)
 
     def _entry_tier(self, path, sat_tiers):
-        """The eviction tier of one entry file.  Saturation artifacts
-        are classified through the index records (``sat_tiers``: file
-        name -> tier); an unindexed artifact defaults to the Poststar
-        tier — when in doubt, keep the thing that might cost seconds."""
-        table = self._entry_table(path)
-        if table == "sat":
-            name = os.path.basename(path)[len("sat-"):-len(_SUFFIX)]
+        """The eviction tier of one entry file.  Saturation files are
+        classified through the index records that name them
+        (``sat_tiers``: file name -> tier); an unindexed file defaults
+        to the Poststar tier — when in doubt, keep the thing that might
+        cost seconds."""
+        name = _sat_file_name(path)
+        if name is not None:
             return sat_tiers.get(name, TIER_SAT_POSTSTAR)
-        return _TIER_BY_TABLE.get(table, TIER_RESULT)
+        return _TIER_BY_TABLE.get(self._entry_table(path), TIER_RESULT)
 
     def _gc_sat_indexes(self, entries):
-        """Prune index records whose artifact file is gone; drop an
+        """Prune index records whose saturation file is gone; drop an
         index outright when it has no records left *and* its revision's
         front half is gone too.  Returns ``(sat file name -> tier,
         pruned record count)`` — the classification the evictor needs,
-        computed in the same pass."""
+        computed in the same pass; a file no record names is absent."""
         live = set()
         for path, _size, _mtime in entries:
-            name = os.path.basename(path)
-            if (
-                os.path.basename(os.path.dirname(path)) == _SATS_DIR
-                and name.startswith("sat-")
-            ):
-                live.add(name[len("sat-"):-len(_SUFFIX)])
+            name = _sat_file_name(path)
+            if name is not None:
+                live.add(name)
         sat_tiers = {}
         pruned = 0
         dropped_index = False
         for src_hash, index in self.sat_indexes():
             artifacts = index.get("artifacts") or {}
             stale = []
-            for key_digest, (_key, kind, _footprint) in artifacts.items():
-                file_name = self.sat_name(src_hash, key_digest)
+            for key_digest, record in artifacts.items():
+                try:
+                    _key, kind, _footprint, file_name = record
+                except (TypeError, ValueError):
+                    file_name = None
                 if file_name in live:
                     sat_tiers[file_name] = (
                         TIER_SAT_PRESTAR if kind == "prestar" else TIER_SAT_POSTSTAR
@@ -827,12 +873,27 @@ class SliceStore(object):
                 self._counters["gc_index_pruned"] += pruned
         return sat_tiers, pruned
 
+    def _sweep_orphans(self, entries, sat_tiers):
+        """Delete the ``__sats__`` files no index record names
+        (``sat_tiers`` holds the named ones) once they are older than
+        the grace period — younger ones may belong to a writer that
+        has not merged its records yet.  Returns the remaining
+        entries."""
+        horizon = time.time() - _TMP_GRACE_SECONDS
+        kept = []
+        for entry in entries:
+            path, _size, mtime = entry
+            name = _sat_file_name(path)
+            if name is None or name in sat_tiers or mtime >= horizon:
+                kept.append(entry)
+            elif not self._unlink(path):
+                kept.append(entry)
+        return kept
+
     def _sweep_stale_temp(self):
         """Remove orphaned ``.tmp`` files (a writer killed between
         mkstemp and the atomic replace) once they are old enough that
         no live writer can still own them."""
-        import time
-
         horizon = time.time() - _TMP_GRACE_SECONDS
         for sub in _listdir(self.cache_dir):
             subdir = os.path.join(self.cache_dir, sub)
@@ -900,6 +961,46 @@ class SliceStore(object):
     def _count(self, name):
         with self._lock:
             self._counters[name] += 1
+
+
+class _Pickled(object):
+    """A payload pickled ahead of :meth:`SliceStore._write` (a
+    content-addressed file is named by its payload's digest, so the
+    payload exists before the write)."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload):
+        self.payload = payload
+
+
+def _is_sha256_hex(name):
+    return (
+        isinstance(name, str)
+        and len(name) == 64
+        and all(char in "0123456789abcdef" for char in name)
+    )
+
+
+def _sat_file_name(path):
+    """The name part of a ``__sats__/sat-<name>.slc`` path, else None."""
+    base = os.path.basename(path)
+    prefix = _SAT + "-"
+    if (
+        base.startswith(prefix)
+        and base.endswith(_SUFFIX)
+        and os.path.basename(os.path.dirname(path)) == _SATS_DIR
+    ):
+        return base[len(prefix):-len(_SUFFIX)]
+    return None
+
+
+def _named_by(path, digest):
+    """Whether a file's name agrees with the payload checksum in its
+    header: a ``__sats__`` file must be named by it; any other file
+    passes."""
+    name = _sat_file_name(path)
+    return name is None or name == digest.hex()
 
 
 def _listdir(path):

@@ -23,7 +23,7 @@ import pickle
 
 import pytest
 
-from repro.engine import SlicingSession, stable_key_digest
+from repro.engine import SlicingSession
 from repro.engine.artifacts import symbol_owner_procs
 from repro.engine.canonical import REACHABLE_KEY
 from repro.fsa import canonical_dfa, language_equal, structurally_equal
@@ -115,49 +115,41 @@ def test_footprint_matches_touched_procedures(seed):
     assert keys["main"] in poststar.footprint
 
 
-def test_sats_key_digest_stable_across_processes():
-    """The ``__sats__`` file name — sha256 over the front-half hash and
-    the saturation key's stable digest — must come out identical in a
-    fresh interpreter with a fresh hash seed."""
+def test_sats_key_digest_stable_across_processes(tmp_path):
+    """The ``__sats__`` file names — sha256 over each saturation's
+    footprint-free pickled payload — must come out identical in a fresh
+    interpreter with a fresh hash seed."""
     import subprocess
     import sys
 
-    from repro.store import SliceStore, source_hash
+    from repro.store import SliceStore
     from repro.workloads.paper_figures import FIG1_SOURCE
 
-    session = SlicingSession(FIG1_SOURCE)
-    session.slice()
-    sat_keys = sorted(
-        key for (kind, key) in session._futures if kind == "saturation"
-    )
-    here = [
-        SliceStore.sat_name(source_hash(FIG1_SOURCE), stable_key_digest(key))
-        for key in sat_keys
-    ]
+    def sat_names(cache):
+        return sorted(
+            name
+            for name in os.listdir(os.path.join(cache, "__sats__"))
+            if name.startswith("sat-")
+        )
+
+    here = str(tmp_path / "here")
+    there = str(tmp_path / "there")
+    SlicingSession(FIG1_SOURCE, store=SliceStore(here)).slice()
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     script = (
-        "import json, sys\n"
-        "from repro.engine import SlicingSession, stable_key_digest\n"
-        "from repro.store import SliceStore, source_hash\n"
-        "source = sys.stdin.read()\n"
-        "session = SlicingSession(source)\n"
-        "session.slice()\n"
-        "keys = sorted(k for (kind, k) in session._futures if kind == 'saturation')\n"
-        "print(json.dumps([SliceStore.sat_name(source_hash(source),\n"
-        "                                      stable_key_digest(k))\n"
-        "                  for k in keys]))\n"
+        "import sys\n"
+        "from repro.engine import SlicingSession\n"
+        "from repro.store import SliceStore\n"
+        "SlicingSession(sys.stdin.read(), store=SliceStore(%r)).slice()\n" % there
     )
-    import json
-
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="4242")
-    there = json.loads(
-        subprocess.check_output(
-            [sys.executable, "-c", script], input=FIG1_SOURCE, env=env, text=True
-        )
+    subprocess.check_output(
+        [sys.executable, "-c", script], input=FIG1_SOURCE, env=env, text=True
     )
-    assert there == here
+    assert len(sat_names(here)) == 2  # the Poststar and the Prestar
+    assert sat_names(there) == sat_names(here)
 
 
 def test_sats_artifacts_shared_across_processes(tmp_path):

@@ -19,7 +19,10 @@ Two halves of one story (ISSUE 8):
   adopted artifacts must yield byte-identical results.
 """
 
+import collections
+import glob
 import os
+import shutil
 import time
 
 import pytest
@@ -28,8 +31,9 @@ from repro.cli import build_parser
 from repro.engine import SlicingSession, stable_key_digest
 from repro.engine.canonical import REACHABLE_KEY
 from repro.lang import pretty
-from repro.store import SliceStore
+from repro.store import DEFAULT_MAX_BYTES, SliceStore, source_hash
 from repro.store.store import (
+    _TMP_GRACE_SECONDS,
     TIER_PROC,
     TIER_RESULT,
     TIER_SAT_POSTSTAR,
@@ -93,8 +97,8 @@ def test_eviction_sheds_cheap_tiers_first(tmp_path):
     groups = _by_table(store)
     # The compiled-PDS payload is a cheap-to-rebuild entry that sheds
     # with the parts tier.
-    assert set(groups) == {"fronthalf", "slice", "proc", "sat", "idx", "pds"}
-    shed_tables = ("slice", "proc", "pds")
+    assert set(groups) == {"fronthalf", "results", "proc", "sat", "idx", "pds"}
+    shed_tables = ("results", "proc", "pds")
 
     # Make everything expensive look LRU-stale: flat LRU would evict
     # the saturations and the bundle first.
@@ -139,9 +143,8 @@ def test_flat_lru_would_have_dropped_the_poststar(tmp_path):
     session.slice(("print", 1))
     store = SliceStore(cache)
     groups = _by_table(store)
-    poststar_path = store._entry_path(
-        "__sats__", "sat", store.sat_name(session.source_hash, POSTSTAR_DIGEST)
-    )
+    record = store.get_sat_index(session.source_hash)["artifacts"][POSTSTAR_DIGEST]
+    poststar_path = store._entry_path("__sats__", "sat", record[3])
     _set_age(poststar_path, 7200)  # the LRU victim
     entries = store._entries()
     total = sum(size for _path, size, _mtime in entries)
@@ -165,7 +168,7 @@ def test_flat_lru_would_have_dropped_the_poststar(tmp_path):
     # Cheap slim results took the cut instead (the trigger put added a
     # fresh slice entry, so compare original paths, not counts).
     surviving = {path for path, _size, _mtime in SliceStore(cache)._entries()}
-    assert {path for path, _size, _mtime in groups["slice"]} - surviving
+    assert {path for path, _size, _mtime in groups["results"]} - surviving
 
 
 def test_mtime_is_the_tiebreak_within_a_tier(tmp_path):
@@ -199,7 +202,7 @@ def test_entry_tiers_classified_through_the_index(tmp_path):
     assert tiers == [TIER_SAT_PRESTAR, TIER_SAT_POSTSTAR]
     for path, _size, _mtime in entries:
         table = store._entry_table(path)
-        if table == "slice":
+        if table == "results":
             assert store._entry_tier(path, sat_tiers) == TIER_RESULT
         elif table == "proc":
             assert store._entry_tier(path, sat_tiers) == TIER_PROC
@@ -221,7 +224,7 @@ def test_warm_reopen_after_eviction_skips_poststar(tmp_path):
     session.slice(("print", 1))
     store = SliceStore(cache)
     groups = _by_table(store)
-    slice_bytes = sum(size for _path, size, _mtime in groups["slice"])
+    slice_bytes = sum(size for _path, size, _mtime in groups["results"])
     total = sum(size for _path, size, _mtime in store._entries())
     # Old files first under flat LRU would be the sats; age them.
     for path, _size, _mtime in groups["sat"]:
@@ -427,6 +430,226 @@ def test_evicted_artifact_under_live_index_is_an_index_miss(tmp_path):
     assert pretty(
         reader.executable(("print", 0), contexts="empty").program
     ) == pretty(cold.executable(("print", 0), contexts="empty").program)
+
+
+# -- content-addressed saturation files and batched writes --------------------------
+
+
+def _sat_files(store):
+    return sorted(path for path, _size, _mtime in _by_table(store).get("sat", ()))
+
+
+def _record_names(store, src_hash):
+    return sorted(record[3] for record in store.get_sat_index(src_hash)["artifacts"].values())
+
+
+def test_adopting_revisions_share_one_sat_file(tmp_path):
+    """A label-edit adoption names the donor's ``__sats__`` files
+    instead of copying them: two revisions, one file per saturation.
+    Dropping one revision's index leaves the files to the other."""
+    cache = str(tmp_path / "cache")
+    writer = SlicingSession(SOURCE, store=SliceStore(cache))
+    writer.slice(("print", 0))
+    store = SliceStore(cache)
+    files = _sat_files(store)
+    assert len(files) == 2  # the shared Poststar and the Prestar
+
+    reader = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
+    assert reader.stats["sats_adopted"] == 2
+    assert _sat_files(store) == files
+    assert _record_names(store, reader.source_hash) == _record_names(
+        store, writer.source_hash
+    )
+
+    # Old enough for the orphan sweep, yet still named by the edit's index.
+    os.unlink(store._sat_index_path(writer.source_hash))
+    for path in files:
+        _set_age(path, 10 * _TMP_GRACE_SECONDS)
+    store._evict()
+    assert _sat_files(store) == files
+    fresh = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
+    fresh.slice(("print", 0))
+    assert fresh.stats["sat_persist_hits"] == 2
+    assert fresh.stats["sat_persist_misses"] == 0
+
+
+def test_orphan_sat_files_are_swept_after_the_grace_period(tmp_path):
+    """A ``__sats__`` file no index record names is deleted by the
+    compaction walk once it is older than the grace period; a young
+    one may belong to a writer that has not merged its record yet, and
+    is kept."""
+    store = SliceStore(str(tmp_path / "cache"))
+    old = store.put_sat("an orphan from a crashed writer")
+    young = store.put_sat("a writer's file, record not merged yet")
+    old_path = store._entry_path("__sats__", "sat", old)
+    _set_age(old_path, 2 * _TMP_GRACE_SECONDS)
+    store._evict()
+    assert not os.path.exists(old_path)
+    assert store.has_sat(young)
+
+
+def test_corrupt_shared_sat_file_is_a_miss_on_every_revision(tmp_path):
+    """A corrupt file shared by two revisions degrades each of them to
+    an honest recompute, with answers byte-identical to a cold
+    session's."""
+    from repro.fsa.serialize import automaton_to_payload
+
+    cache = str(tmp_path / "cache")
+    criteria = [("print", 0), ("print", 1)]
+    SlicingSession(SOURCE, store=SliceStore(cache)).slice_many(criteria)
+    assert SlicingSession(LABEL_EDIT, store=SliceStore(cache)).stats["sats_adopted"] == 3
+    store = SliceStore(cache)
+    name = store.get_sat_index(source_hash(SOURCE))["artifacts"][POSTSTAR_DIGEST][3]
+    assert name in _record_names(store, source_hash(LABEL_EDIT))
+    path = store._entry_path("__sats__", "sat", name)
+    for text in (SOURCE, LABEL_EDIT):
+        # The previous revision's recompute re-filed the file; corrupt it
+        # again, and drop the results so answers need the saturations.
+        blob = bytearray(open(path, "rb").read())
+        blob[-1] ^= 0xFF
+        open(path, "wb").write(bytes(blob))
+        for entry in glob.glob(os.path.join(cache, source_hash(text), "results-*.slc")):
+            os.unlink(entry)
+
+        reader = SlicingSession(text, store=SliceStore(cache))
+        results = reader.slice_many(criteria)
+        assert reader.stats["sat_persist_misses"] == 1  # the Poststar
+        assert reader.stats["sat_persist_hits"] == 2  # both Prestars
+        cold = SlicingSession(text)
+        for criterion, result in zip(criteria, results):
+            reference = cold.slice(criterion)
+            assert automaton_to_payload(result.a6) == automaton_to_payload(reference.a6)
+            assert pretty(reader.executable(criterion).program) == pretty(
+                cold.executable(criterion).program
+            )
+
+
+def test_sat_file_under_the_wrong_record_is_a_miss(tmp_path):
+    """A record whose file holds another saturation (its key differs
+    from the record's) is a miss, never a wrong answer; the file itself
+    is valid and stays."""
+    cache = str(tmp_path / "cache")
+    writer = SlicingSession(SOURCE, store=SliceStore(cache))
+    writer.slice(("print", 0))
+    store = SliceStore(cache)
+    records = store.get_sat_index(writer.source_hash)["artifacts"]
+    (prestar_digest,) = [digest for digest in records if digest != POSTSTAR_DIGEST]
+    key, kind, footprint, _name = records[prestar_digest]
+    poststar_file = records[POSTSTAR_DIGEST][3]
+    store.merge_sat_index(
+        writer.source_hash, records={prestar_digest: (key, kind, footprint, poststar_file)}
+    )
+    assert store.get_sat(poststar_file, key) is None
+    assert store.stats()["sat_misses"] == 1
+    assert store.has_sat(poststar_file)
+
+    # Results dropped, so the answer needs the Prestar.
+    os.unlink(glob.glob(os.path.join(cache, writer.source_hash, "results-*.slc"))[0])
+    reader = SlicingSession(SOURCE, store=SliceStore(cache))
+    result = reader.slice(("print", 0))
+    assert reader.stats["sat_persist_misses"] == 1  # the mislabeled Prestar
+    assert reader.stats["sat_persist_hits"] == 1  # the Poststar, under its own record
+    cold = SlicingSession(SOURCE)
+    assert result.version_counts() == cold.slice(("print", 0)).version_counts()
+    assert pretty(reader.executable(("print", 0)).program) == pretty(
+        cold.executable(("print", 0)).program
+    )
+
+
+def test_first_write_reads_no_index(tmp_path, monkeypatch):
+    """A fresh store object learns the store's size with a stat-only
+    scan: under the cap, its first write reads no saturation index,
+    however many revisions the store holds.  An explicit compaction
+    walk still reads (and GCs) every one."""
+    cache = str(tmp_path / "cache")
+    for value in range(12):
+        revision = SOURCE.replace("acc + 5", "acc + %d" % (value + 10))
+        SlicingSession(revision, store=SliceStore(cache)).slice(("print", 0))
+    assert len(SliceStore(cache).sat_indexes()) == 12
+
+    index_reads = []
+    read = SliceStore._read
+
+    def counting(store, path):
+        if os.path.basename(path).startswith("idx-"):
+            index_reads.append(path)
+        return read(store, path)
+
+    monkeypatch.setattr(SliceStore, "_read", counting)
+    fresh = SliceStore(cache)
+    fresh.put("f" * 64, "results", "first", "value")
+    assert index_reads == []
+    assert fresh.stats()["compactions"] == 0
+    fresh._evict()
+    assert len(index_reads) == 12
+
+
+def test_reopens_write_only_what_is_new(tmp_path, monkeypatch):
+    """Write counts of the store-backed editor loop on scaled wc (32
+    categories, 35 prints): a cold batch writes the revision index once
+    per saturation pass and its results as one entry; a label-edit
+    reopen names the donor's saturation files and writes at most six
+    files; a structural-edit reopen at most 45; reopening unchanged
+    text writes nothing.  (One file per entry, one index write per
+    saturation and re-filed adoptions wrote 36, 35, 75 and 111.)"""
+    from repro.workloads.wc import scaled_wc_source
+
+    text = scaled_wc_source(32)
+    label = text.replace("cat_3 = cat_3 + 1;", "cat_3 = cat_3 + 7;")
+    structural = text.replace(
+        "void count_cat_3(int c) {\n", "void count_cat_3(int c) {\n  int t = 1;\n"
+    )
+    assert label != text and structural != text
+    written = collections.Counter()
+    pickled_sats = []
+    write, put_sat = SliceStore._write, SliceStore.put_sat
+
+    def counting_write(store, path, value):
+        written[store._entry_table(path)] += 1
+        return write(store, path, value)
+
+    def counting_put_sat(store, value):
+        pickled_sats.append(value)
+        return put_sat(store, value)
+
+    monkeypatch.setattr(SliceStore, "_write", counting_write)
+    monkeypatch.setattr(SliceStore, "put_sat", counting_put_sat)
+
+    # An explicit cap: these counts pin the writes, not the evictor.
+    seed = str(tmp_path / "seed")
+    cold = SlicingSession(text, store=SliceStore(seed, max_bytes=DEFAULT_MAX_BYTES))
+    criteria = [("print", index) for index in range(len(cold.sdg.print_call_vertices()))]
+    assert len(criteria) == 35
+    written.clear()
+    cold.slice_many(criteria)
+    assert cold.stats["fused_batches"] == 1
+    # One index write for the shared Poststar's pass, one for the fused
+    # Prestar pass.
+    assert written["idx"] == 2
+    assert written["results"] == 1
+    assert written["sat"] == len(criteria) + 1
+
+    def reopen(revision, name):
+        cache = str(tmp_path / name)
+        shutil.copytree(seed, cache)
+        written.clear()
+        del pickled_sats[:]
+        session = SlicingSession(revision, store=SliceStore(cache, max_bytes=DEFAULT_MAX_BYTES))
+        session.executable(criteria[0])
+        session.slice_many(criteria)
+        for criterion in criteria:
+            session.executable(criterion)
+        return session, dict(written)
+
+    session, label_writes = reopen(label, "label")
+    assert session.stats["sats_adopted"] == len(criteria) + 1
+    assert "sat" not in label_writes and pickled_sats == []
+    assert label_writes["idx"] == 1
+    assert sum(label_writes.values()) <= 6
+    _session, structural_writes = reopen(structural, "structural")
+    assert sum(structural_writes.values()) <= 45
+    _session, unchanged_writes = reopen(text, "unchanged")
+    assert unchanged_writes == {}
 
 
 # -- the counters, end to end ------------------------------------------------------

@@ -169,8 +169,18 @@ def test_slice_batch_reports_the_fused_pass(tmp_path):
             "int main() { print(%s1%s); }" % ("(" * 101, ")" * 101),
             "1:120: expression nested deeper than 100 levels",
         ),
+        (
+            "int main() {\n%s  print(\"%%d\", 1);\n%s}\n"
+            % ("  if (1) {\n" * 101, "  }\n" * 101),
+            "102:3: statement nested deeper than 100 levels",
+        ),
+        (
+            "int main() {\n%s  print(\"%%d\", 1);\n%s}\n"
+            % ("  while (0) {\n" * 101, "  }\n" * 101),
+            "102:3: statement nested deeper than 100 levels",
+        ),
     ],
-    ids=["parse", "semantic", "lex", "nesting"],
+    ids=["parse", "semantic", "lex", "nesting", "if-nesting", "while-nesting"],
 )
 def test_tinyc_errors_are_one_line_and_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.tc"
@@ -189,6 +199,31 @@ def test_tinyc_errors_are_one_line_and_exit_2(tmp_path, capsys, text, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "%s:%s\n" % (path, message), command
+
+
+@pytest.mark.parametrize("keyword", ["if", "while"])
+def test_deepest_statement_nesting_runs_end_to_end(tmp_path, keyword):
+    """100 nested ``if``/``while`` bodies (the most the parser accepts)
+    go through every command without hitting the recursion limit."""
+    from repro.lang.parser import MAX_NESTING
+
+    path = tmp_path / "deep.tc"
+    path.write_text(
+        "int g;\nint main() {\n  int x = input();\n%s"
+        "  x = x - 1;\n  g = g + 1;\n%s  print(\"%%d\", g);\n  return 0;\n}\n"
+        % ("  %s (x > 0) {\n" % keyword * MAX_NESTING, "  }\n" * MAX_NESTING)
+    )
+    file = str(path)
+    assert "procedures:   1" in run_cli(["info", file])
+    assert "g = g + 1" in run_cli(["slice", file])
+    assert "print #0" in run_cli(["slice-batch", file])
+    assert run_cli(["mono", file])
+    assert run_cli(["bta", file])
+    removed = run_cli(["remove", file, "--feature", "g = g + 1"])
+    assert "g = g + 1" not in removed.split("\n", 1)[1]  # below the header
+    # The if chain steps in once; the innermost loop counts x down.
+    expected = "1[" if keyword == "if" else "3["
+    assert run_cli(["run", file, "--inputs", "3"]).startswith(expected)
 
 
 def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys, fig1_file):

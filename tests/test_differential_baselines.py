@@ -154,7 +154,7 @@ def test_store_served_results_byte_identical(seed, tmp_path):
         )
 
 
-def _delete_result_entries(cache, table="slice"):
+def _delete_result_entries(cache, table="results"):
     """Remove the persisted per-criterion results (but nothing else),
     so a warm session must recompute them — through whatever
     saturations the ``__sats__`` table still holds."""
@@ -190,7 +190,7 @@ def test_sats_served_results_byte_identical(seed, tmp_path):
 
     writer = SlicingSession(source, store=SliceStore(cache))
     writer.slice_many(criteria)
-    assert _delete_result_entries(cache) == len(criteria)
+    assert _delete_result_entries(cache) == 1  # the batch's one results entry
 
     reader = SlicingSession(source, store=SliceStore(cache))
     fresh_results = fresh.slice_many(criteria)

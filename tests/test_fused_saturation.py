@@ -336,14 +336,15 @@ def test_sats_warm_batch_loads_instead_of_saturating(tmp_path):
         (r.closure_elems(), automaton_to_payload(r.a6))
         for r in writer.slice_many(criteria)
     ]
-    # Drop the rendered slices; keep the saturation artifacts.
+    # Drop the rendered slices (the batch filed them as one results
+    # entry); keep the saturation artifacts.
     src_dir = os.path.join(cache, writer.source_hash)
     removed = 0
     for name in os.listdir(src_dir):
-        if name.startswith("slice-"):
+        if name.startswith("results-"):
             os.unlink(os.path.join(src_dir, name))
             removed += 1
-    assert removed == len(set(criteria))
+    assert removed == 1
 
     reader = SlicingSession(source, store=SliceStore(cache))
     warm = reader.slice_many(criteria)

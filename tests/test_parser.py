@@ -153,4 +153,18 @@ def test_nesting_limit():
             parse(prefix + "a" + closer * (MAX_NESTING + 1) + "; }")
         assert info.value.message == "expression nested deeper than 100 levels"
         assert (info.value.line, info.value.col) == (1, len(prefix)), opener
+    # ``if``/``while`` bodies count against the same budget: level 101
+    # is a ParseError at its keyword, and an ``else if`` nests inside
+    # its ``if``.
+    for opener, tail in (
+        ("if (a) { ", "x = a;" + " }" * MAX_NESTING),
+        ("while (a) { ", "x = a;" + " }" * MAX_NESTING),
+        ("if (a) { } else ", "{ x = a; }"),
+    ):
+        prefix = "int main() { " + opener * MAX_NESTING
+        parse(prefix + tail + " }")  # level 100 is fine
+        with pytest.raises(ParseError) as info:
+            parse(prefix + opener + tail + " } }")
+        assert info.value.message == "statement nested deeper than 100 levels"
+        assert (info.value.line, info.value.col) == (1, len(prefix) + 1), opener
 

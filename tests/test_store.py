@@ -12,6 +12,7 @@ backends, and the ``repro cache`` CLI.
 
 import errno
 import os
+import shutil
 import struct
 import threading
 import time
@@ -236,7 +237,7 @@ def test_write_failure_degrades_to_counted_noop(tmp_path, monkeypatch):
     _deny_writes(monkeypatch)
     store.put(HASH, "slice", "other", "dropped")
     store.put_program(HASH, {"front": "half"})
-    store.put_sat(HASH, KEY, "artifact")
+    assert store.put_sat("artifact") is None  # no file, so no name to record
     store.merge_sat_index(HASH, layout=(("main", "k", "s", (1,), ()),), records={})
     # merge_sat_index attempts two writes: the index entry and the
     # inverted keymap sidecar.
@@ -266,45 +267,68 @@ def test_has_helpers_validate_header(tmp_path):
     drop (the lost-survivor bug)."""
     store = _store(tmp_path)
     store.put_program(HASH, {"front": "half"})
-    store.put_sat(HASH, KEY, "artifact")
-    assert store.has_program(HASH) and store.has_sat(HASH, KEY)
+    name = store.put_sat("artifact")
+    assert store.has_program(HASH) and store.has_sat(name)
     # A stale STORE_VERSION reads as absent.
     paths = _entry_files(store)
     for path in paths:
         blob = bytearray(open(path, "rb").read())
         blob[len(MAGIC)] ^= 0xFF
         open(path, "wb").write(bytes(blob))
-    assert not store.has_program(HASH) and not store.has_sat(HASH, KEY)
+    assert not store.has_program(HASH) and not store.has_sat(name)
     # A file truncated inside the header reads as absent.
     for path in paths:
         open(path, "wb").write(MAGIC[:2])
-    assert not store.has_program(HASH) and not store.has_sat(HASH, KEY)
+    assert not store.has_program(HASH) and not store.has_sat(name)
     # Foreign magic reads as absent; a missing file too.
     for path in paths:
         open(path, "wb").write(b"ELF\x7f" + b"\x00" * 16)
-    assert not store.has_program(HASH) and not store.has_sat(HASH, KEY)
+    assert not store.has_program(HASH) and not store.has_sat(name)
     for path in paths:
         os.unlink(path)
-    assert not store.has_program(HASH) and not store.has_sat(HASH, KEY)
+    assert not store.has_program(HASH) and not store.has_sat(name)
+
+
+def test_sat_files_are_named_by_their_checksum(tmp_path):
+    """``__sats__`` is content-addressed: equal payloads share one file,
+    a read checks the record's key, and a file whose name is not its
+    checksum is a defective entry (a miss, dropped)."""
+    from repro.engine.artifacts import SaturationArtifact
+    from repro.fsa.automaton import FiniteAutomaton
+
+    store = _store(tmp_path)
+    artifact = SaturationArtifact("prestar", ("k",), FiniteAutomaton(), None)
+    name = store.put_sat(artifact)
+    assert store.put_sat(SaturationArtifact("prestar", ("k",), FiniteAutomaton(), None)) == name
+    assert store.stats()["stores"] == 1
+    assert store.get_sat(name, ("k",)).key == ("k",)
+    assert store.get_sat(name, ("other",)) is None
+    misnamed = store._entry_path("__sats__", "sat", "0" * 64)
+    shutil.copy(store._entry_path("__sats__", "sat", name), misnamed)
+    assert not store.has_sat("0" * 64)
+    assert store.get_sat("0" * 64, ("k",)) is None
+    assert not os.path.exists(misnamed)
+    assert store.stats()["invalid_dropped"] == 1
+    # A record can only name a file inside the table.
+    assert store.get_sat("../" + name, ("k",)) is None
 
 
 def test_update_refiles_survivor_over_stale_version_file(tmp_path):
     """The end-to-end lost-survivor regression: ``update_source`` must
     re-persist a surviving artifact over a stale-version file at its
     new location (the old existence-only ``has_sat`` skipped the write,
-    and the next read dropped the file — survivor gone)."""
+    and the next read dropped the file — survivor gone).  A label edit
+    keeps the Poststar's bytes, so its new location is the file the
+    base revision's record names."""
     from repro.engine.canonical import REACHABLE_KEY
 
     cache = str(tmp_path / "cache")
     session = SlicingSession(FIG1_SOURCE, store=SliceStore(cache))
     session.slice()
     edited = FIG1_SOURCE.replace("p(g2, 3)", "p(g2, 4)")
-    new_hash = source_hash(edited)
     store = session.store
-    stale = store._entry_path(
-        "__sats__", "sat", store.sat_name(new_hash, stable_key_digest(REACHABLE_KEY))
-    )
-    os.makedirs(os.path.dirname(stale), exist_ok=True)
+    record = store.get_sat_index(HASH)["artifacts"][stable_key_digest(REACHABLE_KEY)]
+    stale = store._entry_path("__sats__", "sat", record[3])
     open(stale, "wb").write(MAGIC + struct.pack(">H", STORE_VERSION + 7) + b"junk")
 
     summary = session.update_source(edited)
@@ -316,6 +340,53 @@ def test_update_refiles_survivor_over_stale_version_file(tmp_path):
     reader.slice()
     assert reader.stats["sat_persist_hits"] == 2
     assert reader.stats["sat_persist_misses"] == 0
+
+
+def test_version_4_store_reopens_cold(tmp_path, monkeypatch):
+    """A store in the ``STORE_VERSION`` 4 layout — one file per result,
+    ``sat-`` files named by front-half hash and key digest, three-field
+    index records — reopens cold and without error, on its own text
+    and on an edit, and answers exactly as a storeless session."""
+    import hashlib
+
+    import repro.store.store as store_module
+    from repro.engine.incremental import session_layout
+
+    live = SlicingSession(FIG1_SOURCE)
+    result = live.slice()
+    (slice_key,) = [key for kind, key in live._futures if kind == "slice"]
+    cache = str(tmp_path / "cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "STORE_VERSION", 4)
+        old = SliceStore(cache)
+        old.put_program(HASH, live.sdg)
+        old.put(HASH, "slice", stable_key_digest(slice_key), live._slim(result))
+        records = {}
+        for (kind, key), future in live._futures.items():
+            if kind != "saturation":
+                continue
+            artifact = future.result()
+            digest = stable_key_digest(key)
+            name = hashlib.sha256(("%s:%s" % (HASH, digest)).encode()).hexdigest()
+            old._write(old._entry_path("__sats__", "sat", name), artifact)
+            records[digest] = (key, artifact.kind, tuple(sorted(artifact.footprint)))
+        layout = session_layout(live)
+        old._write(old._sat_index_path(HASH), {"layout": layout, "artifacts": records})
+        old._rebuild_keymap([(HASH, {"layout": layout})])
+    assert SliceStore(cache).stats()["tables"]["sat"] == 2
+
+    for number, text in enumerate(
+        (FIG1_SOURCE, FIG1_SOURCE.replace("p(g2, 3)", "p(g2, 4)"))
+    ):
+        copy = str(tmp_path / ("copy%d" % number))  # only version-4 entries
+        shutil.copytree(cache, copy)
+        reader = SlicingSession(text, store=SliceStore(copy))
+        expected = pretty(SlicingSession(text).executable().program)
+        assert pretty(reader.executable().program) == expected
+        stats = reader.stats
+        assert stats["front_half_from_store"] is False
+        assert stats["sats_adopted"] == 0
+        assert stats["persist_hits"] == 0 and stats["sat_persist_hits"] == 0
 
 
 # -- the per-revision saturation index ---------------------------------------------
@@ -332,10 +403,11 @@ def test_sat_index_records_filed_artifacts(tmp_path):
     assert index is not None
     names = [entry[0] for entry in index["layout"]]
     assert names == [proc.name for proc in session.program.procs]
-    kinds = sorted(kind for _key, kind, _fp in index["artifacts"].values())
+    kinds = sorted(kind for _key, kind, _fp, _name in index["artifacts"].values())
     assert kinds == ["poststar", "prestar"]
-    for _key, _kind, footprint in index["artifacts"].values():
+    for _key, _kind, footprint, name in index["artifacts"].values():
         assert footprint  # ownership known, non-empty
+        assert store.has_sat(name)  # the record names a filed saturation
     # The index file itself is a versioned entry: corruption degrades
     # to "revision not discoverable", never an exception.
     (idx_path,) = [p for p in _entry_files(store) if "/idx-" in p.replace(os.sep, "/")]
@@ -409,10 +481,10 @@ def test_stale_temp_files_are_swept(tmp_path):
 
 
 def test_stored_entries_are_slim(tmp_path):
-    """Per-criterion entries must not embed their own copy of the front
-    half: every slice / feature / feature_clean / saturation-artifact
-    file stays smaller than the shared fronthalf bundle it would
-    otherwise duplicate."""
+    """Result entries must not embed their own copy of the front half:
+    every results entry (slice, feature and feature_clean values) and
+    saturation-artifact file stays smaller than the shared fronthalf
+    bundle it would otherwise duplicate."""
     from repro.workloads.paper_figures import FIG16_SOURCE
 
     store = _store(tmp_path)
@@ -428,18 +500,9 @@ def test_stored_entries_are_slim(tmp_path):
             os.path.getsize(path),
             sizes.get(name.split("-")[0].replace(".slc", ""), 0),
         )
-    expected = {
-        "fronthalf",
-        "slice",
-        "feature",
-        "feature_clean",
-        "proc",
-        "sat",
-        "idx",
-        "pds",
-    }
+    expected = {"fronthalf", "results", "proc", "sat", "idx", "pds"}
     # The compiled-PDS payload is flat int arrays — slim by construction.
-    slim = ("slice", "feature", "feature_clean", "proc", "sat", "idx", "pds")
+    slim = ("results", "proc", "sat", "idx", "pds")
     assert set(sizes) == expected
     for table in slim:
         assert sizes[table] < sizes["fronthalf"], (
@@ -512,6 +575,44 @@ def test_corrupt_store_degrades_to_cold(tmp_path):
     assert pretty(fresh.executable().program) == expected
 
 
+def test_concurrent_queries_file_every_result_once(tmp_path):
+    """Public calls racing on one session (8 threads, 1 us switch
+    interval) each file what they computed: every result lands in
+    exactly one ``results`` entry, so a fresh session answers all of
+    them from disk."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.workloads.wc import scaled_wc_source
+
+    source = scaled_wc_source(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(3):
+            cache = str(tmp_path / str(attempt))
+            session = SlicingSession(source, store=SliceStore(cache))
+            prints = len(session.sdg.print_call_vertices())
+            criteria = [("print", index) for index in range(prints)] * 2
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(session.executable, c) for c in criteria]
+                futures.append(pool.submit(session.slice_many, criteria))
+                for future in futures:
+                    future.result(timeout=60)
+            filed = {}
+            store = SliceStore(cache)
+            for digest in store.keys(session.source_hash, "results"):
+                for key in store.get(session.source_hash, "results", digest):
+                    filed[key] = filed.get(key, 0) + 1
+            assert sorted(filed.values()) == [1] * prints, attempt
+            reader = SlicingSession(source, store=store)
+            reader.slice_many(criteria)
+            assert reader.stats["persist_hits"] == prints, attempt
+            assert reader.stats["persist_misses"] == 0, attempt
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_open_session_with_cache_dir(tmp_path):
     cache = str(tmp_path / "cache")
     with_store = repro.open_session(FIG1_SOURCE, cache_dir=cache)
@@ -582,7 +683,7 @@ def test_cache_cli_stats_and_clear(tmp_path):
     # The per-table breakdown: every table with its entry and byte
     # counts, the shared content-addressed tables under their on-disk
     # names.
-    for table in ("slice", "front-half", "__procs__", "__sats__"):
+    for table in ("results", "front-half", "__procs__", "__sats__"):
         assert table in stats, stats
     assert "entries" in stats and "bytes" in stats
 
@@ -605,11 +706,11 @@ def test_cache_cli_stats_json(tmp_path):
     stats = json.loads(run_cli(["cache", "stats", "--json", "--cache-dir", cache]))
     assert stats["programs"] == 1
     assert stats["version"] == STORE_VERSION
-    # One front half, one slice result, per-procedure parts, and the
+    # One front half, one results entry, per-procedure parts, and the
     # two saturation artifacts (shared Poststar + the criterion's
     # Prestar) — each with a parallel byte count.
     assert stats["tables"]["fronthalf"] == 1
-    assert stats["tables"]["slice"] >= 1
+    assert stats["tables"]["results"] >= 1
     assert stats["tables"]["proc"] >= 1
     assert stats["tables"]["sat"] == 2
     for table, count in stats["tables"].items():
