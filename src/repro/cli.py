@@ -33,10 +33,12 @@ Commands:
 
 The CLI is a thin veneer over the library API; each command returns the
 text it prints so tests can drive it directly.  User errors — a TinyC
-lex, parse, or semantic error, or a file that cannot be read — print
-one ``FILE:LINE:COL: message`` (or ``FILE: message``) line to stderr
-and exit with status 2 — naming ``PREV_FILE`` when the error is in the
-``--reuse-from`` revision; internal errors keep their traceback.
+lex, parse, or semantic error, a file that cannot be read, or a ``run``
+that exceeds its ``--max-steps`` budget — print one
+``FILE:LINE:COL: message`` (or ``FILE: message``) line to stderr and
+exit with status 2 — naming ``PREV_FILE`` when the error is in the
+``--reuse-from`` revision.  Malformed options are usage errors
+(``error: ...``, exit 1); internal errors keep their traceback.
 """
 
 import argparse
@@ -54,7 +56,7 @@ from repro.core import (
 )
 from repro.lang import check, parse, pretty
 from repro.lang.errors import TinyCError
-from repro.lang.interp import run_program
+from repro.lang.interp import ExecutionLimitExceeded, run_program
 from repro.sdg import build_sdg
 
 
@@ -318,9 +320,17 @@ def cmd_remove(args):
 
 
 def cmd_run(args):
+    if args.max_steps < 1:
+        raise SystemExit("error: --max-steps must be at least 1")
+    try:
+        inputs = [int(chunk) for chunk in args.inputs.split(",")] if args.inputs else []
+    except ValueError:
+        raise SystemExit("error: --inputs expects integers, e.g. '1,2,3'")
     program, _info, _sdg = _load(args.file)
-    inputs = [int(chunk) for chunk in args.inputs.split(",")] if args.inputs else []
-    result = run_program(program, inputs, max_steps=args.max_steps)
+    try:
+        result = run_program(program, inputs, max_steps=args.max_steps)
+    except ExecutionLimitExceeded as exc:
+        raise UserError("%s: %s" % (args.file, exc))
     out = result.render()
     out += "[%d steps]" % result.steps
     if result.exit_code is not None:

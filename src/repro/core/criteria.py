@@ -18,13 +18,9 @@ Three constructors cover the paper's usage:
   Computed as ``Poststar(entry_main) ∩ (v · Γ_c*)``.
 """
 
-import itertools
-
 from repro.fsa import FiniteAutomaton, intersection
 from repro.fsa.intops import query_view_int
 from repro.pds import poststar
-
-_fresh = itertools.count(1)
 
 FINAL = "m"
 
@@ -52,13 +48,19 @@ def configs_criterion(encoding, configs):
     ``configs`` is an iterable of ``(vid, context)`` pairs where
     ``context`` is a tuple of call-site labels, top of stack first
     (innermost call first, ``main``'s site last).
+
+    Each configuration is one chain of states named ``("q", i, k)``:
+    the configuration's index ``i`` in the given order and the
+    position ``k`` in its chain.  The names depend on nothing else, so
+    equal inputs build equal automata in any process, and their
+    saturations serialize to equal bytes.
     """
     automaton = FiniteAutomaton(initials=[encoding.main_location], finals=[FINAL])
-    for vid, context in configs:
+    for i, (vid, context) in enumerate(configs):
         symbols = (vid,) + tuple(context)
         previous = encoding.main_location
-        for symbol in symbols[:-1]:
-            state = "q%d" % next(_fresh)
+        for k, symbol in enumerate(symbols[:-1]):
+            state = ("q", i, k)
             automaton.add_transition(previous, symbol, state)
             previous = state
         automaton.add_transition(previous, symbols[-1], FINAL)

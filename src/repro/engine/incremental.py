@@ -468,11 +468,14 @@ def carry_over(old_layout, new_layout, saturations):
 
 
 def _refile(store, src_hash, layout, survivors):
-    """Record carried-over artifacts (new key digest -> ``(artifact,
-    file name or None)``) in a revision's index, beside the revision's
-    layout, with one write — which is what lets a cold process discover
-    them later.  A survivor with a file name is byte-identical to the
-    donor file it names; the others are filed first
+    """Record artifacts (key digest -> ``(artifact, file name or
+    None)``) in a revision's index, beside the revision's layout, with
+    one write — which is what lets a cold process discover them later.
+    The one filing function: carried-over survivors come from updates
+    and discovery, fresh saturations from the session's
+    :meth:`~repro.engine.session.SlicingSession._file_sats`.  A
+    survivor with a file name is byte-identical to the donor file it
+    names; the others are filed first
     (:meth:`~repro.store.SliceStore.put_sat` writes only a file that
     is missing or invalid, so an undo/redo loop returning to seen text
     writes none)."""

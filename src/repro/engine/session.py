@@ -54,7 +54,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from repro.core.criteria import configs_criterion
 from repro.core.executable import executable_program
 from repro.core.specialize import resolve_criterion, specialization_slice
-from repro.engine.artifacts import index_record, load_filed, make_artifact
+from repro.engine.artifacts import load_filed, make_artifact
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
@@ -127,6 +127,13 @@ class SlicingSession(object):
         kernel: the saturation kernel every query runs on — always
             ``"csr"`` (:mod:`repro.pds.kernel`); kept so reports can
             name it.
+
+    The session does no compiling of its own: the kernel compiles the
+    encoding's PDS at the first saturation that needs it, once per PDS
+    (:func:`repro.pds.kernel.compiled_pds`), so a store-backed reopen
+    whose saturations are all loaded or adopted compiles nothing.  The
+    compile counters (``kernel_compile_hits``/``kernel_compile_misses``)
+    reach :attr:`stats` with each saturation's kernel counters.
     """
 
     kernel = "csr"
@@ -175,14 +182,11 @@ class SlicingSession(object):
             # keeps it).
             store.put_program(self.source_hash, sdg)
         self._lock = threading.Lock()
-        self._compile_lock = threading.Lock()
-        self._compiled_pds = None  # the PDS _hold_compiled last ran for
         self._futures = {}  # (cache kind, criterion key) -> Future
         # Query automata built by a fused batch pass, stashed for the
         # per-criterion slice compute so criterion construction runs
-        # exactly once per criterion (CONFIGS criteria mint fresh query
-        # states per construction; the saturation and the read-out must
-        # see the same automaton object, as the sequential path does).
+        # exactly once per criterion (a reachable-contexts criterion is
+        # a product with the shared Poststar, not worth building twice).
         self._batch_queries = {}  # saturation key -> (encoding, automaton)
         # The store's results for one revision, read once: (source
         # hash, {(memo table, key digest): pickled slim value}).
@@ -196,8 +200,6 @@ class SlicingSession(object):
             "kernel_worklist_pops": 0,
             "kernel_compile_hits": 0,
             "kernel_compile_misses": 0,
-            "pds_payload_hits": 0,
-            "pds_payload_misses": 0,
             "fused_batches": 0,
             "fused_criteria": 0,
             "load_seconds": time.perf_counter() - t0,
@@ -466,7 +468,6 @@ class SlicingSession(object):
         from repro.core.criteria import reachable_query_view
 
         def compute():
-            self._hold_compiled()
             sink = {}
             view = reachable_query_view(self.encoding, stats=sink)
             self._absorb_kernel_stats(sink)
@@ -538,7 +539,6 @@ class SlicingSession(object):
     def _saturate(self, saturation, query, trim=False):
         """Run a saturation (``prestar``/``poststar``), folding its
         kernel counters into :attr:`stats`."""
-        self._hold_compiled()
         sink = {}
         result = saturation(self.encoding.pds, query, trim=trim, stats=sink)
         self._absorb_kernel_stats(sink)
@@ -576,53 +576,6 @@ class SlicingSession(object):
         if contexts == "reachable":
             self.reachable_configs()
         return resolve_criterion(self.encoding, payload, contexts)
-
-    def _hold_compiled(self):
-        """Compile this front half's PDS for the kernel, once per
-        encoding, at the first saturation that needs it: a store-backed
-        reopen whose saturations are all adopted or loaded compiles
-        nothing.  Every saturation then finds the compiled form in the
-        kernel's cache for as long as the PDS lives; the hit/miss
-        economics land in ``kernel_compile_hits`` /
-        ``kernel_compile_misses``.
-
-        With a store attached, the compile first tries to *adopt* the
-        relocatable payload filed in the ``__pds__`` table under the
-        front-half hash.  A consult that comes up empty, corrupt, or
-        mismatched degrades to a plain compile, which is persisted for
-        the next process; both outcomes land in ``pds_payload_hits`` /
-        ``pds_payload_misses``."""
-        pds = self.encoding.pds
-        if self._compiled_pds is pds:
-            return
-        from repro.pds import kernel as _kernel
-
-        with self._compile_lock:
-            if self._compiled_pds is pds:
-                return
-            sink = {}
-            persist = self.store is not None and self.source_hash is not None
-            adopted = False
-            if persist:
-                payload = self.store.get_pds(self.source_hash)
-                if payload is None:
-                    _kernel.count_payload(sink, False)
-                else:
-                    adopted = _kernel.adopt_payload(pds, payload, sink)
-            compiled = _kernel.compiled_pds(pds, sink)
-            if persist and not adopted:
-                try:
-                    self.store.put_pds(
-                        self.source_hash, _kernel.compiled_payload(compiled)
-                    )
-                except ValueError:
-                    # A PDS outside the SDG encoding's location/symbol
-                    # universe has no payload form; skip persistence.
-                    pass
-            self._compiled_pds = pds
-        with self._lock:
-            for name, value in sink.items():
-                self._stats[name] = self._stats.get(name, 0) + value
 
     def _pop_batch_query(self, sat_key):
         """Claim the query automaton a fused batch pass stashed for
@@ -710,7 +663,6 @@ class SlicingSession(object):
                 automata.append(a0)
                 with self._lock:
                     self._batch_queries[sat_key] = (self.encoding, a0)
-            self._hold_compiled()
             sink = {}
             saturated = saturate_many(
                 self.encoding.pds, automata, trim=True, stats=sink
@@ -867,8 +819,10 @@ class SlicingSession(object):
     def _file_sats(self, src_hash, artifacts):
         """Persist one saturation pass's fresh artifacts (key digest ->
         artifact) in ``__sats__`` and record them in their revision's
-        saturation index — layout plus records, one index write —
-        making them discoverable by cold sessions on *other* revisions.
+        saturation index — layout plus records, one index write, by the
+        filing function updates and discovery use
+        (:func:`repro.engine.incremental._refile`) — making them
+        discoverable by cold sessions on *other* revisions.
         Nothing is filed when a concurrent ``update_source`` re-pointed
         the session mid-compute (the snapshot hash no longer names this
         front half, so this session's layout would be the wrong one),
@@ -876,20 +830,16 @@ class SlicingSession(object):
         names would only be an orphan."""
         if src_hash != self.source_hash:
             return
-        records = {}
-        for digest, artifact in artifacts.items():
-            if artifact.footprint is None:
-                continue
-            name = self.store.put_sat(artifact.without_footprint())
-            if name is not None:
-                records[digest] = index_record(artifact, name)
-        if not records:
+        fresh = {
+            digest: (artifact, None)
+            for digest, artifact in artifacts.items()
+            if artifact.footprint is not None
+        }
+        if not fresh:
             return
-        from repro.engine.incremental import session_layout
+        from repro.engine.incremental import _refile, session_layout
 
-        self.store.merge_sat_index(
-            src_hash, layout=session_layout(self), records=records
-        )
+        _refile(self.store, src_hash, session_layout(self), fresh)
 
     def _slim(self, value):
         """A shallow copy of a result with the shared front half nulled

@@ -38,27 +38,24 @@ contract is pinned by ``tests/test_kernel_differential.py``,
 ``tests/test_kernel_properties.py`` and
 ``tests/test_fused_saturation.py``.
 
-The compiled form is cached in a :class:`weakref.WeakKeyDictionary`
-keyed by the PDS object — deliberately *not* as a PDS attribute,
-because the PDS travels inside pickled SDG store bundles
-(``SDG.__getstate__`` keeps the encoding) and the compiled arrays must
-never leak into store bytes.
+:func:`compiled_pds` is the one place a compiled form is built: once
+per PDS object, under a module lock, so threads racing into their
+first saturation of one PDS compile it once.  It is cached in a
+:class:`weakref.WeakKeyDictionary` keyed by the PDS object —
+deliberately *not* as a PDS attribute, because the PDS travels inside
+pickled SDG store bundles (``SDG.__getstate__`` keeps the encoding)
+and the compiled arrays must never leak into store bytes.  A compiled
+form never leaves its process; a fresh process compiles again, which
+measured faster than loading any persisted form.
 """
 
-import hashlib
+import threading
 import weakref
 from collections import deque
 
 from repro.fsa.automaton import EPSILON
 from repro.fsa.intcodec import decode_packed_rows, iter_bits, trim_packed_rows
 from repro.fsa.intops import eliminate_epsilon_rows
-
-#: Layout version of the relocatable payload tuple
-#: (:func:`compiled_payload`).  Bump on any shape change — persisted
-#: payloads from other versions then fail decode and degrade to a
-#: recompile.
-PAYLOAD_VERSION = 1
-
 
 class CompiledPDS(object):
     """A :class:`PushdownSystem` flattened to int arrays (see the
@@ -87,7 +84,6 @@ class CompiledPDS(object):
         "internal_rows",
         "push_rows",
         "pop_rules",
-        "_encoded",
     )
 
     def __init__(self, pds):
@@ -119,27 +115,6 @@ class CompiledPDS(object):
             p2 = loc_id(rule.p2)
             w = tuple(sym_id(symbol) for symbol in rule.w)
             encoded.append((p, gamma, p2, w))
-        self._derive(tuple(encoded))
-
-    @classmethod
-    def _from_tables(cls, loc_list, sym_list, encoded):
-        """Rebuild from the id tables and encoded rules alone (the
-        relocatable-payload path — no PDS object on this side of the
-        process boundary).  The derived tables are a pure function of
-        these inputs, so the result is indistinguishable from a fresh
-        compile of the originating PDS."""
-        comp = cls.__new__(cls)
-        comp.loc_list = list(loc_list)
-        comp.loc_index = {loc: i for i, loc in enumerate(comp.loc_list)}
-        comp.sym_list = list(sym_list)
-        comp.sym_index = {sym: i for i, sym in enumerate(comp.sym_list)}
-        comp._derive(tuple(encoded))
-        return comp
-
-    def _derive(self, encoded):
-        loc_list = self.loc_list
-        sym_list = self.sym_list
-        self._encoded = encoded
         nlocs = self.nlocs = len(loc_list)
         nsyms = self.nsyms = len(sym_list)
         self.rule_count = len(encoded)
@@ -198,267 +173,33 @@ class CompiledPDS(object):
 
 
 _COMPILED = weakref.WeakKeyDictionary()
+_COMPILE_LOCK = threading.Lock()
 
 
 def compiled_pds(pds, stats=None):
     """The compiled form of ``pds``, built on first use and cached for
-    the PDS object's lifetime.  With a ``stats`` sink every lookup is
-    counted (``kernel_compile_hits``/``kernel_compile_misses``), so the
-    one-compile-per-PDS economics are observable end to end."""
+    the PDS object's lifetime.  A miss compiles under a module lock
+    and looks again first, so threads racing into their first
+    saturation of one PDS compile it once.  With a ``stats`` sink every
+    lookup is counted (``kernel_compile_hits``/``kernel_compile_misses``),
+    so the one-compile-per-PDS economics are observable end to end."""
     comp = _COMPILED.get(pds)
     if comp is None:
-        comp = CompiledPDS(pds)
-        _COMPILED[pds] = comp
-        if stats is not None:
-            stats["kernel_rules_compiled"] = (
-                stats.get("kernel_rules_compiled", 0) + comp.rule_count
-            )
-            stats["kernel_compile_misses"] = (
-                stats.get("kernel_compile_misses", 0) + 1
-            )
-    elif stats is not None:
+        with _COMPILE_LOCK:
+            comp = _COMPILED.get(pds)
+            if comp is None:
+                comp = _COMPILED[pds] = CompiledPDS(pds)
+                if stats is not None:
+                    stats["kernel_rules_compiled"] = (
+                        stats.get("kernel_rules_compiled", 0) + comp.rule_count
+                    )
+                    stats["kernel_compile_misses"] = (
+                        stats.get("kernel_compile_misses", 0) + 1
+                    )
+                return comp
+    if stats is not None:
         stats["kernel_compile_hits"] = stats.get("kernel_compile_hits", 0) + 1
     return comp
-
-
-# -- relocatable payload form ------------------------------------------------
-#
-# The compiled form never crosses a process boundary as an object graph
-# (the WeakKeyDictionary cache above is process-local by construction,
-# and the derived tables reference live location/symbol objects).  The
-# payload form below is the portable twin: a flat tuple of ints and
-# strings — deterministic for a given PDS, picklable, checksummable —
-# from which ``compiled_from_payload`` rebuilds a CompiledPDS without
-# ever seeing the PDS, the SDG, or the source.  The engine persists it
-# in the store's ``__pds__`` table keyed by front-half hash.
-#
-# The universe it covers is exactly the Fig. 8 encoding's
-# (:mod:`repro.pds.encode`): control locations are strings (``"p"``)
-# or ``("p_fo", vid)`` pairs; stack symbols are vertex ids (ints ≥ 0)
-# or site-label strings.  Anything else — arbitrary test PDSs — raises
-# :class:`ValueError` and the caller simply skips persistence.
-#
-# Layout (PAYLOAD_VERSION 1)::
-#
-#     ("cpds", version, loc_codes, loc_strs, sym_codes, sym_strs, rule_ints)
-#
-# ``loc_codes[i]``: ``v >= 0`` ⇔ ``("p_fo", v)``; ``-(k+1)`` ⇔
-# ``loc_strs[k]``.  ``sym_codes[i]``: ``v >= 0`` ⇔ vertex id ``v``;
-# ``-(k+1)`` ⇔ ``sym_strs[k]``.  ``rule_ints`` is the encoded rule
-# list at stride 6: ``p, gamma, p2, |w|, w0, w1`` with ``-1`` fillers.
-
-
-def compiled_payload(comp):
-    """The relocatable flat-tuple form of a :class:`CompiledPDS` (see
-    the section comment above).  Deterministic: equal compiled forms
-    yield equal payloads, across processes and machines.  Raises
-    :class:`ValueError` for location/symbol shapes outside the SDG
-    encoding's universe."""
-    loc_codes = []
-    loc_strs = []
-    loc_str_index = {}
-    for location in comp.loc_list:
-        if (
-            type(location) is tuple
-            and len(location) == 2
-            and location[0] == "p_fo"
-            and type(location[1]) is int
-            and location[1] >= 0
-        ):
-            loc_codes.append(location[1])
-        elif type(location) is str:
-            k = loc_str_index.setdefault(location, len(loc_strs))
-            if k == len(loc_strs):
-                loc_strs.append(location)
-            loc_codes.append(-(k + 1))
-        else:
-            raise ValueError(
-                "control location %r has no payload form" % (location,)
-            )
-    sym_codes = []
-    sym_strs = []
-    sym_str_index = {}
-    for symbol in comp.sym_list:
-        if type(symbol) is int and symbol >= 0:
-            sym_codes.append(symbol)
-        elif type(symbol) is str:
-            k = sym_str_index.setdefault(symbol, len(sym_strs))
-            if k == len(sym_strs):
-                sym_strs.append(symbol)
-            sym_codes.append(-(k + 1))
-        else:
-            raise ValueError(
-                "stack symbol %r has no payload form" % (symbol,)
-            )
-    rule_ints = []
-    for p, gamma, p2, w in comp._encoded:
-        rule_ints.extend(
-            (
-                p,
-                gamma,
-                p2,
-                len(w),
-                w[0] if w else -1,
-                w[1] if len(w) == 2 else -1,
-            )
-        )
-    return (
-        "cpds",
-        PAYLOAD_VERSION,
-        tuple(loc_codes),
-        tuple(loc_strs),
-        tuple(sym_codes),
-        tuple(sym_strs),
-        tuple(rule_ints),
-    )
-
-
-def payload_digest(payload):
-    """A stable hex digest of a payload tuple — equal across processes
-    for equal payloads (everything in the tuple has a deterministic
-    ``repr``)."""
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
-def compiled_from_payload(payload):
-    """Rebuild a :class:`CompiledPDS` from :func:`compiled_payload`'s
-    tuple.  Strict: any malformed shape — wrong tag or version, codes
-    out of range, duplicate table entries, torn rule stride — raises
-    :class:`ValueError` so callers degrade to a recompile instead of
-    saturating over garbage."""
-    return CompiledPDS._from_tables(*_payload_tables(payload))
-
-
-def _payload_tables(payload):
-    """Decode and validate a payload into ``(loc_list, sym_list,
-    encoded)`` — the raw tables :meth:`CompiledPDS._from_tables`
-    derives from.  Raises :class:`ValueError` on any malformation."""
-    if type(payload) is not tuple or len(payload) != 7:
-        raise ValueError("not a compiled-PDS payload")
-    tag, version, loc_codes, loc_strs, sym_codes, sym_strs, rule_ints = payload
-    if tag != "cpds" or version != PAYLOAD_VERSION:
-        raise ValueError("unknown compiled-PDS payload version")
-    for part in (loc_codes, loc_strs, sym_codes, sym_strs, rule_ints):
-        if type(part) is not tuple:
-            raise ValueError("malformed compiled-PDS payload")
-    if not all(type(s) is str for s in loc_strs) or not all(
-        type(s) is str for s in sym_strs
-    ):
-        raise ValueError("malformed compiled-PDS string table")
-
-    loc_list = []
-    for code in loc_codes:
-        if type(code) is not int:
-            raise ValueError("malformed location code %r" % (code,))
-        if code >= 0:
-            loc_list.append(("p_fo", code))
-        elif -code - 1 < len(loc_strs):
-            loc_list.append(loc_strs[-code - 1])
-        else:
-            raise ValueError("location code %d out of range" % code)
-    sym_list = []
-    for code in sym_codes:
-        if type(code) is not int:
-            raise ValueError("malformed symbol code %r" % (code,))
-        if code >= 0:
-            sym_list.append(code)
-        elif -code - 1 < len(sym_strs):
-            sym_list.append(sym_strs[-code - 1])
-        else:
-            raise ValueError("symbol code %d out of range" % code)
-    if len(set(loc_list)) != len(loc_list) or len(set(sym_list)) != len(sym_list):
-        raise ValueError("duplicate entries in compiled-PDS id tables")
-
-    nlocs = len(loc_list)
-    nsyms = len(sym_list)
-    if len(rule_ints) % 6:
-        raise ValueError("torn compiled-PDS rule array")
-    encoded = []
-    for r in range(0, len(rule_ints), 6):
-        p, gamma, p2, wlen, w0, w1 = rule_ints[r : r + 6]
-        if not all(type(v) is int for v in (p, gamma, p2, wlen, w0, w1)):
-            raise ValueError("malformed compiled-PDS rule")
-        if not (0 <= p < nlocs and 0 <= p2 < nlocs and 0 <= gamma < nsyms):
-            raise ValueError("compiled-PDS rule indexes out of range")
-        if wlen == 0:
-            w = ()
-        elif wlen == 1 and 0 <= w0 < nsyms:
-            w = (w0,)
-        elif wlen == 2 and 0 <= w0 < nsyms and 0 <= w1 < nsyms:
-            w = (w0, w1)
-        else:
-            raise ValueError("malformed compiled-PDS rule right-hand side")
-        encoded.append((p, gamma, p2, w))
-    return loc_list, sym_list, encoded
-
-
-def adopt_compiled(pds, comp):
-    """Install a rebuilt compiled form as ``pds``'s cached compilation.
-    Verifies first that ``comp`` really encodes ``pds`` — every rule is
-    re-encoded through ``comp``'s id tables and compared — and returns
-    ``False`` (cache untouched) on any mismatch, so a wrong-but-
-    well-formed payload degrades to a recompile rather than corrupting
-    results."""
-    if comp.rule_count != len(pds.rules):
-        return False
-    loc_index = comp.loc_index
-    sym_index = comp.sym_index
-    encoded = comp._encoded
-    try:
-        for i, rule in enumerate(pds.rules):
-            p, gamma, p2, w = encoded[i]
-            if (
-                loc_index[rule.p] != p
-                or sym_index[rule.gamma] != gamma
-                or loc_index[rule.p2] != p2
-                or tuple(sym_index[s] for s in rule.w) != w
-            ):
-                return False
-    except KeyError:
-        return False
-    _COMPILED[pds] = comp
-    return True
-
-
-def count_payload(stats, hit):
-    """Bump a ``stats`` sink's payload-adoption counters
-    (``pds_payload_hits``/``pds_payload_misses``)."""
-    if stats is not None:
-        key = "pds_payload_hits" if hit else "pds_payload_misses"
-        stats[key] = stats.get(key, 0) + 1
-
-
-def adopt_payload(pds, payload, stats=None):
-    """Decode ``payload`` and adopt it for ``pds``; returns ``True`` on
-    success.  Corrupt, stale-version, or mismatched payloads return
-    ``False`` — never raise — and both outcomes are counted
-    (:func:`count_payload`), so degrade-to-recompile is observable.
-
-    Before deriving, the decoded tables are re-anchored onto ``pds``'s
-    own location/symbol objects (equal values, but the identities a
-    local compile would have used).  This keeps everything the adopted
-    compile decodes — saturation automata and the artifacts pickled
-    from them — *byte*-identical to a locally compiled session's:
-    pickle memoizes by object identity, so payload-unpickled copies of
-    the same strings would serialize the same value to different
-    bytes."""
-    comp = None
-    try:
-        loc_list, sym_list, encoded = _payload_tables(payload)
-        canonical = {loc: loc for loc in pds.control_locations}
-        canonical.update((sym, sym) for sym in pds.stack_symbols)
-        comp = CompiledPDS._from_tables(
-            [canonical[loc] for loc in loc_list],
-            [canonical[sym] for sym in sym_list],
-            encoded,
-        )
-    except (KeyError, ValueError):
-        # KeyError: a well-formed payload naming locations/symbols this
-        # PDS does not have — some other program's compile.
-        comp = None
-    ok = comp is not None and adopt_compiled(pds, comp)
-    count_payload(stats, ok)
-    return ok
 
 
 def _batch_tables(comp, automata, with_mids):

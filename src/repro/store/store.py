@@ -1,7 +1,7 @@
 """The persistent slice store: a content-addressed on-disk cache.
 
 Layout.  One directory per program revision (named by the sha256 of
-its source text), plus three tables shared by every revision::
+its source text), plus the tables shared by every revision::
 
     <cache_dir>/
       <source_hash>/
@@ -13,7 +13,7 @@ its source text), plus three tables shared by every revision::
         sat-<payload_sha256>.slc       # one saturation (kind, key, automaton)
         idx-<source_hash>.slc          # per-revision saturation index
       __pds__/
-        pds-<source_hash>.slc          # relocatable compiled-PDS payload
+        pds-<source_hash>.slc          # legacy; nothing writes it
 
 A ``results`` entry maps ``(table, key digest)`` to a slim slice,
 feature-removal, or cleanup result (``table`` is the session memo
@@ -25,7 +25,13 @@ entries once, at its first persisted lookup.  The ``__procs__`` table
 is content-addressed by :func:`repro.engine.incremental.procedure_keys`
 digests: an edited program whose whole-program bundle misses can still
 assemble its front half from the unchanged procedures' parts (a
-*partial* hit, counted by ``proc_hits``/``proc_misses``).
+*partial* hit, counted by ``proc_hits``/``proc_misses``).  The
+``__pds__`` table is legacy: earlier engines filed compiled-PDS
+payloads there, and the engine now neither reads nor writes it (a
+fresh process compiles its PDS, which measured faster).  Stores
+written by earlier versions still hold its entries, which are
+counted, evicted and cleared like any other; its three methods remain
+only because the benchmark's tracer wraps them by name.
 
 The ``__sats__`` table holds the saturations — the shared Poststar and
 the per-criterion Prestar/Poststar automata — as
@@ -114,8 +120,7 @@ MAGIC = b"RSLC"
 #: v3: per-revision saturation indexes (layout + artifact records)
 #: beside __sats__ make artifacts discoverable across revisions.
 #: v4: the relocatable compiled-PDS payload table (``__pds__``), keyed
-#: by front-half hash, so a fresh process adopts packed rule arrays
-#: instead of recompiling.
+#: by front-half hash (no longer read or written; see the layout notes).
 #: v5: ``__sats__`` files are named by their footprint-free payload's
 #: sha256 and shared across revisions; index records name the file;
 #: per-criterion result files became one ``results`` entry per call.
@@ -134,8 +139,7 @@ RESULTS_TABLE = "results"
 #: no collision)
 _PARTS_DIR = "__procs__"
 _SATS_DIR = "__sats__"
-#: the compiled-PDS payload table (one relocatable
-#: ``repro.pds.kernel.compiled_payload`` tuple per front-half hash)
+#: the legacy compiled-PDS payload table (see the layout notes)
 _PDS_DIR = "__pds__"
 _SPECIAL_DIRS = frozenset([_PARTS_DIR, _SATS_DIR, _PDS_DIR])
 #: the content-addressed saturation table and the per-revision
@@ -172,8 +176,8 @@ TIER_PRECIOUS = 4
 _TIER_BY_TABLE = {
     RESULTS_TABLE: TIER_RESULT,
     "proc": TIER_PROC,
-    # a compiled-PDS payload rebuilds in one compile pass — cheap, like
-    # a procedure part, and far cheaper than any saturation
+    # a legacy compiled-PDS payload (nothing reads it): cheap, like a
+    # procedure part, and far cheaper than any saturation
     "pds": TIER_PROC,
     _FRONTHALF: TIER_PRECIOUS,
     _SAT_INDEX: TIER_PRECIOUS,
@@ -381,28 +385,34 @@ class SliceStore(object):
         read)."""
         return _is_sha256_hex(name) and self._has_valid_header(self._sat_path(name))
 
-    # -- the compiled-PDS payload table ----------------------------------------
+    # -- the legacy compiled-PDS payload table ---------------------------------
+    #
+    # No engine code calls these three methods.  They remain only
+    # because the benchmark's tracer (``perfbench/tracing.py``) wraps
+    # them by name in its ``METHODS`` list; they go, with the table,
+    # when the tracer moves onto the engine.
 
     def get_pds(self, src_hash):
-        """The persisted compiled-PDS payload tuple
-        (:func:`repro.pds.kernel.compiled_payload`) for a front-half
-        hash, or None.  Counted by ``pds_hits``/``pds_misses``.  The
-        front half is deterministic from the source, so the payload is
-        too — any process with the same source adopts the same packed
-        arrays."""
+        """The value filed in the legacy ``__pds__`` table under a
+        front-half hash, or None.  Counted by ``pds_hits``/
+        ``pds_misses``.  No engine code calls it (see the section
+        comment)."""
         value, ok = self._read(self._entry_path(_PDS_DIR, "pds", src_hash))
         self._count("pds_hits" if ok else "pds_misses")
         return value
 
     def put_pds(self, src_hash, payload):
-        """Cache one compiled-PDS payload under its front-half hash."""
+        """File a value in the legacy ``__pds__`` table under a
+        front-half hash.  No engine code calls it (see the section
+        comment)."""
         written = self._write(self._entry_path(_PDS_DIR, "pds", src_hash), payload)
         self._count("stores")
         self._note_written(written)
 
     def has_pds(self, src_hash):
-        """Whether a plausibly valid payload exists (header-only check,
-        like :meth:`has_sat`)."""
+        """Whether a plausibly valid legacy ``__pds__`` entry exists
+        (header-only check, like :meth:`has_sat`).  No engine code calls
+        it (see the section comment)."""
         return self._has_valid_header(self._entry_path(_PDS_DIR, "pds", src_hash))
 
     # -- the per-revision saturation index -------------------------------------

@@ -118,10 +118,14 @@ def test_footprint_matches_touched_procedures(seed):
 def test_sats_key_digest_stable_across_processes(tmp_path):
     """The ``__sats__`` file names — sha256 over each saturation's
     footprint-free pickled payload — must come out identical in a fresh
-    interpreter with a fresh hash seed."""
+    interpreter with a fresh hash seed, configuration criteria (the §8
+    bug-site style) included: their query states are named by position
+    alone, so the configuration automata this process built earlier
+    change nothing."""
     import subprocess
     import sys
 
+    from repro.core.criteria import configs_criterion
     from repro.store import SliceStore
     from repro.workloads.paper_figures import FIG1_SOURCE
 
@@ -134,7 +138,17 @@ def test_sats_key_digest_stable_across_processes(tmp_path):
 
     here = str(tmp_path / "here")
     there = str(tmp_path / "there")
-    SlicingSession(FIG1_SOURCE, store=SliceStore(here)).slice()
+    # A configuration automaton built first must not change the state
+    # names of those built after it.
+    throwaway = SlicingSession(FIG1_SOURCE)
+    configs_criterion(
+        throwaway.encoding, [(throwaway.sdg.entry_vertex["p"], ("C2",))]
+    )
+    session = SlicingSession(FIG1_SOURCE, store=SliceStore(here))
+    session.slice()
+    # p's entry under its first call site in main.
+    sdg = session.sdg
+    session.slice([(sdg.entry_vertex["p"], (sdg.sites_in_proc["main"][0],))])
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
@@ -142,13 +156,18 @@ def test_sats_key_digest_stable_across_processes(tmp_path):
         "import sys\n"
         "from repro.engine import SlicingSession\n"
         "from repro.store import SliceStore\n"
-        "SlicingSession(sys.stdin.read(), store=SliceStore(%r)).slice()\n" % there
+        "session = SlicingSession(sys.stdin.read(), store=SliceStore(%r))\n"
+        "session.slice()\n"
+        "sdg = session.sdg\n"
+        "session.slice([(sdg.entry_vertex['p'], (sdg.sites_in_proc['main'][0],))])\n"
+        % there
     )
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="4242")
     subprocess.check_output(
         [sys.executable, "-c", script], input=FIG1_SOURCE, env=env, text=True
     )
-    assert len(sat_names(here)) == 2  # the Poststar and the Prestar
+    # The Poststar, the prints Prestar and the configuration Prestar.
+    assert len(sat_names(here)) == 3
     assert sat_names(there) == sat_names(here)
 
 

@@ -95,9 +95,13 @@ def test_eviction_sheds_cheap_tiers_first(tmp_path):
     session.slice(("print", 1))
     store = SliceStore(cache)
     groups = _by_table(store)
-    # The compiled-PDS payload is a cheap-to-rebuild entry that sheds
-    # with the parts tier.
-    assert set(groups) == {"fronthalf", "results", "proc", "sat", "idx", "pds"}
+    assert set(groups) == {"fronthalf", "results", "proc", "sat", "idx"}
+    # The engine writes no __pds__ entry, but a store written by an
+    # earlier version holds one: a cheap entry that sheds with the
+    # parts tier.
+    store.put_pds(session.source_hash, ("cpds", 1, (), (), (), (), ()))
+    groups = _by_table(store)
+    assert len(groups["pds"]) == 1
     shed_tables = ("results", "proc", "pds")
 
     # Make everything expensive look LRU-stale: flat LRU would evict

@@ -96,6 +96,20 @@ def test_run_with_inputs(tmp_path):
     assert "42" in output
 
 
+def test_run_bad_options(fig1_file, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["run", fig1_file, "--inputs", "a,b"])
+    with pytest.raises(SystemExit):
+        run_cli(["run", fig1_file, "--inputs", "1,,2"])
+    with pytest.raises(SystemExit):
+        run_cli(["run", fig1_file, "--max-steps", "0"])
+    # Usage errors are one "error: ..." line and exit 1, not a traceback.
+    for option in (["--inputs", "a,b"], ["--max-steps", "0"]):
+        with pytest.raises(SystemExit) as info:
+            main(["run", fig1_file] + option)
+        assert str(info.value).startswith("error: "), option
+
+
 def test_bta(tmp_path):
     path = tmp_path / "bta.tc"
     path.write_text(
@@ -129,16 +143,17 @@ def test_cli_handles_funcptr_files(tmp_path):
     assert "indirect_1" in output
 
 
-def test_cache_stats_reports_payload_counters(fig16_file, tmp_path):
+def test_cache_stats_reports_no_pds_entries(fig16_file, tmp_path):
     import json
 
     cache = str(tmp_path / "cache")
     run_cli(["slice-batch", fig16_file, "--cache-dir", cache])
     stats = json.loads(run_cli(["cache", "stats", "--cache-dir", cache, "--json"]))
-    # The batch compiled (and persisted) exactly one PDS payload.
-    assert stats["tables"].get("pds") == 1
+    # The batch compiled its PDS in process and filed nothing in the
+    # legacy __pds__ table.
+    assert stats["tables"].get("pds") is None
     plain = run_cli(["cache", "stats", "--cache-dir", cache])
-    assert "__pds__" in plain
+    assert "__pds__" not in plain
 
 
 def test_slice_batch_reports_the_fused_pass(tmp_path):
@@ -237,6 +252,24 @@ def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys, fig1_file):
         assert main(command + [missing]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["%s: cannot read: No such file or directory" % missing]
+
+
+@pytest.mark.parametrize(
+    "text,argv,steps",
+    [
+        ("int main() { while (1) { } return 0; }", [], 1000000),
+        (FIG1_SOURCE, ["--max-steps", "3"], 3),
+        (FIG1_SOURCE, ["--max-steps", "1"], 1),
+    ],
+    ids=["loop", "small-budget", "one-step"],
+)
+def test_run_over_budget_is_one_line_and_exit_2(tmp_path, capsys, text, argv, steps):
+    path = tmp_path / "spin.tc"
+    path.write_text(text)
+    assert main(["run", str(path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "%s: exceeded %d interpreter steps\n" % (path, steps)
 
 
 def test_internal_errors_keep_their_traceback(fig1_file, monkeypatch):

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import weiser_slice
 from repro.engine import SlicingSession
+from repro.fsa.serialize import automaton_to_payload
 from repro.lang import pretty
 from repro.lang.interp import ExecutionLimitExceeded, run_program
 from repro.workloads.generator import GenConfig, generate_program
@@ -175,7 +176,10 @@ def test_sats_served_results_byte_identical(seed, tmp_path):
     fresh session must recompute every slice through the persisted
     saturation artifacts — skipping Poststar entirely and loading the
     Prestar siblings — and the recomputed results must be
-    byte-identical to a storeless cold session's."""
+    byte-identical to a storeless cold session's.  The reader also
+    answers one criterion the writer never did (``"prints"``), so it
+    compiles its store-loaded front half's PDS exactly once and
+    saturates against it, with the same bytes again."""
     from repro.store import SliceStore
 
     program, _info = generate_program(GenConfig(seed=seed, n_procs=3))
@@ -193,17 +197,23 @@ def test_sats_served_results_byte_identical(seed, tmp_path):
     assert _delete_result_entries(cache) == 1  # the batch's one results entry
 
     reader = SlicingSession(source, store=SliceStore(cache))
-    fresh_results = fresh.slice_many(criteria)
-    stored_results = reader.slice_many(criteria)
+    asked = criteria + ["prints"]  # "prints": never answered by the writer
+    fresh_results = fresh.slice_many(asked)
+    stored_results = reader.slice_many(asked)
 
     stats = reader.stats
+    assert stats["front_half_from_store"]
     assert stats["persist_hits"] == 0  # the results really were gone
-    # Shared Poststar + one Prestar per criterion, all loaded: the
-    # reader did zero saturation work of its own.
+    # Shared Poststar + one Prestar per writer criterion, all loaded;
+    # only the new criterion's Prestar saturates, on one compile.
     assert stats["sat_persist_hits"] == len(criteria) + 1
-    assert stats["sat_persist_misses"] == 0
+    assert stats["sat_persist_misses"] == 1
+    assert stats["fused_criteria"] == 1
+    assert stats["kernel_compile_misses"] == 1
 
-    for criterion, a, b in zip(criteria, fresh_results, stored_results):
+    for criterion, a, b in zip(asked, fresh_results, stored_results):
+        assert automaton_to_payload(a.a1) == automaton_to_payload(b.a1), criterion
+        assert automaton_to_payload(a.a6) == automaton_to_payload(b.a6), criterion
         assert a.version_counts() == b.version_counts()
         assert a.closure_elems() == b.closure_elems()
         assert set(a.map_back_vertex.values()) == set(b.map_back_vertex.values())

@@ -40,6 +40,7 @@ from repro.fsa.serialize import automaton_to_payload
 from repro.lang import pretty
 from repro.pds import poststar, poststar_many, prestar, prestar_many
 from repro.pds.kernel import (
+    _COMPILED,
     poststar_csr,
     poststar_many_csr,
     prestar_csr,
@@ -381,7 +382,7 @@ def test_update_source_invalidates_batch_state():
     session = SlicingSession(base)
     session.slice_many(_criteria(session))
     pds_before = session.encoding.pds
-    assert session._compiled_pds is pds_before
+    assert pds_before in _COMPILED  # the kernel's compile cache
     # A constant edit is layout-fast-equivalent: the front half (and so
     # the compiled PDS) is legitimately reused.
     session.update_source(base.replace("c == 32", "c == 33"))
@@ -395,8 +396,9 @@ def test_update_source_invalidates_batch_state():
     session.update_source(edited)
     assert not session._batch_queries
     assert session.encoding.pds is not pds_before
+    assert session.encoding.pds not in _COMPILED
     session.slice_many(_criteria(session))
-    assert session._compiled_pds is session.encoding.pds
+    assert session.encoding.pds in _COMPILED
     assert session.stats["kernel_compile_misses"] == 2
     cold = SlicingSession(edited)
     assert pretty(session.executable("prints").program) == pretty(

@@ -500,9 +500,8 @@ def test_stored_entries_are_slim(tmp_path):
             os.path.getsize(path),
             sizes.get(name.split("-")[0].replace(".slc", ""), 0),
         )
-    expected = {"fronthalf", "results", "proc", "sat", "idx", "pds"}
-    # The compiled-PDS payload is flat int arrays — slim by construction.
-    slim = ("results", "proc", "sat", "idx", "pds")
+    expected = {"fronthalf", "results", "proc", "sat", "idx"}
+    slim = ("results", "proc", "sat", "idx")
     assert set(sizes) == expected
     for table in slim:
         assert sizes[table] < sizes["fronthalf"], (
