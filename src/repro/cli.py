@@ -44,20 +44,19 @@ exit with status 2 — naming ``PREV_FILE`` when the error is in the
 import argparse
 import sys
 
+import repro
 from repro.core import (
     binding_time_analysis,
     binkley_slice,
     dynamic_input_vertices,
     executable_program,
-    lower_indirect_calls,
     monovariant_program,
     remove_feature,
     specialization_slice,
 )
-from repro.lang import check, parse, pretty
+from repro.lang import pretty
 from repro.lang.errors import TinyCError
 from repro.lang.interp import ExecutionLimitExceeded, run_program
-from repro.sdg import build_sdg
 
 
 class UserError(SystemExit):
@@ -84,13 +83,7 @@ def _read(path):
 
 
 def _load(path):
-    source = _read(path)
-    program = parse(source)
-    info = check(program)
-    if info.has_indirect_calls:
-        program, info = lower_indirect_calls(program, info)
-    sdg = build_sdg(program, info)
-    return program, info, sdg
+    return repro.load_source(_read(path))
 
 
 def _print_criterion(sdg, index):
@@ -138,8 +131,6 @@ def cmd_slice(args):
 def cmd_slice_batch(args):
     import time
 
-    import repro
-
     source = _read(args.file)
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("error: --jobs must be at least 1")
@@ -165,6 +156,8 @@ def cmd_slice_batch(args):
         try:
             indices = [int(chunk) for chunk in args.prints.split(",") if chunk]
         except ValueError:
+            indices = []
+        if not indices:
             raise SystemExit("error: --prints expects 'all' or e.g. '0,2,5'")
     criteria = [("print", index) for index in indices]
     t0 = time.perf_counter()

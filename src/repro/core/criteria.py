@@ -14,11 +14,12 @@ Three constructors cover the paper's usage:
   experiments (Horwitz et al. 2010 style).
 * :func:`reachable_contexts_criterion` — ``(v, w)`` for every context
   ``w`` under which ``v`` can actually occur in the unrolled SDG; the
-  "all calling contexts of printf" criterion used for wc and go.
-  Computed as ``Poststar(entry_main) ∩ (v · Γ_c*)``.
+  "all calling contexts of printf" criterion used for wc and go.  The
+  language is ``Poststar(entry_main) ∩ (v · Γ_c*)``, built as a plain
+  restriction of the shared Poststar's query view (no product).
 """
 
-from repro.fsa import FiniteAutomaton, intersection
+from repro.fsa import FiniteAutomaton
 from repro.fsa.intops import query_view_int
 from repro.pds import poststar
 
@@ -106,21 +107,42 @@ def reachable_contexts_criterion(encoding, vids):
     """Accepts ``{(v, w) : v in vids, (v, w) reachable}`` — the "slice
     from every calling context of these vertices" criterion.
 
-    Built by intersecting the reachable-configuration language with
-    ``vids · Γ_c*`` and rebasing the initial state back onto the control
-    location so the result is a valid Prestar query automaton.  The
-    object product only explores pairs reachable from the criterion
-    vertices, which measured 3-4.5x faster than an int-codec product
-    that re-encodes the whole reachable view per criterion.
+    The language is ``Poststar(entry_main) ∩ (vids · Γ_c*)``, built as
+    a restriction of the reachable query view rather than a product:
+    below the stack top every symbol of a configuration is a call site
+    (Defn. 3.2), so the ``Γ_c*`` factor never rejects a view path.  The
+    view's ``vids`` transitions out of the main location are copied,
+    with everything their targets reach; view state ``q`` is named
+    ``(q, FINAL)``, which makes the result structurally equal to the
+    trimmed product with :func:`all_contexts_criterion` rebased onto
+    the main location (the reference oracle's construction).  Cost is
+    proportional to the part of the view the criterion reaches.  When
+    no criterion vertex is reachable from main (dead code) the result
+    accepts nothing and the slice is empty.
     """
-    reachable_view = reachable_query_view(encoding)
-    broad = all_contexts_criterion(encoding, vids)
-    product = intersection(reachable_view, broad).trim()
-    if not product.states:
-        # The criterion vertices are unreachable from main (dead code):
-        # the slice is empty.  Return a valid query accepting nothing.
-        return FiniteAutomaton(initials=[encoding.main_location])
-    return rebase_initial(product, encoding.main_location)
+    view = reachable_query_view(encoding)
+    main = encoding.main_location
+    automaton = FiniteAutomaton(initials=[main])
+    seen = set()
+    stack = []
+    for vid in vids:
+        for state in view.targets(main, vid):
+            automaton.add_transition(main, vid, (state, FINAL))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    finals = view.finals
+    while stack:
+        state = stack.pop()
+        if state in finals:
+            automaton.add_final((state, FINAL))
+        for symbol in view.out_symbols(state):
+            for target in view.targets(state, symbol):
+                automaton.add_transition((state, FINAL), symbol, (target, FINAL))
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+    return automaton
 
 
 def as_query_view(automaton, encoding):

@@ -30,8 +30,11 @@ def feature_seeds(sdg, feature_text):
     (shared by ``repro remove``, :func:`repro.remove_feature_source`,
     and :meth:`repro.engine.SlicingSession.remove_feature`).
 
-    Raises ValueError when nothing matches.
+    Raises ValueError for empty text (a substring of every label) and
+    when nothing matches.
     """
+    if not feature_text:
+        raise ValueError("feature text must not be empty")
     seeds = {
         vid
         for vid, vertex in sdg.vertices.items()

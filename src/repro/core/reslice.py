@@ -14,10 +14,15 @@ it the same way); the test suite runs it over every slice of the
 benchmark suite.
 """
 
-from repro.core.criteria import as_query_view, empty_stack_criterion, rebase_initial
+from repro.core.criteria import (
+    as_query_view,
+    empty_stack_criterion,
+    reachable_query_view,
+    rebase_initial,
+)
 from repro.core.specialize import specialization_slice
 from repro.fsa import Transducer, intersection, language_equal
-from repro.pds import poststar
+from repro.pds import encode_sdg, poststar
 
 
 def build_transducer(result):
@@ -37,9 +42,6 @@ def reslice_check(result, return_details=False):
     the alphabet mapping).  With ``return_details`` returns
     ``(ok, a6_s_view, transduced_a6_r)`` for diagnosis.
     """
-    # Deferred import: repro.engine sits on top of repro.core.
-    from repro.engine import SlicingSession
-
     r_sdg = result.sdg
     transducer = build_transducer(result)
 
@@ -47,11 +49,10 @@ def reslice_check(result, return_details=False):
         # Empty slice: trivially idempotent.
         return (True, None, None) if return_details else True
 
-    # The session shares R's encoding and the criterion-independent
-    # Poststar saturation across repeated checks of the same result (and
-    # with any other analysis of R in the process).
-    session = SlicingSession.for_sdg(r_sdg)
-    encoding_r = session.encoding
+    # R's encoding and its Poststar(entry_main) query view are cached
+    # on R (encode_sdg, reachable_query_view), so repeated checks of
+    # the same result share them.
+    encoding_r = encode_sdg(r_sdg)
 
     # C' = T^{-1}(C) ∩ Poststar[P_R](entry_main).
     inverse_c = transducer.apply_inverse(result.criterion)
@@ -61,22 +62,22 @@ def reslice_check(result, return_details=False):
     main_name = main_specs[0].name
     if main_name == "main":
         # The usual case: main has one specialization, so the reachable
-        # language is the session's shared Poststar(entry_main).
-        reachable_r = session.reachable_configs()
+        # language is R's cached Poststar(entry_main).
+        reachable_view = reachable_query_view(encoding_r)
     else:
         entry_r = r_sdg.entry_vertex[main_name]
-        reachable_r = poststar(
-            encoding_r.pds, empty_stack_criterion(encoding_r, [entry_r])
+        reachable_view = as_query_view(
+            poststar(encoding_r.pds, empty_stack_criterion(encoding_r, [entry_r])),
+            encoding_r,
         )
-    reachable_view = as_query_view(reachable_r, encoding_r)
     product = intersection(reachable_view, inverse_c.trim()).trim()
     criterion_r = rebase_initial(product, encoding_r.main_location)
 
-    # Reslice R.  Deliberately *not* through the session memo: the
-    # session lives as long as R, and pinning the full second-generation
+    # Reslice R.  Not memoized: pinning the full second-generation
     # SpecializationResult (its own SDG and automata) per checked
     # criterion would roughly double the memory retained by every slice
-    # the benchmark suite holds.  Only the shared saturation is reused.
+    # the benchmark suite holds.  Only the saturation cached on R's
+    # encoding is reused.
     result_r = specialization_slice(r_sdg, criterion_r)
 
     # Compare L(A6_S) with L(T_C(A6_R)).

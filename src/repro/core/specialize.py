@@ -80,11 +80,6 @@ class SpecializationResult(object):
         element set both §8 comparisons normalize against)."""
         return self.encoding.elems(self.a1)
 
-    def specialized_vertex_total(self):
-        """Total vertices in R (replicated elements counted once per
-        copy)."""
-        return self.sdg.vertex_count()
-
     def callee_name(self, caller_spec, orig_site_label):
         """The name of the specialization a call site is bound to, or
         None if the site is unbound (call vertex not in this variant)."""

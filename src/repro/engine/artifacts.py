@@ -23,8 +23,8 @@ cross-revision discovery — need:
   .procedure_keys` digests) whose PDS rules the automaton touches.  A
   symbol is owned by the procedure containing it — and, for a call-site
   label, by the callee as well — exactly mirroring which procedures
-  contribute PDS rules mentioning it.  ``None`` means "unknown, treat
-  as touching everything" (sessions built from a bare SDG).
+  contribute PDS rules mentioning it.  It is ``None`` only in the form
+  the store files (see below).
 
 The footprint is what makes the artifact *relocatable*.  Whether an
 artifact outlives an edit is decided in one place,
@@ -92,7 +92,8 @@ class SaturationArtifact(object):
         key: the canonical memo/store key.
         automaton: the trimmed saturation :class:`FiniteAutomaton`.
         footprint: frozenset of procedure content keys the automaton's
-            useful part touches, or None when unknown.
+            useful part touches (None in the filed form,
+            :meth:`without_footprint`).
     """
 
     __slots__ = ("kind", "key", "automaton", "footprint")
@@ -141,7 +142,7 @@ class SaturationArtifact(object):
         ``{old content key -> new content key}`` — the label-only edit
         case, where a procedure's text (and therefore key) changed but
         its PDS rules did not, so the automaton itself is still exact."""
-        if self.footprint is None or not key_translation:
+        if not key_translation:
             return self
         footprint = frozenset(
             key_translation.get(content_key, content_key)
@@ -218,12 +219,10 @@ def artifact_footprint(sdg, proc_keys, automaton, trimmed=True):
     """The ownership footprint of an automaton over a front half: the
     content keys of every procedure owning a symbol on the automaton's
     useful part.  ``proc_keys`` is the ``name -> content key`` map of
-    the front half; None when unavailable (footprint unknown).
+    the front half.
 
     ``trimmed=False`` trims first (saturations produced with
     ``trim=True`` skip it)."""
-    if proc_keys is None:
-        return None
     if not trimmed:
         automaton = automaton.trim()
     return frozenset(

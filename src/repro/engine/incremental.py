@@ -406,9 +406,9 @@ def _layout_maps(old_layout, new_layout):
 
 def _within(footprint, content_keys):
     """The footprint test: whether everything a saturation or result
-    can observe lies in procedures with the given content keys.  An
-    unknown (None) footprint never does; an empty one always does."""
-    return footprint is not None and content_keys.issuperset(footprint)
+    can observe lies in procedures with the given content keys (an
+    empty footprint always does)."""
+    return content_keys.issuperset(footprint)
 
 
 def carry_over(old_layout, new_layout, saturations):
@@ -423,9 +423,9 @@ def carry_over(old_layout, new_layout, saturations):
     dropped), and ``rename(artifact, new_key)``, which renames a
     carried-over artifact into the new revision.
 
-    * Fast-equivalent revisions share one PDS: every saturation with a
-      known footprint carries over under its own key, its footprint
-      re-addressed onto the new content keys.
+    * Fast-equivalent revisions share one PDS: every saturation
+      carries over under its own key, its footprint re-addressed onto
+      the new content keys.
     * Otherwise a saturation carries over iff its footprint is
       within the new revision's content keys and its key
       renumbers through the layouts; a reachable-contexts one also
@@ -435,7 +435,7 @@ def carry_over(old_layout, new_layout, saturations):
     if translation is not None:
         return (
             True,
-            [None if footprint is None else key for key, footprint in saturations],
+            [key for key, _footprint in saturations],
             lambda artifact, _new_key: artifact.translated(translation),
         )
     new_key_set = frozenset(entry[1] for entry in new_layout)
@@ -581,8 +581,6 @@ def update_session(session, new_source):
     edit provably left intact.  Raises (leaving the session untouched)
     if the new text does not parse or check.  Returns a summary dict
     (also stored as ``session.last_update``)."""
-    if session.source is None:
-        raise ValueError("update_source needs a session built from source text")
     t0 = time.perf_counter()
     new_hash = source_hash(new_source)
     if new_hash == session.source_hash:
@@ -676,25 +674,14 @@ def update_session(session, new_source):
         session._stats["updates"] += 1
         session._stats["procs_reused"] += len(kept)
         session._stats["procs_rebuilt"] += len(changed)
-        session._batch_queries.clear()
         for name, value in counts.items():
             session._stats[name] += value
 
     if session.store is not None:
         if not session.store.has_program(new_hash):
-            # Persist the bundle the way a cold build would: without
-            # the Poststar (or its query view) cached on the encoding —
-            # saturations are first-class ``__sats__`` entries now and
-            # would bloat the bundle on the editor-loop hot path.
-            reachable = encoding.__dict__.pop("_reachable_configs", None)
-            view = encoding.__dict__.pop("_reachable_view", None)
-            try:
-                session.store.put_program(new_hash, new_sdg)
-            finally:
-                if reachable is not None:
-                    encoding._reachable_configs = reachable
-                if view is not None:
-                    encoding._reachable_view = view
+            # The bundle never holds the encoding's cached Poststar
+            # (SDGEncoding.__getstate__ drops it).
+            session.store.put_program(new_hash, new_sdg)
         for name in changed:
             session.store.put_proc(new_keys[name], extract_part(new_sdg, name))
         # Record every survivor in the edited text's index, so a fresh
@@ -746,7 +733,7 @@ def _prune_results(session, snapshot, new_sdg, encoding, fast, new_key_set):
         if cache_kind not in ("slice", "feature") or not _done(future):
             continue
         value = future.result()
-        if fast and _within(getattr(value, "footprint", None), new_key_set):
+        if fast and _within(value.footprint, new_key_set):
             # The result's whole cone lies in unchanged procedures: the
             # result (and its rendered text) is still exact.  Re-point
             # its front-half references at the new graph.  Feature

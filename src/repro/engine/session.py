@@ -8,8 +8,9 @@ program once and serves arbitrarily many criteria against the shared
 front half:
 
 * the parsed program, semantic info, SDG, and :class:`SDGEncoding` are
-  built once at session creation — or loaded from the persistent
-  :class:`repro.store.SliceStore` when one is attached and warm;
+  built from the source text once at session creation — or loaded from
+  the persistent :class:`repro.store.SliceStore` when one is attached
+  and warm;
 * every saturation — the shared ``Poststar(entry_main)``, each
   per-criterion Prestar, each feature's forward-cone Poststar — is
   memoized as a relocatable
@@ -17,6 +18,14 @@ front half:
   automaton + canonical key + per-procedure ownership footprint), the
   one representation the memo, the store's ``__sats__`` table, and
   the incremental layer all share;
+* every per-criterion saturation is claimed, loaded from the store, or
+  computed in one place, the fused batch pass
+  (:meth:`SlicingSession._fused_batch`): :meth:`SlicingSession
+  .slice_many` and :meth:`SlicingSession.remove_features_many` run
+  their cold criteria through it together, and a :meth:`SlicingSession
+  .slice`, :meth:`SlicingSession.executable` or
+  :meth:`SlicingSession.remove_feature` that finds no memoized
+  saturation is a batch of one;
 * full :class:`SpecializationResult`s, feature removals, and the §7
   cleanup pass are memoized per canonicalized criterion (see
   :mod:`repro.engine.canonical`), so resubmitting a criterion is a
@@ -30,9 +39,8 @@ front half:
   Writes are batched: each public query method files the results it
   computed as one ``results`` entry, and each saturation pass merges
   its artifacts' records into the revision's index with one write;
-* :meth:`SlicingSession.slice_many` saturates the batch's cold
-  criteria in one fused kernel pass, then fans the per-criterion MRD
-  and read-out out over a thread pool sharing the read-only encoding,
+* :meth:`SlicingSession.slice_many` fans the per-criterion MRD and
+  read-out out over a thread pool sharing the read-only encoding,
   deduplicating identical criteria;
 * :meth:`SlicingSession.update_source` re-points the session at an
   edited text in place: per-procedure content keys decide which PDGs
@@ -69,6 +77,7 @@ from repro.engine.canonical import (
     saturation_key,
     stable_key_digest,
 )
+# prestar/poststar are not called here: perfbench/tracing.py wraps them by name.
 from repro.pds import encode_sdg, poststar, poststar_many, prestar, prestar_many
 from repro.store import source_hash as _source_hash
 from repro.store.store import RESULTS_TABLE
@@ -106,11 +115,9 @@ def _unpickle(blob):
 
 
 class SlicingSession(object):
-    """A long-lived slicing engine over one program.
-
-    Construct from TinyC source (``SlicingSession(source)``) or from an
-    already-built SDG (``SlicingSession.for_sdg(sdg)``).  All query
-    methods are memoized and thread-safe.
+    """A long-lived slicing engine over one program, built from its
+    TinyC source text (``SlicingSession(source)``).  All query methods
+    are memoized and thread-safe.
 
     Pass ``store`` (a :class:`repro.store.SliceStore`) to read and
     write the persistent cache: the front half is loaded from disk when
@@ -119,9 +126,9 @@ class SlicingSession(object):
     sessions behave exactly as before.
 
     Attributes:
-        source: the source text, or None when built from an SDG.
+        source: the source text.
         source_hash: sha256 of the source text (the store's program
-            key), or None.
+            key).
         store: the attached :class:`SliceStore`, or None.
         program / info / sdg / encoding: the shared front half.
         kernel: the saturation kernel every query runs on — always
@@ -138,56 +145,43 @@ class SlicingSession(object):
 
     kernel = "csr"
 
-    def __init__(self, source=None, program=None, info=None, sdg=None, store=None):
+    def __init__(self, source, store=None):
         t0 = time.perf_counter()
+        self.source = source
+        self.source_hash = _source_hash(source)
         self.store = store
-        self.source_hash = None
         self._proc_keys = None  # per-procedure content keys, computed lazily
         self.last_update = None  # summary of the most recent update_source
-        front_half_cached = False
         parts_hit, parts_total = 0, 0
-        if source is not None:
-            self.source_hash = _source_hash(source)
-            if sdg is None and store is not None:
-                cached = store.get_program(self.source_hash)
-                if cached is not None:
-                    sdg = cached
-                    program, info = cached.program, cached.info
-                    front_half_cached = True
-            if sdg is None:
-                from repro.engine.incremental import load_front_half
+        sdg = store.get_program(self.source_hash) if store is not None else None
+        front_half_cached = sdg is not None
+        if front_half_cached:
+            program, info = sdg.program, sdg.info
+        else:
+            from repro.engine.incremental import load_front_half
 
-                # With a store attached this assembles the front half
-                # from content-addressed per-procedure parts where warm
-                # (a partial hit even when the whole-program bundle
-                # misses); storeless it is a plain cold build.
-                (
-                    program,
-                    info,
-                    sdg,
-                    self._proc_keys,
-                    parts_hit,
-                    parts_total,
-                ) = load_front_half(source, store)
-        if sdg is None:
-            raise ValueError("SlicingSession needs source text or an SDG")
-        self.source = source
-        self.program = program if program is not None else sdg.program
-        self.info = info if info is not None else sdg.info
+            # With a store attached this assembles the front half from
+            # content-addressed per-procedure parts where warm (a
+            # partial hit even when the whole-program bundle misses);
+            # storeless it is a plain cold build.
+            (
+                program,
+                info,
+                sdg,
+                self._proc_keys,
+                parts_hit,
+                parts_total,
+            ) = load_front_half(source, store)
+        self.program = program
+        self.info = info
         self.sdg = sdg
         self.encoding = encode_sdg(sdg)
-        if store is not None and self.source_hash is not None and not front_half_cached:
+        if store is not None and not front_half_cached:
             # Persist after encoding so the bundle includes the PDS
-            # (encode_sdg caches it on the graph, and SDG.__getstate__
-            # keeps it).
+            # (encode_sdg caches it on the graph).
             store.put_program(self.source_hash, sdg)
         self._lock = threading.Lock()
         self._futures = {}  # (cache kind, criterion key) -> Future
-        # Query automata built by a fused batch pass, stashed for the
-        # per-criterion slice compute so criterion construction runs
-        # exactly once per criterion (a reachable-contexts criterion is
-        # a product with the shared Poststar, not worth building twice).
-        self._batch_queries = {}  # saturation key -> (encoding, automaton)
         # The store's results for one revision, read once: (source
         # hash, {(memo table, key digest): pickled slim value}).
         self._results = None
@@ -230,7 +224,7 @@ class SlicingSession(object):
             "sats_adopted": 0,
             "discovery_seconds": 0.0,
         }
-        if store is not None and self.source_hash is not None:
+        if store is not None:
             # Cross-revision discovery: adopt saturations filed under
             # other revisions of this program (see
             # :func:`repro.engine.incremental.discover_artifacts`).
@@ -241,17 +235,6 @@ class SlicingSession(object):
             discover_artifacts(self)
             self._stats["load_seconds"] = time.perf_counter() - t0
 
-    @classmethod
-    def for_sdg(cls, sdg):
-        """The session for an already-built SDG, cached on the SDG
-        itself (the :func:`repro.pds.encode_sdg` idiom) so repeated
-        analyses of one graph share saturations."""
-        session = getattr(sdg, "_slicing_session", None)
-        if session is None:
-            session = cls(sdg=sdg)
-            sdg._slicing_session = session
-        return session
-
     # -- queries ---------------------------------------------------------------
 
     @_files_results
@@ -260,7 +243,8 @@ class SlicingSession(object):
 
         ``criterion`` accepts every spec form described in
         :mod:`repro.engine.canonical`; ``contexts`` completes vertex
-        criteria (``"reachable"`` or ``"empty"``).
+        criteria (``"reachable"`` or ``"empty"``).  A cold criterion's
+        Prestar runs as a fused batch of one (see :meth:`slice_many`).
         """
         kind, payload = resolve_criterion_spec(self.sdg, criterion)
         return self._slice_resolved(kind, payload, contexts)
@@ -269,22 +253,11 @@ class SlicingSession(object):
         key = canonical_key(kind, payload, contexts)
 
         def compute():
-            sat_key = saturation_key(SAT_PRESTAR, key)
-            a0 = self._pop_batch_query(sat_key)
-            if a0 is None:
-                a0 = self._query_automaton(kind, payload, contexts)
             # The saturation is memoized one layer below the result so
             # that a failure later in the pipeline (MRD/read-out) evicts
             # the result entry but keeps the saturation for the retry.
-            artifact = self._memoized(
-                "saturation",
-                sat_key,
-                lambda: self._make_artifact(
-                    SAT_PRESTAR,
-                    sat_key,
-                    self._saturate(prestar, a0, trim=True),
-                ),
-            )
+            artifact = self._saturation(SAT_PRESTAR, key, kind, payload, contexts)
+            a0 = self._query_automaton(kind, payload, contexts)
             result = specialization_slice(
                 self.sdg, a0, contexts=contexts, a1=artifact.automaton
             )
@@ -300,13 +273,14 @@ class SlicingSession(object):
         read-only encoding.  Duplicate criteria are computed once.
         Returns results in input order.
 
-        The Prestars of the criteria with no memoized or persisted
-        answer run as *one* multi-criterion kernel pass
-        (:func:`repro.pds.prestar_many`) before the pool fans out, so
-        each PDS rule fires once for the whole batch instead of once per
-        criterion — a lone cold criterion is a batch of one.  Results,
-        artifacts, memo entries, and store bytes are identical to
-        slicing the criteria one at a time with :meth:`slice`.
+        Every query saturates through the fused batch pass
+        (:meth:`_fused_batch`): here the Prestars of the criteria with
+        no memoized or persisted answer run as *one* multi-criterion
+        kernel pass (:func:`repro.pds.prestar_many`) before the pool
+        fans out, so each PDS rule fires once for the whole batch
+        instead of once per criterion; :meth:`slice` is a batch of one.
+        Results, artifacts, memo entries, and store bytes are identical
+        to slicing the criteria one at a time with :meth:`slice`.
         """
         criteria = list(criteria)
         if not criteria:
@@ -314,7 +288,7 @@ class SlicingSession(object):
         # Resolve each spec exactly once, up front: specs may be one-
         # shot iterables, and early validation beats a worker traceback.
         specs = [resolve_criterion_spec(self.sdg, c) for c in criteria]
-        self._fused_batch(specs, contexts, SAT_PRESTAR, "slice", prestar_many)
+        self._fused_batch(specs, contexts, SAT_PRESTAR, result_table="slice")
         if max_workers is None:
             max_workers = min(len(criteria), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -347,10 +321,11 @@ class SlicingSession(object):
         criterion spec; memoized like :meth:`slice`.
 
         The feature's forward-cone saturation ``Poststar(A_C)`` — the
-        expensive half of Algorithm 2 — is memoized (and persisted,
-        with a store) as its own :class:`SaturationArtifact`, so a
-        repeated removal after an incremental update that dropped the
-        rendered result still skips the saturation."""
+        expensive half of Algorithm 2 — runs as a fused batch of one
+        and is memoized (and persisted, with a store) as its own
+        :class:`SaturationArtifact`, so a repeated removal after an
+        incremental update that dropped the rendered result still skips
+        the saturation."""
         kind, payload = self._feature_spec(feature)
         return self._remove_feature_resolved(kind, payload, contexts)
 
@@ -365,19 +340,8 @@ class SlicingSession(object):
             # memo so it is shared, shipped, and persisted like any
             # other saturation.
             self.reachable_configs()
-            sat_key = saturation_key(SAT_POSTSTAR, key)
-            a_c = self._pop_batch_query(sat_key)
-            if a_c is None:
-                a_c = self._query_automaton(kind, payload, contexts)
-            cone = self._memoized(
-                "saturation",
-                sat_key,
-                lambda: self._make_artifact(
-                    SAT_POSTSTAR,
-                    sat_key,
-                    self._saturate(poststar, a_c, trim=True),
-                ),
-            )
+            cone = self._saturation(SAT_POSTSTAR, key, kind, payload, contexts)
+            a_c = self._query_automaton(kind, payload, contexts)
             result = remove_feature(self.sdg, a_c, a0=cone.automaton)
             # The result's own footprint is its *kept* cone (what the
             # rendered residual program can mention), not the removed
@@ -403,7 +367,7 @@ class SlicingSession(object):
         # every contexts mode (remove_feature does this first); pull it
         # in before the fused pass so the cone saturations batch cleanly.
         self.reachable_configs()
-        self._fused_batch(specs, contexts, SAT_POSTSTAR, "feature", poststar_many)
+        self._fused_batch(specs, contexts, SAT_POSTSTAR, result_table="feature")
         return [
             self._remove_feature_resolved(kind, payload, contexts)
             for kind, payload in specs
@@ -516,17 +480,11 @@ class SlicingSession(object):
 
     def _content_keys(self):
         """The per-procedure content keys of this session's front half
-        (the addressing footprints are expressed in), or None for
-        sessions built from a bare SDG — their artifacts get unknown
-        footprints, which is sound because such sessions cannot
-        :meth:`update_source` anyway."""
-        if self._proc_keys is None:
-            if self.source is None:
-                return None
-            from repro.engine.incremental import session_procedure_keys
+        (the addressing footprints are expressed in), computed on first
+        use."""
+        from repro.engine.incremental import session_procedure_keys
 
-            session_procedure_keys(self)
-        return self._proc_keys
+        return session_procedure_keys(self)
 
     def _footprint_of(self, automaton):
         """The ownership footprint of a trimmed automaton over this
@@ -535,14 +493,6 @@ class SlicingSession(object):
         from repro.engine.artifacts import artifact_footprint
 
         return artifact_footprint(self.sdg, self._content_keys(), automaton)
-
-    def _saturate(self, saturation, query, trim=False):
-        """Run a saturation (``prestar``/``poststar``), folding its
-        kernel counters into :attr:`stats`."""
-        sink = {}
-        result = saturation(self.encoding.pds, query, trim=trim, stats=sink)
-        self._absorb_kernel_stats(sink)
-        return result
 
     def _absorb_kernel_stats(self, sink):
         """Accumulate one call's ``kernel_*`` counters into the session
@@ -577,70 +527,65 @@ class SlicingSession(object):
             self.reachable_configs()
         return resolve_criterion(self.encoding, payload, contexts)
 
-    def _pop_batch_query(self, sat_key):
-        """Claim the query automaton a fused batch pass stashed for
-        this saturation key, if any — discarded (never reused) when an
-        ``update_source`` re-encoded the front half in between."""
+    def _saturation(self, sat_kind, key, kind, payload, contexts):
+        """The saturation artifact of criterion ``key`` (a slice's
+        Prestar or a feature's cone Poststar, by ``sat_kind``): the
+        memoized one, counted as a hit, or else a fused batch of one."""
+        sat_key = saturation_key(sat_kind, key)
         with self._lock:
-            entry = self._batch_queries.pop(sat_key, None)
-        if entry is not None and entry[0] is self.encoding:
-            return entry[1]
-        return None
+            future = self._futures.get(("saturation", sat_key))
+            if future is not None:
+                self._stats["saturation_hits"] += 1
+        if future is None:
+            future = self._fused_batch([(kind, payload)], contexts, sat_kind)[sat_key]
+        return future.result()
 
-    def _fused_batch(self, specs, contexts, sat_kind, result_table, saturate_many):
-        """Saturate a batch's cold criteria in one fused kernel pass.
+    def _fused_batch(self, specs, contexts, sat_kind, result_table=None):
+        """The one place a per-criterion saturation — a slice's Prestar
+        (``sat_kind`` :data:`SAT_PRESTAR`) or a feature's forward-cone
+        Poststar (:data:`SAT_POSTSTAR`) — is claimed, loaded from the
+        store, or computed.
 
-        ``specs`` is ``[(kind, payload), ...]``;
-        ``sat_kind``/``saturate_many`` pick the saturation (Prestar for
-        slices, Poststar for feature cones) and ``result_table`` the
-        memo table whose persisted entries make a criterion warm.  The
-        pass only *pre-fills* the saturation memo: criteria already
-        answered — a live future, or a persisted result / saturation
-        artifact in the store — are left for the ordinary per-criterion
-        path, with byte-identical artifacts and the exact counter trace
-        that path would produce.
+        ``specs`` is ``[(kind, payload), ...]``.  Each criterion whose
+        saturation no one has claimed yet is claimed here (a
+        ``saturation_misses``); of those, the ones with a persisted
+        ``__sats__`` artifact are loaded, and the rest saturate
+        together in one fused kernel pass (:func:`repro.pds.prestar_many`
+        or :func:`repro.pds.poststar_many`).  Returns ``{saturation key:
+        future}``, claimed or found.
+
+        The batch drivers pass ``result_table``, the memo table whose
+        live or persisted entries make a criterion warm: such a
+        criterion never saturates, so it is left out (its compute
+        counts its memo or persist hit).  A compute that finds no
+        memoized saturation passes none and asks for a batch of one.
         """
         candidates = {}  # saturation key -> (canonical key, kind, payload)
         for kind, payload in specs:
             key = canonical_key(kind, payload, contexts)
-            sat_key = saturation_key(sat_kind, key)
-            if sat_key not in candidates:
-                candidates[sat_key] = (key, kind, payload)
-        cold = {}
-        with self._lock:
-            for sat_key, (key, kind, payload) in candidates.items():
-                if (result_table, key) in self._futures:
-                    continue
-                if ("saturation", sat_key) in self._futures:
-                    continue
-                cold[sat_key] = (key, kind, payload)
+            candidates.setdefault(saturation_key(sat_kind, key), (key, kind, payload))
         src_hash = self.source_hash
-        if self.store is not None and src_hash is not None:
-            # A criterion whose *result* is persisted never saturates on
-            # the sequential path either — leave it out of the fused
-            # pass (its memo miss and persist hit are counted later, by
-            # the ordinary path).
-            persisted = self._persisted_results(src_hash)
-            for sat_key in list(cold):
-                key, kind, payload = cold[sat_key]
+        if result_table is not None:
+            persisted = {} if self.store is None else self._persisted_results(src_hash)
+            for sat_key, (key, _kind, _payload) in list(candidates.items()):
+                with self._lock:
+                    live = (result_table, key) in self._futures
                 digest = self._persist_digest(result_table, key)
-                if digest is not None and (result_table, digest) in persisted:
-                    del cold[sat_key]
-        claimed = []
+                if live or (result_table, digest) in persisted:
+                    del candidates[sat_key]
+        futures, claimed = {}, []
         with self._lock:
-            for sat_key, (key, kind, payload) in cold.items():
+            for sat_key, (_key, kind, payload) in candidates.items():
                 full_key = ("saturation", sat_key)
-                if full_key in self._futures:
-                    continue
-                future = Future()
-                self._futures[full_key] = future
-                self._stats["saturation_misses"] += 1
-                claimed.append((sat_key, kind, payload, future))
+                future = self._futures.get(full_key)
+                if future is None:
+                    future = self._futures[full_key] = Future()
+                    self._stats["saturation_misses"] += 1
+                    claimed.append((sat_key, kind, payload, future))
+                futures[sat_key] = future
         if not claimed:
-            return
+            return futures
         try:
-            # Warm ``__sats__`` artifacts answer without saturating,
-            # exactly as _saturation_through_store would.
             pending = []
             records = None
             for sat_key, kind, payload, future in claimed:
@@ -655,44 +600,42 @@ class SlicingSession(object):
                         future.set_result(value)
                         continue
                 pending.append((sat_key, kind, payload, future, digest))
-            if not pending:
-                return
-            automata = []
-            for sat_key, kind, payload, future, digest in pending:
-                a0 = self._query_automaton(kind, payload, contexts)
-                automata.append(a0)
-                with self._lock:
-                    self._batch_queries[sat_key] = (self.encoding, a0)
-            sink = {}
-            saturated = saturate_many(
-                self.encoding.pds, automata, trim=True, stats=sink
-            )
-            self._absorb_kernel_stats(sink)
-            with self._lock:
-                self._stats["fused_batches"] += 1
-                self._stats["fused_criteria"] += len(pending)
-            fresh = [
-                (digest, future, self._make_artifact(sat_kind, sat_key, automaton))
-                for (sat_key, _kind, _payload, future, digest), automaton in zip(
-                    pending, saturated
+            if pending:
+                queries = [
+                    self._query_automaton(kind, payload, contexts)
+                    for _sat_key, kind, payload, _future, _digest in pending
+                ]
+                saturate_many = prestar_many if sat_kind == SAT_PRESTAR else poststar_many
+                sink = {}
+                saturated = saturate_many(
+                    self.encoding.pds, queries, trim=True, stats=sink
                 )
-            ]
-            self._file_sats(
-                src_hash,
-                {digest: artifact for digest, _future, artifact in fresh if digest},
-            )
-            for _digest, future, artifact in fresh:
-                future.set_result(artifact)
+                self._absorb_kernel_stats(sink)
+                with self._lock:
+                    self._stats["fused_batches"] += 1
+                    self._stats["fused_criteria"] += len(pending)
+                fresh = [
+                    (digest, future, self._make_artifact(sat_kind, sat_key, automaton))
+                    for (sat_key, _kind, _payload, future, digest), automaton in zip(
+                        pending, saturated
+                    )
+                ]
+                self._file_sats(
+                    src_hash,
+                    {digest: artifact for digest, _future, artifact in fresh if digest},
+                )
+                for _digest, future, artifact in fresh:
+                    future.set_result(artifact)
         except BaseException as exc:
             with self._lock:
-                for sat_key, kind, payload, future in claimed:
+                for sat_key, _kind, _payload, future in claimed:
                     if not future.done():
                         self._futures.pop(("saturation", sat_key), None)
-                        self._batch_queries.pop(sat_key, None)
-            for sat_key, kind, payload, future in claimed:
+            for _sat_key, _kind, _payload, future in claimed:
                 if not future.done():
                     future.set_exception(exc)
             raise
+        return futures
 
     def _memoized(self, cache_kind, key, compute):
         """One-future-per-key memoization: the first submitter computes,
@@ -782,13 +725,14 @@ class SlicingSession(object):
             self.store.put(src_hash, RESULTS_TABLE, digest, values)
 
     def _saturation_through_store(self, src_hash, key, compute):
-        """Saturation artifacts go through the store's ``__sats__``
-        table, found through the revision's saturation index: a warm
-        store hands back the relocatable artifact — a new criterion
-        against a warm front half skips Poststar entirely and loads any
-        Prestar sibling whose key matches — and freshly computed
-        artifacts are persisted for the next process.  ``src_hash`` is
-        the caller's pre-compute snapshot of the front-half hash."""
+        """The shared Poststar (:data:`REACHABLE_KEY`, the one
+        saturation not claimed by :meth:`_fused_batch`) goes through
+        the store's ``__sats__`` table, found through the revision's
+        saturation index: a warm store hands back the artifact, so a
+        new criterion against a warm front half skips Poststar
+        entirely, and a freshly computed one is persisted for the next
+        process.  ``src_hash`` is the caller's pre-compute snapshot of
+        the front-half hash."""
         digest = self._persist_digest("saturation", key, table_check=False)
         if digest is not None:
             value = self._load_sat(self._filed_records(src_hash), digest, key)
@@ -825,21 +769,17 @@ class SlicingSession(object):
         discoverable by cold sessions on *other* revisions.
         Nothing is filed when a concurrent ``update_source`` re-pointed
         the session mid-compute (the snapshot hash no longer names this
-        front half, so this session's layout would be the wrong one),
-        nor for an artifact of unknown ownership: a file no record
-        names would only be an orphan."""
-        if src_hash != self.source_hash:
-            return
-        fresh = {
-            digest: (artifact, None)
-            for digest, artifact in artifacts.items()
-            if artifact.footprint is not None
-        }
-        if not fresh:
+        front half, so this session's layout would be the wrong one)."""
+        if not artifacts or src_hash != self.source_hash:
             return
         from repro.engine.incremental import _refile, session_layout
 
-        _refile(self.store, src_hash, session_layout(self), fresh)
+        _refile(
+            self.store,
+            src_hash,
+            session_layout(self),
+            {digest: (artifact, None) for digest, artifact in artifacts.items()},
+        )
 
     def _slim(self, value):
         """A shallow copy of a result with the shared front half nulled
@@ -887,14 +827,13 @@ class SlicingSession(object):
 
     def _persist_digest(self, cache_kind, key, table_check=True):
         """The on-disk digest for a memo entry, or None when the entry
-        is not persistable (no store, SDG-only session, or a criterion
-        key — e.g. a user automaton with exotic states — that has no
-        process-independent rendering).  Saturation entries pass
-        ``table_check=False``: they persist through the dedicated
-        ``__sats__`` table, not the per-program result tables."""
+        is not persistable (no store, or a criterion key — e.g. a user
+        automaton with exotic states — that has no process-independent
+        rendering).  Saturation entries pass ``table_check=False``:
+        they persist through the dedicated ``__sats__`` table, not the
+        per-program result tables."""
         if (
             self.store is None
-            or self.source_hash is None
             or (table_check and cache_kind not in PERSISTED_TABLES)
             or not is_stable_key(key)
         ):

@@ -37,6 +37,17 @@ class SDGEncoding(object):
         self.site_symbols = set()
         self._build()
 
+    def __getstate__(self):
+        # The encoding travels inside the store's front-half bundle.
+        # The reachable-configuration language cached on it (see
+        # repro.core.criteria.reachable_query_view) stays behind:
+        # saturations are filed on their own, and the bundle must not
+        # depend on which queries ran before it was written.
+        state = self.__dict__.copy()
+        state.pop("_reachable_configs", None)
+        state.pop("_reachable_view", None)
+        return state
+
     def _build(self):
         sdg, pds = self.sdg, self.pds
         pds.control_locations.add(MAIN_LOCATION)

@@ -120,16 +120,6 @@ class SystemDependenceGraph(object):
         self.sites_on_proc = {}  # callee name -> list of labels
         self.vertex_of_stmt = {}  # stmt uid -> vid (statement/call/predicate)
 
-    def __getstate__(self):
-        # SDGs are pickled into the persistent slice store.  A
-        # SlicingSession cached on the graph by ``SlicingSession.for_sdg``
-        # holds locks and futures and must not travel; the PDS encoding
-        # (criterion-independent, pure data) stays so a warm front-half
-        # load skips re-encoding.
-        state = self.__dict__.copy()
-        state.pop("_slicing_session", None)
-        return state
-
     # -- construction ---------------------------------------------------------
 
     def new_vertex(self, kind, proc, label, stmt_uid=None, site_label=None, role=None):
@@ -168,9 +158,6 @@ class SystemDependenceGraph(object):
 
     def out_edges(self, vid):
         return [(vid, dst, kind) for dst, kind in self._out[vid]]
-
-    def in_edges(self, vid):
-        return [(src, vid, kind) for src, kind in self._in[vid]]
 
     def edges(self, kinds=None):
         for (src, dst, kind) in self._edge_set:

@@ -66,6 +66,13 @@ def test_slice_batch_bad_indices(fig1_file):
         run_cli(["slice-batch", fig1_file, "--prints", "zero"])
 
 
+@pytest.mark.parametrize("prints", [",", ""])
+def test_slice_batch_empty_selection_is_a_usage_error(fig1_file, prints):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["slice-batch", fig1_file, "--prints", prints])
+    assert str(excinfo.value) == "error: --prints expects 'all' or e.g. '0,2,5'"
+
+
 def test_mono(fig1_file):
     output = run_cli(["mono", fig1_file])
     assert "g2 = 100" in output  # the Binkley add-back
@@ -81,6 +88,18 @@ def test_remove(fig16_file):
 def test_remove_no_match(fig16_file):
     with pytest.raises(SystemExit):
         run_cli(["remove", fig16_file, "--feature", "no such stmt"])
+
+
+def test_remove_empty_feature_is_a_usage_error(fig16_file):
+    import repro
+
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["remove", fig16_file, "--feature", ""])
+    assert str(excinfo.value) == "error: feature text must not be empty"
+    with pytest.raises(ValueError):
+        repro.remove_feature_source(FIG16_SOURCE, "")
+    with pytest.raises(ValueError):
+        repro.open_session(FIG16_SOURCE).remove_feature("")
 
 
 def test_run(fig1_file):
@@ -273,12 +292,12 @@ def test_run_over_budget_is_one_line_and_exit_2(tmp_path, capsys, text, argv, st
 
 
 def test_internal_errors_keep_their_traceback(fig1_file, monkeypatch):
-    import repro.cli
+    import repro.sdg
 
     def broken(*_args):
         raise RuntimeError("internal failure")
 
-    monkeypatch.setattr(repro.cli, "build_sdg", broken)
+    monkeypatch.setattr(repro.sdg, "build_sdg", broken)
     with pytest.raises(RuntimeError):
         main(["info", fig1_file])
 

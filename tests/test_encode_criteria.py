@@ -141,6 +141,46 @@ def test_reachable_contexts_criterion():
     assert not auto.accepts([entry_s, r_main])
 
 
+def _restriction_programs():
+    from repro.lang import pretty
+    from repro.workloads.generator import GenConfig, generate_program
+    from repro.workloads.wc import WC_SOURCE, scaled_wc_source
+
+    for seed in range(26):
+        program, _info = generate_program(GenConfig(seed=seed, n_procs=3))
+        yield "seed%d" % seed, pretty(program)
+    yield "wc", WC_SOURCE
+    yield "wc32", scaled_wc_source(32)
+
+
+def test_reachable_contexts_criterion_is_the_product():
+    """The criterion is built as a restriction of the reachable query
+    view; it must be structurally equal — states, initials, finals,
+    transitions — to the reference oracle's product of the reference
+    Poststar's view with ``vids · Γ_c*``, rebased onto ``p``."""
+    import repro
+    from tests.reference_oracle import query_automaton, reachable_view
+
+    checked = 0
+    for name, source in _restriction_programs():
+        _program, _info, sdg = repro.load_source(source)
+        encoding = encode_sdg(sdg)
+        view = reachable_view(encoding)
+        criteria = [sdg.print_criterion([vid]) for vid in sdg.print_call_vertices()]
+        criteria.append(sdg.print_criterion())
+        criteria.extend([vid] for vid in sorted(sdg.vertices)[:40])
+        for vids in criteria:
+            built = reachable_contexts_criterion(encoding, vids)
+            product = query_automaton(encoding, vids, "reachable", view=view)
+            tag = (name, sorted(vids))
+            assert built.states == product.states, tag
+            assert built.initials == product.initials, tag
+            assert built.finals == product.finals, tag
+            assert set(built.transitions()) == set(product.transitions()), tag
+            checked += 1
+    assert checked >= 1000
+
+
 def test_elems_matches_closure(subtests=None):
     from repro.core.criteria import FINAL
     from repro.fsa import FiniteAutomaton

@@ -19,10 +19,11 @@ digests.  This suite pins both layers:
   a heterogeneous batch match the reference too, batch order never
   leaks into any projection;
 * session differential: a fused ``slice_many`` batch vs the same
-  criteria sliced one at a time (``slice`` never fuses), byte-identical
-  in results and persisted ``__sats__`` bytes; a lone cold criterion
-  is a batch of one; warm stores skip the fused pass entirely;
-  ``remove_features_many`` matches per-feature ``remove_feature``.
+  criteria sliced one at a time (each cold ``slice`` is a batch of
+  one), byte-identical in results and persisted ``__sats__`` bytes; a
+  lone cold criterion is a batch of one; warm stores skip the fused
+  pass entirely; ``remove_features_many`` matches per-feature
+  ``remove_feature``.
 
 ``repro.open_session`` memoizes sessions by source hash; every test
 that needs *independent* sessions builds :class:`SlicingSession`
@@ -202,7 +203,7 @@ def test_empty_batch():
 
 
 def _one_at_a_time(session, criteria, contexts="reachable"):
-    """The per-criterion path: ``slice`` never fuses."""
+    """One criterion at a time: each cold ``slice`` is a batch of one."""
     return [session.slice(criterion, contexts=contexts) for criterion in criteria]
 
 
@@ -228,10 +229,15 @@ def test_fused_sessions_byte_identical(seed, contexts):
         assert f.version_counts() == p.version_counts(), tag
         assert f.footprint == p.footprint, tag
     assert _sat_digests(fused) == _sat_digests(plain), (seed, contexts)
-    # The batch really fused; the one-at-a-time session really did not.
+    # The batch really fused; the one-at-a-time session ran one pass
+    # per distinct cold criterion.
     assert fused.stats["fused_batches"] == 1
     assert fused.stats["fused_criteria"] == len(set(criteria))
-    assert plain.stats["fused_batches"] == 0
+    assert (
+        plain.stats["fused_batches"]
+        == plain.stats["fused_criteria"]
+        == fused.stats["fused_criteria"]
+    )
     # Saturation-miss accounting is identical: one per distinct cold
     # saturation either way.
     assert (
@@ -266,7 +272,7 @@ def test_lone_cold_criterion_is_a_batch_of_one(tmp_path):
     plain_result = plain.slice(("print", 0))
     assert single.stats["fused_batches"] == 1
     assert single.stats["fused_criteria"] == 1
-    assert plain.stats["fused_batches"] == 0
+    assert plain.stats["fused_batches"] == plain.stats["fused_criteria"] == 1
     assert automaton_to_payload(fused_result.a6) == automaton_to_payload(
         plain_result.a6
     )
@@ -377,7 +383,7 @@ def test_remove_features_many_matches_sequential():
 @pytest.mark.smoke
 def test_update_source_invalidates_batch_state():
     """An edit between the fused pass and the slice computes must not
-    leak stale query automata or a stale compiled PDS."""
+    leak a stale compiled PDS."""
     base = scaled_wc_source(3)
     session = SlicingSession(base)
     session.slice_many(_criteria(session))
@@ -386,7 +392,6 @@ def test_update_source_invalidates_batch_state():
     # A constant edit is layout-fast-equivalent: the front half (and so
     # the compiled PDS) is legitimately reused.
     session.update_source(base.replace("c == 32", "c == 33"))
-    assert not session._batch_queries
     assert session.encoding.pds is pds_before
     # A structural edit rebuilds the front half; the next saturation
     # compiles the new PDS instead of serving the stale compile.
@@ -394,7 +399,6 @@ def test_update_source_invalidates_batch_state():
         "chars = chars + 1;", "chars = chars + 1;\n  chars = chars + 0;"
     )
     session.update_source(edited)
-    assert not session._batch_queries
     assert session.encoding.pds is not pds_before
     assert session.encoding.pds not in _COMPILED
     session.slice_many(_criteria(session))

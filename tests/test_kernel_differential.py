@@ -199,9 +199,9 @@ def test_cold_session_compiles_its_pds_once():
 
 def test_concurrent_first_saturations_compile_once(tmp_path):
     """Many threads racing into their first saturation on one cold
-    session (``slice`` never fuses; empty-contexts criteria need no
-    shared Poststar to serialize behind) still compile the PDS exactly
-    once."""
+    session (each cold ``slice`` is its own batch of one; empty-contexts
+    criteria need no shared Poststar to serialize behind) still compile
+    the PDS exactly once."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 

@@ -236,14 +236,6 @@ def test_remove_feature_source_routes_through_session():
     assert session.stats["feature_clean_hits"] == 1
 
 
-def test_for_sdg_shares_one_session():
-    _program, _info, sdg = repro.load_source(FIG1_SOURCE)
-    first = SlicingSession.for_sdg(sdg)
-    second = SlicingSession.for_sdg(sdg)
-    assert first is second
-    assert first.sdg is sdg
-
-
 # -- update_source invalidation edge cases ----------------------------------------
 
 
@@ -301,10 +293,6 @@ def test_update_source_noop_and_validation():
         session.update_source("int main() { x = 1; return 0; }")  # undeclared
     # (no inputs: the scan loop never runs, total stays 0)
     assert repro.run_program(session.executable(("print", 0)).program).values == [0]
-    # SDG-only sessions cannot update (no source text).
-    _program, _info, sdg = repro.load_source(FIG1_SOURCE)
-    with pytest.raises(ValueError):
-        SlicingSession(sdg=sdg).update_source(WC_LIKE)
 
 
 def test_update_source_keeps_untouched_saturations():

@@ -844,6 +844,28 @@ def test_store_proc_table_partial_hits(tmp_path):
     assert store_stats["tables"]["proc"] >= 6
 
 
+def test_update_bundle_never_holds_the_cached_poststar(tmp_path):
+    """A store-backed label edit files the edited revision's front-half
+    bundle without the Poststar cached on the encoding, while the live
+    encoding — shared with any query still in flight — keeps it."""
+    from repro.workloads.wc import scaled_wc_source
+
+    base = scaled_wc_source(3)
+    store = SliceStore(str(tmp_path / "cache"))
+    session = SlicingSession(base, store=store)
+    session.slice(("print", 0))
+    encoding = session.encoding
+    summary = session.update_source(base.replace("c == 32", "c == 33"))
+    assert summary["fast_path"] is True
+    assert session.encoding is encoding
+    bundle = store.get_program(session.source_hash)
+    filed = bundle._pds_encoding
+    assert not hasattr(filed, "_reachable_configs")
+    assert not hasattr(filed, "_reachable_view")
+    assert encoding._reachable_configs is not None
+    assert encoding._reachable_view is not None
+
+
 def test_corrupt_proc_part_degrades_to_fresh_build(tmp_path):
     cache = str(tmp_path / "cache")
     SlicingSession(FIG1_SOURCE, store=SliceStore(cache))
