@@ -174,7 +174,7 @@ def cmd_slice_batch(args):
         }
         lines.append(
             "print #%d: %d vertices, versions %s"
-            % (index, result.sdg.vertex_count(), versions)
+            % (index, result.vertex_count(), versions)
         )
     stats = session.stats
     lines.append(

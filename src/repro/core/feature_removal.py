@@ -91,14 +91,7 @@ def remove_feature(sdg, criterion, contexts="reachable", a0=None):
     a6 = mrd(kept)
     result.a6 = a6
 
-    r_sdg, pdgs, bindings, map_back_vertex, map_back_site = read_out_sdg(
-        sdg, a6, encoding
-    )
-    result.sdg = r_sdg
-    result.pdgs = pdgs
-    result.bindings = bindings
-    result.map_back_vertex = map_back_vertex
-    result.map_back_site = map_back_site
+    result.pdgs, result.bindings = read_out_sdg(sdg, a6, encoding)
     result.stats = {
         "feature_states": len(feature_view.states),
         "kept_states": len(kept.states),

@@ -13,10 +13,15 @@ This implements Alg. 1, lines 9–24.  In the MRD automaton ``A6``:
   caller — stacks are read top-down, so the symbol after the callee's
   vertices is the call site in the caller).
 
-The read-out verifies Cor. 3.19 on the fly: parameter vertices must
-match exactly across each bound call site, otherwise ``ReadoutError``
-is raised (it never is, per the theorem — the check guards our own
-implementation).
+The read-out runs in two steps.  :func:`read_out_sdg` partitions ``A6``
+into specialized PDGs, binds every call site and verifies Cor. 3.19 —
+parameter vertices must match exactly across each bound call site,
+otherwise ``ReadoutError`` is raised (it never is, per the theorem — the
+check guards our own implementation).  That is all the renderer needs.
+:func:`specialized_sdg` then builds the specialized SDG ``R`` from the
+partition and the bindings alone; a
+:class:`~repro.core.specialize.SpecializationResult` calls it when
+``R`` or its maps are first read.
 """
 
 from repro.sdg.graph import (
@@ -30,6 +35,8 @@ from repro.sdg.graph import (
     SystemDependenceGraph,
     VertexKind,
 )
+
+# compute_summary_edges is not called here: perfbench/tracing.py wraps it by name.
 from repro.sdg.summary import compute_summary_edges
 
 
@@ -46,7 +53,7 @@ class SpecializedPDG(object):
         self.proc = proc  # original procedure name
         self.orig_vertices = frozenset(orig_vertices)
         self.name = None  # assigned by the read-out ("p", "p_1", ...)
-        self.vertex_map = {}  # orig vid -> new vid
+        self.vertex_map = {}  # orig vid -> new vid, filled when R is built
 
     def __repr__(self):
         return "SpecializedPDG(%s from %s, %d vertices)" % (
@@ -56,24 +63,21 @@ class SpecializedPDG(object):
         )
 
 
-def read_out_sdg(source_sdg, a6, encoding, with_summary=False):
-    """Construct the specialized SDG from the MRD automaton.
+def read_out_sdg(source_sdg, a6, encoding):
+    """Partition the MRD automaton and bind its call sites, checking
+    every read-out invariant (Cor. 3.19 included) on the way.
 
-    Returns ``(R, pdgs, bindings, map_back_vertex, map_back_site)``:
+    Returns ``(pdgs, bindings)``:
 
-    * ``R`` — the new :class:`SystemDependenceGraph`;
     * ``pdgs`` — dict: A6 state -> :class:`SpecializedPDG`;
     * ``bindings`` — dict: (caller state, original site label) ->
-      callee state;
-    * ``map_back_vertex`` — new vid -> original vid (the mapping ``MC``
-      of Defn. 2.9, vertex part);
-    * ``map_back_site`` — new site label -> original site label.
+      callee state, in ``A6`` transition order (the order
+      :func:`specialized_sdg` numbers the specialized call sites in).
     """
     # The object trim: an int-codec trim measured 10-27% slower here.
     a6 = a6.trim()
-    result = SystemDependenceGraph()
     if not a6.states:
-        return result, {}, {}, {}, {}
+        return {}, {}
     if len(a6.initials) != 1:
         raise ReadoutError("MRD automaton must have a single initial state")
     q0 = next(iter(a6.initials))
@@ -97,13 +101,52 @@ def read_out_sdg(source_sdg, a6, encoding, with_summary=False):
         specialized[state] = SpecializedPDG(state, procs.pop(), vids)
 
     _assign_names(source_sdg, specialized)
+    for spec in _ordered(specialized, source_sdg):
+        if spec.proc in source_sdg.entry_vertex:
+            if source_sdg.entry_vertex[spec.proc] not in spec.orig_vertices:
+                raise ReadoutError(
+                    "specialization %s lacks its entry vertex" % spec.name
+                )
+
+    # -- call bindings (lines 19-24) --------------------------------------------
+    bindings = {}
+    for (src, symbol, dst) in a6.transitions():
+        if src == q0 or not encoding.is_site_symbol(symbol):
+            continue
+        callee_state, site_label, caller_state = src, symbol, dst
+        if caller_state not in specialized or callee_state not in specialized:
+            raise ReadoutError("call transition between unknown states")
+        bindings[(caller_state, site_label)] = callee_state
+        _check_site(
+            source_sdg, specialized[caller_state], specialized[callee_state], site_label
+        )
+    return specialized, bindings
+
+
+def specialized_sdg(source_sdg, pdgs, bindings):
+    """Build the specialized SDG from a checked read-out
+    (:func:`read_out_sdg`): one vertex per specialized program element,
+    the intraprocedural edges each vertex set induces (line 15), and
+    one call site per binding (lines 20-23).  Fills each
+    :class:`SpecializedPDG`'s ``vertex_map``.
+
+    Returns ``(R, map_back_vertex, map_back_site)``:
+
+    * ``R`` — the new :class:`SystemDependenceGraph`;
+    * ``map_back_vertex`` — new vid -> original vid (the mapping ``MC``
+      of Defn. 2.9, vertex part);
+    * ``map_back_site`` — new site label -> original site label.
+    """
+    result = SystemDependenceGraph()
+    map_back_vertex = {}
+    map_back_site = {}
 
     # -- create vertices ------------------------------------------------------
-    map_back_vertex = {}
-    for spec in _ordered(specialized, source_sdg):
+    for spec in _ordered(pdgs, source_sdg):
         result.formal_ins[spec.name] = {}
         result.formal_outs[spec.name] = {}
         result.sites_in_proc.setdefault(spec.name, [])
+        vertex_map = {}
         for vid in sorted(spec.orig_vertices):
             vertex = source_sdg.vertices[vid]
             new_vid = result.new_vertex(
@@ -114,7 +157,7 @@ def read_out_sdg(source_sdg, a6, encoding, with_summary=False):
                 site_label=vertex.site_label,
                 role=vertex.role,
             )
-            spec.vertex_map[vid] = new_vid
+            vertex_map[vid] = new_vid
             map_back_vertex[new_vid] = vid
             if vertex.kind == VertexKind.ENTRY:
                 result.entry_vertex[spec.name] = new_vid
@@ -122,47 +165,31 @@ def read_out_sdg(source_sdg, a6, encoding, with_summary=False):
                 result.formal_ins[spec.name][vertex.role] = new_vid
             elif vertex.kind == VertexKind.FORMAL_OUT:
                 result.formal_outs[spec.name][vertex.role] = new_vid
-        if spec.proc in source_sdg.entry_vertex:
-            if source_sdg.entry_vertex[spec.proc] not in spec.orig_vertices:
-                raise ReadoutError(
-                    "specialization %s lacks its entry vertex" % spec.name
-                )
+        spec.vertex_map = vertex_map
 
     # -- intra-PDG edges induced by each vertex set (line 15) ------------------
     intra = (CONTROL, FLOW, LIBRARY)
-    for spec in specialized.values():
+    for spec in pdgs.values():
         for vid in spec.orig_vertices:
             for (src, dst, kind) in source_sdg.out_edges(vid):
                 if kind in intra and dst in spec.orig_vertices:
                     result.add_edge(spec.vertex_map[src], spec.vertex_map[dst], kind)
 
-    # -- call bindings and interprocedural edges (lines 19-24) ------------------
-    bindings = {}
-    map_back_site = {}
-    site_counter = [0]
-    for (src, symbol, dst) in a6.transitions():
-        if src == q0 or not encoding.is_site_symbol(symbol):
-            continue
-        callee_state, site_label, caller_state = src, symbol, dst
-        if caller_state not in specialized or callee_state not in specialized:
-            raise ReadoutError("call transition between unknown states")
-        bindings[(caller_state, site_label)] = callee_state
+    # -- interprocedural edges (lines 20-23) --------------------------------------
+    for number, ((caller_state, site_label), callee_state) in enumerate(
+        bindings.items(), 1
+    ):
+        new_label = "%s.%d" % (site_label, number)
+        map_back_site[new_label] = site_label
         _connect_site(
             source_sdg,
             result,
-            specialized[caller_state],
-            specialized[callee_state],
+            pdgs[caller_state],
+            pdgs[callee_state],
             site_label,
-            map_back_site,
-            site_counter,
+            new_label,
         )
-
-    if with_summary:
-        # Only needed when R itself is to be closure-sliced with the HRB
-        # two-phase algorithm; the PDS encoding (used by the reslicing
-        # check) does not consume summary edges.
-        compute_summary_edges(result)
-    return result, specialized, bindings, map_back_vertex, map_back_site
+    return result, map_back_vertex, map_back_site
 
 
 def _ordered(specialized, source_sdg):
@@ -190,25 +217,55 @@ def _assign_names(source_sdg, specialized):
             spec.name = "%s_%d" % (proc, index + 1)
 
 
-def _connect_site(source_sdg, result, caller, callee, site_label, map_back_site, counter):
-    """Instantiate one call site of the specialized SDG (lines 20-23),
-    checking the Cor. 3.19 parameter-matching invariant."""
+def _check_site(source_sdg, caller, callee, site_label):
+    """The Cor. 3.19 parameter-matching invariant at one bound call
+    site: the caller keeps the call vertex, and each actual-in (actual-
+    out) is kept exactly when the callee keeps its formal-in (formal-
+    out)."""
     site = source_sdg.call_sites[site_label]
-    call_vid = site.call_vertex
-    if call_vid not in caller.orig_vertices:
+    if site.call_vertex not in caller.orig_vertices:
         raise ReadoutError(
             "call transition for site %s but call vertex not in caller %s"
             % (site_label, caller.name)
         )
-    counter[0] += 1
-    new_label = "%s.%d" % (site_label, counter[0])
-    map_back_site[new_label] = site_label
+    for role, ai in site.actual_ins.items():
+        fi = source_sdg.formal_ins[site.callee].get(role)
+        ai_in = ai in caller.orig_vertices
+        fi_in = fi is not None and fi in callee.orig_vertices
+        if ai_in != fi_in:
+            raise ReadoutError(
+                "parameter mismatch at %s role %r: actual-in %s, formal-in %s"
+                % (site_label, role, ai_in, fi_in)
+            )
+    formal_outs = source_sdg.formal_outs[site.callee]
+    for role, fo in formal_outs.items():
+        ao = site.actual_outs.get(role)
+        fo_in = fo in callee.orig_vertices
+        ao_in = ao is not None and ao in caller.orig_vertices
+        if ao is not None and fo_in != ao_in:
+            raise ReadoutError(
+                "parameter mismatch at %s role %r: formal-out %s, actual-out %s"
+                % (site_label, role, fo_in, ao_in)
+            )
+    # An actual-out the caller keeps needs a kept formal-out to bind to
+    # (e.g. a captured return whose formal-out this callee drops).
+    for role, ao in site.actual_outs.items():
+        fo = formal_outs.get(role)
+        if ao in caller.orig_vertices and (fo is None or fo not in callee.orig_vertices):
+            raise ReadoutError(
+                "dangling actual-out at %s role %r in %s" % (site_label, role, caller.name)
+            )
 
+
+def _connect_site(source_sdg, result, caller, callee, site_label, new_label):
+    """Instantiate one checked call site of the specialized SDG
+    (lines 20-23) as ``new_label``."""
+    site = source_sdg.call_sites[site_label]
     new_site = CallSiteInfo(
         new_label,
         caller.name,
         callee.name,
-        caller.vertex_map[call_vid],
+        caller.vertex_map[site.call_vertex],
         site.stmt_uid,
     )
     # Record the specialized call-site label on the new call vertex so
@@ -220,43 +277,18 @@ def _connect_site(source_sdg, result, caller, callee, site_label, map_back_site,
 
     result.add_edge(new_site.call_vertex, result.entry_vertex[callee.name], CALL)
 
-    # Parameter-in edges, with the mismatch check both ways.
     for role, ai in site.actual_ins.items():
-        fi = source_sdg.formal_ins[site.callee].get(role)
-        ai_in = ai in caller.orig_vertices
-        fi_in = fi is not None and fi in callee.orig_vertices
-        if ai_in != fi_in:
-            raise ReadoutError(
-                "parameter mismatch at %s role %r: actual-in %s, formal-in %s"
-                % (site_label, role, ai_in, fi_in)
-            )
-        if ai_in:
+        if ai in caller.orig_vertices:
             new_ai = caller.vertex_map[ai]
             result.vertices[new_ai].site_label = new_label
             new_site.actual_ins[role] = new_ai
+            fi = source_sdg.formal_ins[site.callee][role]
             result.add_edge(new_ai, callee.vertex_map[fi], PARAM_IN)
 
-    # Parameter-out edges.
     for role, fo in source_sdg.formal_outs[site.callee].items():
         ao = site.actual_outs.get(role)
-        fo_in = fo in callee.orig_vertices
-        ao_in = ao is not None and ao in caller.orig_vertices
-        if ao is not None and fo_in != ao_in:
-            raise ReadoutError(
-                "parameter mismatch at %s role %r: formal-out %s, actual-out %s"
-                % (site_label, role, fo_in, ao_in)
-            )
-        if fo_in and ao_in:
+        if fo in callee.orig_vertices and ao is not None and ao in caller.orig_vertices:
             new_ao = caller.vertex_map[ao]
             result.vertices[new_ao].site_label = new_label
             new_site.actual_outs[role] = new_ao
             result.add_edge(callee.vertex_map[fo], new_ao, PARAM_OUT)
-
-    # Actual vertices not covered above (e.g. a captured return whose
-    # formal-out the callee keeps but this caller drops) cannot occur —
-    # verified by scanning the caller's remaining actual vertices.
-    for role, ao in site.actual_outs.items():
-        if ao in caller.orig_vertices and role not in new_site.actual_outs:
-            raise ReadoutError(
-                "dangling actual-out at %s role %r in %s" % (site_label, role, caller.name)
-            )

@@ -4,12 +4,14 @@
     2. A1 = Prestar(A0)  — stack-configuration slice   (§3.2)
     3. A6 = MRD(A1)      — reverse; determinize; minimize; reverse;
                            remove-epsilon              (§3.3)
-    4. read out the specialized SDG R from A6          (§3.4)
+    4. read out the specialized SDG R from A6          (§3.4;
+                           R itself is built on first read)
 
 Step 5 (pretty-printing R as source text) lives in
 :mod:`repro.core.executable`.
 """
 
+import threading
 import time
 
 from repro.core.criteria import (
@@ -17,9 +19,15 @@ from repro.core.criteria import (
     empty_stack_criterion,
     reachable_contexts_criterion,
 )
-from repro.core.readout import read_out_sdg
+from repro.core.readout import read_out_sdg, specialized_sdg
 from repro.fsa import determinize, intops, minimize, remove_epsilon, reverse
 from repro.pds import encode_sdg, prestar
+
+
+#: The result attributes built on first read, by :func:`specialized_sdg`.
+_BUILT_ON_READ = frozenset(["sdg", "map_back_vertex", "map_back_site"])
+#: Serializes those builds: one fills every SpecializedPDG.vertex_map.
+_BUILD_LOCK = threading.Lock()
 
 
 class SpecializationResult(object):
@@ -31,9 +39,9 @@ class SpecializationResult(object):
         encoding: the :class:`SDGEncoding` of ``S``.
         a1: the Prestar automaton (stack-configuration slice).
         a6: the MRD automaton.
-        sdg: the specialized SDG ``R``.
         pdgs: dict A6-state -> :class:`SpecializedPDG`.
         bindings: dict (caller state, orig site label) -> callee state.
+        sdg: the specialized SDG ``R``.
         map_back_vertex / map_back_site: the mapping ``MC``.
         stats: dict of instrumentation (state counts, timings).
         footprint: the ownership footprint of ``a1`` — the frozenset of
@@ -41,6 +49,11 @@ class SpecializationResult(object):
             by the session engine; see :mod:`repro.engine.artifacts`),
             or None outside a session.  What the incremental layer
             consults to decide whether the result survives an edit.
+
+    ``sdg`` and the two maps are built from ``pdgs`` and ``bindings``
+    when one of them is first read (rendering reads neither), together
+    with every ``SpecializedPDG.vertex_map``; results loaded from older
+    store entries carry them already.
     """
 
     def __init__(self):
@@ -49,15 +62,27 @@ class SpecializationResult(object):
         self.encoding = None
         self.a1 = None
         self.a6 = None
-        self.sdg = None
         self.pdgs = {}
         self.bindings = {}
-        self.map_back_vertex = {}
-        self.map_back_site = {}
         self.stats = {}
         self.footprint = None
 
+    def __getattr__(self, name):
+        # Reached only for names missing from the instance dict.
+        if name not in _BUILT_ON_READ:
+            raise AttributeError(name)
+        with _BUILD_LOCK:
+            if name not in self.__dict__:
+                self.sdg, self.map_back_vertex, self.map_back_site = specialized_sdg(
+                    self.source_sdg, self.pdgs, self.bindings
+                )
+        return self.__dict__[name]
+
     # -- convenience queries ----------------------------------------------------
+
+    def vertex_count(self):
+        """The number of vertices of ``R``, from the partition alone."""
+        return sum(len(spec.orig_vertices) for spec in self.pdgs.values())
 
     def specializations_of(self, proc):
         """The :class:`SpecializedPDG` list for an original procedure."""
@@ -169,16 +194,9 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None):
     result.a6 = a6
     t3 = time.perf_counter()
 
-    r_sdg, pdgs, bindings, map_back_vertex, map_back_site = read_out_sdg(
-        sdg, a6, encoding
-    )
+    result.pdgs, result.bindings = read_out_sdg(sdg, a6, encoding)
     t4 = time.perf_counter()
 
-    result.sdg = r_sdg
-    result.pdgs = pdgs
-    result.bindings = bindings
-    result.map_back_vertex = map_back_vertex
-    result.map_back_site = map_back_site
     result.stats = {
         "encode_seconds": t1 - t0,
         "prestar_seconds": t2 - t1,

@@ -202,67 +202,6 @@ def assemble_automaton(states, initials, finals, triples):
     return automaton
 
 
-def decode_packed_rows(
-    state_list, sym_list, out_rows, eps_out, initials_bits, finals_bits, keep
-):
-    """Rebuild a :class:`FiniteAutomaton` from packed fixpoint rows
-    (``out_rows[src id]`` = ``{symbol id: target bitset}``), restricted
-    to the ``keep`` state bitset — how :mod:`repro.pds.kernel` decodes
-    each member of a saturation batch."""
-    triples = []
-    for sid in iter_bits(keep):
-        src = state_list[sid]
-        for sym, bits in out_rows[sid].items():
-            symbol = sym_list[sym]
-            for dst in iter_bits(bits & keep):
-                triples.append((src, symbol, state_list[dst]))
-        if eps_out is not None and eps_out[sid]:
-            for dst in iter_bits(eps_out[sid] & keep):
-                triples.append((src, EPSILON, state_list[dst]))
-    return assemble_automaton(
-        [state_list[sid] for sid in iter_bits(keep)],
-        [state_list[sid] for sid in iter_bits(initials_bits & keep)],
-        [state_list[sid] for sid in iter_bits(finals_bits & keep)],
-        triples,
-    )
-
-
-def trim_packed_rows(out_rows, initials_bits, finals_bits, present):
-    """Useful-part bitset over packed saturation rows (the int form of
-    :meth:`FiniteAutomaton.trim`, for the dict-row layout of
-    :func:`decode_packed_rows` rather than :class:`IntAutomaton`)."""
-    forward = 0
-    todo = initials_bits & present
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        if forward & low:
-            continue
-        forward |= low
-        succ = 0
-        for bits in out_rows[low.bit_length() - 1].values():
-            succ |= bits
-        todo |= succ & present & ~forward
-    rin = {}
-    for sid in iter_bits(forward):
-        succ = 0
-        for bits in out_rows[sid].values():
-            succ |= bits
-        low = 1 << sid
-        for dst in iter_bits(succ & forward):
-            rin[dst] = rin.get(dst, 0) | low
-    backward = 0
-    todo = finals_bits & forward
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        if backward & low:
-            continue
-        backward |= low
-        todo |= rin.get(low.bit_length() - 1, 0) & ~backward
-    return forward & backward
-
-
 def trim_bits(enc, extra_sources=0):
     """The useful-part bitset of an encoded automaton: states reachable
     from an initial state and co-reachable to a final one — the int

@@ -74,42 +74,6 @@ def remove_epsilon_int(automaton):
     )
 
 
-def eliminate_epsilon_rows(out_rows, eps_out, present, finals_bits):
-    """Epsilon elimination directly over the saturation kernel's packed
-    fixpoint rows (``out_rows[src id]`` = ``{symbol id: target bitset}``,
-    ``eps_out[src id]`` = epsilon-successor bitset), restricted to the
-    ``present`` state bitset: states unchanged, a state becomes final
-    iff its epsilon closure meets the finals, and its non-epsilon rows
-    are unioned over the closure.  Returns ``(closed_rows,
-    closed_finals)``.  This is the row-level twin of
-    :func:`remove_epsilon_int`, which closes the epsilons of each
-    :func:`repro.pds.kernel.poststar_many_csr` projection."""
-    closed_rows = [None] * len(out_rows)
-    closed_finals = finals_bits
-    for sid in iter_bits(present):
-        bit = 1 << sid
-        closure = bit
-        todo = eps_out[sid]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            if closure & low:
-                continue
-            closure |= low
-            todo |= eps_out[low.bit_length() - 1] & ~closure
-        if closure & finals_bits:
-            closed_finals |= bit
-        if closure == bit:
-            closed_rows[sid] = out_rows[sid]
-            continue
-        row = dict(out_rows[sid])
-        for mid in iter_bits(closure ^ bit):
-            for sym, bits in out_rows[mid].items():
-                row[sym] = row.get(sym, 0) | bits
-        closed_rows[sid] = row
-    return closed_rows, closed_finals
-
-
 def determinize_int(automaton):
     """Determinization (reference: :func:`repro.fsa.reference
     .determinize_reference`): subset construction with epsilon-closure

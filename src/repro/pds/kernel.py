@@ -54,8 +54,7 @@ import weakref
 from collections import deque
 
 from repro.fsa.automaton import EPSILON
-from repro.fsa.intcodec import decode_packed_rows, iter_bits, trim_packed_rows
-from repro.fsa.intops import eliminate_epsilon_rows
+from repro.fsa.intcodec import assemble_automaton, iter_bits
 
 class CompiledPDS(object):
     """A :class:`PushdownSystem` flattened to int arrays (see the
@@ -231,11 +230,13 @@ def _batch_tables(comp, automata, with_mids):
     return state_index, state_list, sym_index, sym_list
 
 
-def _count_pops(stats, pops):
+def _count(stats, name, amount):
+    """Add to a ``kernel_*`` counter: ``kernel_worklist_pops``, or
+    ``kernel_projection_visits`` — memberships handed to single
+    criteria plus transitions their projections visit, the
+    per-criterion work of projecting a fused pass."""
     if stats is not None:
-        stats["kernel_worklist_pops"] = (
-            stats.get("kernel_worklist_pops", 0) + pops
-        )
+        stats[name] = stats.get(name, 0) + amount
 
 
 # -- the saturations: one multi-criterion worklist per direction ---------
@@ -269,10 +270,9 @@ def _count_pops(stats, pops):
 # A_i.states`` (∪ the touched mid states for Poststar), which is
 # precisely the single-query state table, so restricting decode to
 # those states loses nothing.  Each projection then trims and decodes
-# through :func:`repro.fsa.intcodec.trim_packed_rows` /
-# :func:`decode_packed_rows` (closing epsilons first with
-# :func:`repro.fsa.intops.eliminate_epsilon_rows` for Poststar) —
-# pinned against the reference worklists by
+# through :func:`_project` (closing epsilons first with
+# :func:`_close_epsilons` for Poststar; see the projection section
+# below) — pinned against the reference worklists by
 # ``tests/test_fused_saturation.py`` and
 # ``tests/test_kernel_properties.py``.
 
@@ -370,41 +370,19 @@ def prestar_many_csr(pds, automata, trim=False, stats=None):
                 m = m1 & new
                 if m:
                     trans.append((lhs_head * nq + q1, m))
-    _count_pops(stats, pops)
+    _count(stats, "kernel_worklist_pops", pops)
 
-    # Project: distribute the fused fixpoint into per-criterion rows.
-    rows_all = [[{} for _ in range(nq)] for _ in range(n)]
-    for code, bits in done.items():
-        q1 = code % nq
-        head = code // nq
-        q = head // ns
-        sym = head - q * ns
-        target = 1 << q1
-        for i in iter_bits(bits):
-            row = rows_all[i][q]
-            row[sym] = row.get(sym, 0) | target
-    locs_bits = (1 << nlocs) - 1 if nlocs else 0
+    shared, own = _hand_out(done, n, full, stats)
+    tables = (state_list, sym_list, nq, ns, nlocs)
+    shared_into = _by_target(shared, nq)
     results = []
     for i, automaton in enumerate(automata):
         # Criterion i's state table is the sequential run's: control
         # locations plus its own query states.
-        present = locs_bits
-        initials_bits = locs_bits
-        finals_bits = 0
-        for state in automaton.states:
-            present |= 1 << state_index[state]
-        for state in automaton.initials:
-            initials_bits |= 1 << state_index[state]
-        for state in automaton.finals:
-            finals_bits |= 1 << state_index[state]
-        out_rows = rows_all[i]
-        keep = present
-        if trim:
-            keep = trim_packed_rows(out_rows, initials_bits, finals_bits, present)
+        states, initials, finals = _query_ids(automaton, state_index, nlocs)
         results.append(
-            decode_packed_rows(
-                state_list, sym_list, out_rows, None,
-                initials_bits, finals_bits, keep,
+            _project(
+                tables, shared_into, own[i], states, initials, finals, trim, stats
             )
         )
     return results
@@ -431,6 +409,7 @@ def poststar_many_csr(pds, automata, trim=False, stats=None):
     ns = len(sym_list)
     base = ns * nq
     n = len(automata)
+    full = (1 << n) - 1
 
     trans = deque()
     for i, automaton in enumerate(automata):
@@ -526,63 +505,176 @@ def poststar_many_csr(pds, automata, trim=False, stats=None):
                     m = new & m2
                     if m:
                         trans.append((p1 * base + tail, m))
-    _count_pops(stats, pops)
+    _count(stats, "kernel_worklist_pops", pops)
 
-    # Project: per-criterion rows, epsilon rows, and present sets (a
-    # mid state is present for criterion i only if run i touched it —
-    # exactly the sequential state-set rule).
-    locs_bits = (1 << nlocs) - 1 if nlocs else 0
-    rows_all = [[{} for _ in range(nq)] for _ in range(n)]
-    eps_all = [[0] * nq for _ in range(n)]
-    present_all = [locs_bits] * n
-    has_eps = [False] * n
-    for code, bits in done.items():
-        q = code % nq
-        head = code // nq
-        p = head // ns
-        sym = head - p * ns
-        endpoints = (1 << p) | (1 << q)
-        target = 1 << q
-        for i in iter_bits(bits):
-            row = rows_all[i][p]
-            row[sym] = row.get(sym, 0) | target
-            present_all[i] |= endpoints
-    for ecode, bits in eps_done.items():
-        q = ecode % nq
-        p = ecode // nq
-        endpoints = (1 << p) | (1 << q)
-        target = 1 << q
-        for i in iter_bits(bits):
-            eps_all[i][p] |= target
-            present_all[i] |= endpoints
-            has_eps[i] = True
-
+    # Project: a mid state belongs to criterion i's state table only if
+    # one of its transitions touches it — exactly the sequential
+    # state-set rule.  Epsilons are closed per criterion, then the one
+    # projection routine trims and decodes.
+    shared, own = _hand_out(done, n, full, stats)
+    eps_shared, eps_own = _hand_out(eps_done, n, full, stats)
+    tables = (state_list, sym_list, nq, ns, nlocs)
     results = []
     for i, automaton in enumerate(automata):
-        present = present_all[i]
-        initials_bits = locs_bits
-        finals_bits = 0
-        for state in automaton.states:
-            present |= 1 << state_index[state]
-        for state in automaton.initials:
-            initials_bits |= 1 << state_index[state]
-        for state in automaton.finals:
-            finals_bits |= 1 << state_index[state]
-        out_rows = rows_all[i]
-        if has_eps[i]:
-            out_rows, finals_bits = eliminate_epsilon_rows(
-                out_rows, eps_all[i], present, finals_bits
-            )
-        keep = present
-        if trim:
-            keep = trim_packed_rows(out_rows, initials_bits, finals_bits, present)
+        states, initials, finals = _query_ids(automaton, state_index, nlocs)
+        codes = shared + own[i]
+        eps = eps_shared + eps_own[i]
+        for code in codes:
+            states.add(code // base)
+            states.add(code % nq)
+        for ecode in eps:
+            states.add(ecode // nq)
+            states.add(ecode % nq)
+        if eps:
+            codes, finals = _close_epsilons(codes, eps, finals, nq, base)
         results.append(
-            decode_packed_rows(
-                state_list, sym_list, out_rows, None,
-                initials_bits, finals_bits, keep,
-            )
+            _project(tables, {}, codes, states, initials, finals, trim, stats)
         )
     return results
+
+
+# -- the projection: criterion i's automaton out of the fused fixpoint ----
+#
+# A fused fixpoint is mostly criterion-independent: Prestar's pop-rule
+# seeds carry the full mask, and so does everything derived from them
+# alone (on scaled wc, about three quarters of the transitions).  The
+# projection therefore never walks the whole fixpoint per criterion.
+# :func:`_hand_out` splits it once per batch into the full-mask
+# transitions and, per criterion, its remaining memberships;
+# :func:`_project` decodes one criterion from the shared set plus its
+# own, and trims by walking backward from the criterion's finals (every
+# transition into a co-reachable state) and then forward from its
+# initials over just the transitions that walk collected.  A trimmed
+# criterion therefore costs its own memberships plus its kept part, at
+# any program size.  Both walks are the reference trim's: a state
+# reachable from an initial and co-reachable to a final lies on an
+# initial-to-final path whose every state is co-reachable, so the
+# forward walk over the collected transitions finds exactly the
+# reachable co-reachable states.
+
+
+def _hand_out(done, n, full, stats):
+    """Split a fused fixpoint (packed code -> membership bitset) into
+    the full-mask codes, shared by every criterion, and each
+    criterion's list of its other codes."""
+    shared = []
+    own = [[] for _ in range(n)]
+    handed = 0
+    for code, bits in done.items():
+        if bits == full:
+            shared.append(code)
+            continue
+        for i in iter_bits(bits):
+            own[i].append(code)
+            handed += 1
+    _count(stats, "kernel_projection_visits", handed)
+    return shared, own
+
+
+def _by_target(codes, nq):
+    """Packed transition codes indexed by target state id."""
+    into = {}
+    for code in codes:
+        into.setdefault(code % nq, []).append(code)
+    return into
+
+
+def _query_ids(automaton, state_index, nlocs):
+    """A query automaton's states, initials and finals as state ids,
+    leaving out the control locations (in every criterion's state table,
+    and initial in every saturation result)."""
+    return (
+        {sid for sid in map(state_index.get, automaton.states) if sid >= nlocs},
+        {state_index[state] for state in automaton.initials},
+        {state_index[state] for state in automaton.finals},
+    )
+
+
+def _close_epsilons(codes, eps, finals, nq, base):
+    """Epsilon elimination over one criterion's packed transitions (the
+    reference's ``remove_epsilon``): a state becomes final iff its
+    epsilon closure meets the finals, and gains the transitions of every
+    state in its closure.  ``eps`` holds ``p * nq + q`` codes; returns
+    ``(closed codes, closed finals)``."""
+    eps_out = {}
+    for ecode in eps:
+        p, q = divmod(ecode, nq)
+        eps_out.setdefault(p, []).append(q)
+    out = {}
+    for code in codes:
+        out.setdefault(code // base, []).append(code)
+    closed = set(codes)
+    closed_finals = set(finals)
+    for sid in eps_out:
+        closure = {sid}
+        stack = [sid]
+        while stack:
+            for q in eps_out.get(stack.pop(), ()):
+                if q not in closure:
+                    closure.add(q)
+                    stack.append(q)
+        if not closure.isdisjoint(finals):
+            closed_finals.add(sid)
+        shift = sid * base
+        for mid in closure:
+            if mid != sid:
+                for code in out.get(mid, ()):
+                    closed.add(code - mid * base + shift)
+    return closed, closed_finals
+
+
+def _project(tables, shared_into, own, states, initials, finals, trim, stats):
+    """Decode one batch member: its transitions are the batch's shared
+    full-mask codes (``shared_into``, indexed by target) plus ``own``;
+    ``states``/``initials``/``finals`` are its state ids beyond the
+    control locations, which every member has and which are always
+    initial.  With ``trim``, only the useful part is visited (see the
+    section comment); otherwise every transition is kept."""
+    state_list, sym_list, nq, ns, nlocs = tables
+    base = nq * ns
+    if trim:
+        own_into = _by_target(own, nq)
+        coreach = set(finals)
+        stack = list(coreach)
+        collected = []
+        while stack:
+            dst = stack.pop()
+            for into in (shared_into, own_into):
+                for code in into.get(dst, ()):
+                    collected.append(code)
+                    src = code // base
+                    if src not in coreach:
+                        coreach.add(src)
+                        stack.append(src)
+        succ = {}
+        for code in collected:
+            succ.setdefault(code // base, []).append(code % nq)
+        keep = {sid for sid in coreach if sid < nlocs or sid in initials}
+        stack = list(keep)
+        while stack:
+            for dst in succ.get(stack.pop(), ()):
+                if dst not in keep:
+                    keep.add(dst)
+                    stack.append(dst)
+        codes = [code for code in collected if code // base in keep]
+        _count(stats, "kernel_projection_visits", len(collected))
+    else:
+        keep = set(range(nlocs)) | states
+        codes = [code for row in shared_into.values() for code in row]
+        codes.extend(own)
+        _count(stats, "kernel_projection_visits", len(codes))
+    triples = []
+    for code in codes:
+        head, dst = divmod(code, nq)
+        src, sym = divmod(head, ns)
+        triples.append((state_list[src], sym_list[sym], state_list[dst]))
+    kept = sorted(keep)
+    return assemble_automaton(
+        [state_list[sid] for sid in kept],
+        [state_list[sid] for sid in kept if sid < nlocs or sid in initials],
+        [state_list[sid] for sid in kept if sid in finals],
+        triples,
+    )
 
 
 def prestar_csr(pds, automaton, trim=False, stats=None):

@@ -120,6 +120,14 @@ class SystemDependenceGraph(object):
         self.sites_on_proc = {}  # callee name -> list of labels
         self.vertex_of_stmt = {}  # stmt uid -> vid (statement/call/predicate)
 
+    def __getstate__(self):
+        # The print-vertex cache stays out of pickles, so front-half
+        # bundles keep their bytes (and older bundles, which never had
+        # one, load unchanged).
+        state = self.__dict__.copy()
+        state.pop("_print_calls", None)
+        return state
+
     # -- construction ---------------------------------------------------------
 
     def new_vertex(self, kind, proc, label, stmt_uid=None, site_label=None, role=None):
@@ -181,13 +189,29 @@ class SystemDependenceGraph(object):
     # -- criterion helpers --------------------------------------------------------
 
     def print_call_vertices(self):
-        """Call vertices of ``print`` statements, in program order."""
-        result = []
-        for vid in sorted(self.vertices):
-            vertex = self.vertices[vid]
-            if vertex.kind == VertexKind.CALL and vertex.label.startswith("call print"):
-                result.append(vid)
-        return result
+        """Call vertices of ``print`` statements, in program order.
+
+        The vertex table is scanned once and the answer cached against
+        its size, so resolving every ``("print", i)`` of a program costs
+        one scan, and a graph still gaining vertices (the read-out builds
+        ``R`` vertex by vertex) is rescanned rather than answered stale.
+        The cache never reaches pickles (:meth:`__getstate__`).  Only the
+        library print's call vertex counts: a call of a procedure named
+        ``printer`` is labelled ``call printer``."""
+        count = len(self.vertices)
+        cached = getattr(self, "_print_calls", None)
+        if cached is None or cached[0] != count:
+            vertices = self.vertices
+            cached = self._print_calls = (
+                count,
+                tuple(
+                    vid
+                    for vid in sorted(vertices)
+                    if vertices[vid].kind == VertexKind.CALL
+                    and vertices[vid].label == "call print"
+                ),
+            )
+        return list(cached[1])
 
     def print_criterion(self, vids=None):
         """The slicing criterion "the actual parameters of print": the

@@ -68,13 +68,7 @@ def _result(sdg, encoding, a0, a1, a6):
     result.criterion = a0
     result.a1 = a1
     result.a6 = a6
-    (
-        result.sdg,
-        result.pdgs,
-        result.bindings,
-        result.map_back_vertex,
-        result.map_back_site,
-    ) = read_out_sdg(sdg, a6, encoding)
+    result.pdgs, result.bindings = read_out_sdg(sdg, a6, encoding)
     return result
 
 

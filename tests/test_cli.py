@@ -190,6 +190,43 @@ def test_slice_batch_reports_the_fused_pass(tmp_path):
     assert "fused: 1 criteria saturated in 1 batch pass" in single
 
 
+#: A procedure whose name starts with "print" is not a print statement.
+PRINTER_SOURCE = """int g;
+void printer(int x) { g = x; }
+int main() {
+  printer(5);
+  print("%d", g);
+  return 0;
+}
+"""
+
+
+@pytest.fixture()
+def printer_file(tmp_path):
+    path = tmp_path / "printer.tc"
+    path.write_text(PRINTER_SOURCE)
+    return str(path)
+
+
+def test_info_counts_only_print_statements(printer_file):
+    assert "prints:       1" in run_cli(["info", printer_file])
+
+
+def test_slice_of_a_print_next_to_a_printer_procedure(printer_file):
+    output = run_cli(["slice", printer_file, "--print", "0"])
+    assert "// versions: {'printer': 1, 'main': 1}" in output
+    assert 'print("%d", g);' in output
+    with pytest.raises(SystemExit):
+        run_cli(["slice", printer_file, "--print", "1"])
+
+
+def test_slice_batch_answers_one_criterion_per_print(printer_file):
+    output = run_cli(["slice-batch", printer_file, "--prints", "all"])
+    assert "print #0: 10 vertices" in output
+    assert "print #1" not in output
+    assert "batch: 1 criteria" in output
+
+
 # -- user errors: one line on stderr, exit code 2 ------------------------------------
 
 

@@ -144,6 +144,42 @@ def test_fused_kernels_match_reference_worklists(seed):
     )
 
 
+def test_wide_batch_on_scaled_wc_matches_reference_worklists():
+    """Every print of scaled wc (64 categories), the all-prints
+    criterion and one member submitted twice: membership masks wider
+    than a machine word, with most Prestar transitions carrying the
+    full mask (criterion-independent pop-rule consequences), so each
+    projection is mostly the shared set plus a few bits of its own."""
+    from repro.engine.canonical import resolve_criterion_spec
+
+    session = SlicingSession(scaled_wc_source(64))
+    pds = session.encoding.pds
+    prints = len(session.sdg.print_call_vertices())
+    automata = [
+        session._query_automaton(
+            *resolve_criterion_spec(session.sdg, criterion), "reachable"
+        )
+        for criterion in [("print", i) for i in range(prints)] + ["prints"]
+    ]
+    automata.append(automata[0])
+    assert len(automata) > 64
+    for saturation, many in (
+        (prestar_reference, prestar_many_csr),
+        (poststar_reference, poststar_many_csr),
+    ):
+        untrimmed = [saturation(pds, a) for a in automata]
+        assert _payloads(many(pds, automata)) == _payloads(untrimmed)
+        assert _payloads(many(pds, automata, trim=True)) == (
+            _payloads([a.trim() for a in untrimmed])
+        )
+        if saturation is prestar_reference:
+            # A transition carries the full mask iff every member's own
+            # saturation derives it.
+            members = [set(a.transitions()) for a in untrimmed]
+            shared = set.intersection(*members)
+            assert len(shared) > 0.7 * len(set.union(*members))
+
+
 @pytest.mark.smoke
 @pytest.mark.parametrize("seed", range(6))
 def test_singleton_batch_is_the_plain_saturation(seed):

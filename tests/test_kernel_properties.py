@@ -17,9 +17,10 @@ These tests pin the three layers of that promise:
 * the saturations: ``poststar_csr``/``prestar_csr`` (batches of one)
   and batches of 2-5 queries through ``poststar_many_csr`` /
   ``prestar_many_csr`` match the reference worklists
-  payload-for-payload, and their output is independent of the order
-  rules were inserted into the :class:`PushdownSystem` (the fixpoint is
-  canonical; the worklist order must not leak).
+  payload-for-payload — duplicated members and members whose trimmed
+  projection is empty included — and their output is independent of
+  the order rules were inserted into the :class:`PushdownSystem` (the
+  fixpoint is canonical; the worklist order must not leak).
 """
 
 import random
@@ -261,6 +262,36 @@ def test_batched_saturations_match_reference_worklists(seed):
             automaton_to_payload(poststar_reference(pds, q, trim=trim))
             for q in queries
         ], tag
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_degenerate_batch_members_match_reference_worklists(seed):
+    """Batches that also hold a duplicated query and a query whose only
+    final state nothing reaches: the duplicate projects like its twin,
+    and the dead query's trimmed projection is empty in both
+    directions."""
+    pds, _query, _rules = random_pds(seed)
+    locs = sorted(pds.control_locations)
+    syms = sorted(pds.stack_symbols)
+    queries = random_queries(seed, locs, syms)
+    rng = random.Random(seed)
+    dead = FiniteAutomaton(initials=[rng.choice(locs)], finals=["dead"])
+    dead.add_transition(rng.choice(locs), rng.choice(syms), "stray")
+    batch = list(queries)
+    batch.insert(rng.randint(0, len(batch)), rng.choice(queries))
+    batch.insert(rng.randint(0, len(batch)), dead)
+    for trim in (False, True):
+        tag = (seed, trim)
+        for many, reference in (
+            (prestar_many_csr, prestar_reference),
+            (poststar_many_csr, poststar_reference),
+        ):
+            fused = many(pds, batch, trim=trim)
+            assert [automaton_to_payload(a) for a in fused] == [
+                automaton_to_payload(reference(pds, q, trim=trim)) for q in batch
+            ], tag
+            if trim:
+                assert not fused[batch.index(dead)].states, tag
 
 
 @pytest.mark.smoke

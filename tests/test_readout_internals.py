@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import specialization_slice
-from repro.core.readout import ReadoutError, read_out_sdg
+from repro.core.readout import ReadoutError, read_out_sdg, specialized_sdg
 from repro.fsa import FiniteAutomaton
 from repro.pds import encode_sdg
 from repro.workloads.paper_figures import load_fig1
@@ -78,9 +78,10 @@ def test_readout_of_empty_automaton():
     _p, _i, sdg = load_fig1()
     encoding = encode_sdg(sdg)
     empty = FiniteAutomaton()
-    r_sdg, pdgs, bindings, mapv, maps = read_out_sdg(sdg, empty, encoding)
-    assert r_sdg.vertex_count() == 0
+    pdgs, bindings = read_out_sdg(sdg, empty, encoding)
     assert pdgs == {} and bindings == {}
+    r_sdg, _mapv, _maps = specialized_sdg(sdg, pdgs, bindings)
+    assert r_sdg.vertex_count() == 0
 
 
 def test_result_sdg_has_site_bookkeeping():
@@ -95,8 +96,10 @@ def test_result_sdg_has_site_bookkeeping():
 
 def test_map_back_is_injective_per_spec():
     _sdg, result = fig1_result()
+    result.sdg  # the vertex maps are filled when R is built
     for spec in result.pdgs.values():
         new_vids = list(spec.vertex_map.values())
+        assert len(new_vids) == len(spec.orig_vertices)
         assert len(new_vids) == len(set(new_vids))
 
 

@@ -542,6 +542,24 @@ def test_feature_cone_saturation_survives_edit_pr3_dropped():
 # -- canonicalization unit checks -------------------------------------------------
 
 
+def test_print_criteria_skip_procedures_named_print_something():
+    source = """int g;
+void printer(int x) { g = x; }
+int main() {
+  printer(5);
+  print("%d", g);
+  return 0;
+}
+"""
+    session = SlicingSession(source)
+    assert len(session.sdg.print_call_vertices()) == 1
+    result = session.slice(("print", 0))
+    assert result.version_counts() == {"printer": 1, "main": 1}
+    assert repro.run_program(session.executable(("print", 0)).program).values == [5]
+    with pytest.raises(ValueError):
+        session.slice(("print", 1))
+
+
 def test_canonical_key_forms():
     _program, _info, sdg = repro.load_source(FIG1_SOURCE)
     all_prints = resolve_criterion_spec(sdg, "prints")
