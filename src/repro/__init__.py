@@ -34,11 +34,10 @@ see :mod:`repro.engine.canonical`).  ``open_session`` itself caches
 sessions by a hash of the source text, so a mutated source always gets
 a fresh session and can never observe stale SDG or automaton results.
 ``slice_many`` saturates a batch's cold criteria — however many — in
-one fused kernel pass and fans the rest of the work out over a thread
-pool against the shared read-only encoding.  The batch
-CLI::
+one fused kernel pass, then answers each criterion in turn against the
+shared read-only encoding.  The batch CLI::
 
-    python -m repro slice-batch prog.tc --prints all --jobs 4
+    python -m repro slice-batch prog.tc --prints all
 
 The persistent store — across processes and restarts
 ----------------------------------------------------
@@ -163,13 +162,11 @@ def slice_source(source, print_index=None, contexts="reachable"):
         :class:`repro.core.SpecializationResult`.
     """
     from repro.core import executable_program, specialization_slice
+    from repro.engine.canonical import resolve_criterion_spec
 
     _program, _info, sdg = load_source(source)
-    prints = sdg.print_call_vertices()
-    if print_index is None:
-        criterion = sdg.print_criterion()
-    else:
-        criterion = sdg.print_criterion([prints[print_index]])
+    # ("print", None) is every print; a bad index raises ValueError.
+    _kind, criterion = resolve_criterion_spec(sdg, ("print", print_index))
     result = specialization_slice(sdg, criterion, contexts=contexts)
     executable = executable_program(result)
     executable.result = result

@@ -10,13 +10,13 @@ Commands:
   once, slice w.r.t. each requested print statement (``--prints
   0,2,5`` or ``--prints all``) through a shared
   :class:`repro.engine.SlicingSession` (cold criteria saturate in one
-  fused pass, the rest fans out over ``--jobs`` threads), and report
-  per-criterion sizes plus cache stats.  ``--cache-dir DIR`` backs the
-  session with the persistent on-disk store, so re-running the batch
-  in a new process answers from disk.  ``--reuse-from PREV_FILE``
-  opens the session for a previous revision of the file and
-  incrementally updates it to the current text (unchanged procedures
-  keep their PDGs and saturations; see
+  fused pass, then each is answered in turn), and report
+  per-criterion sizes plus cache stats.  ``--cache-dir DIR`` backs
+  the session with the persistent on-disk store, so re-running the
+  batch in a new process answers from disk.  ``--reuse-from
+  PREV_FILE`` opens the session for a previous revision of the file
+  and incrementally updates it to the current text (unchanged
+  procedures keep their PDGs and saturations; see
   :mod:`repro.engine.incremental`).
 * ``cache``     — manage the persistent store: ``cache stats``
   (``--json`` for machine-readable output; both forms break entries
@@ -132,8 +132,6 @@ def cmd_slice_batch(args):
     import time
 
     source = _read(args.file)
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("error: --jobs must be at least 1")
     update = None
     if args.reuse_from:
         # Incremental path: open (or revive) the session for the
@@ -163,7 +161,7 @@ def cmd_slice_batch(args):
     t0 = time.perf_counter()
     try:
         # Range validation lives in the engine's criterion resolution.
-        results = session.slice_many(criteria, max_workers=args.jobs)
+        results = session.slice_many(criteria)
     except ValueError as exc:
         raise SystemExit("error: %s" % exc)
     elapsed = time.perf_counter() - t0
@@ -365,7 +363,6 @@ def build_parser():
         default="all",
         help="comma-separated print indices, or 'all' (default)",
     )
-    p_batch.add_argument("--jobs", type=int, default=None)
     p_batch.add_argument(
         "--cache-dir",
         default=None,

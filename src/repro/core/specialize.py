@@ -20,7 +20,10 @@ from repro.core.criteria import (
     reachable_contexts_criterion,
 )
 from repro.core.readout import read_out_sdg, specialized_sdg
+# reverse/remove_epsilon/determinize/minimize are not called here:
+# perfbench/tracing.py wraps them by name.
 from repro.fsa import determinize, intops, minimize, remove_epsilon, reverse
+from repro.fsa.ops import staged_mrd
 from repro.pds import encode_sdg, prestar
 
 
@@ -171,26 +174,17 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None):
     result.a1 = a1
     t2 = time.perf_counter()
 
-    # Lines 4-8: the five automaton operations, instrumented separately
-    # so experiments can report determinize input/output sizes (§4.2).
+    # Lines 4-8, keeping the stage sizes experiments report (§4.2).
     view = as_query_view(a1, encoding)
     # One fused pass (reverse; determinize; minimize; reverse) over the
-    # int codec; falls back below iff the view has epsilon transitions,
-    # which saturation views never do.
+    # int codec; the staged chain runs iff the view has epsilon
+    # transitions, which saturation views never do.
     fused = intops.mrd_int(view)
     if fused is not None:
         a6, a3_states, a4_states = fused
         a2_states = len(view.states)
     else:
-        a2 = reverse(view)
-        a2 = remove_epsilon(a2) if a2.has_epsilon() else a2
-        a3 = determinize(a2)
-        a4 = minimize(a3)
-        a5 = reverse(a4)
-        a6 = remove_epsilon(a5) if a5.has_epsilon() else a5
-        a2_states = len(a2.states)
-        a3_states = len(a3.states)
-        a4_states = len(a4.states)
+        a6, a2_states, a3_states, a4_states = staged_mrd(view)
     result.a6 = a6
     t3 = time.perf_counter()
 

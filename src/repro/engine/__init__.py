@@ -3,7 +3,7 @@
 * :mod:`repro.engine.session` — :class:`SlicingSession`: shared
   parse/SDG/encoding/saturation, per-criterion memoization, optional
   persistent-store backing, and the ``slice_many`` batch driver (one
-  fused saturation pass, then a thread pool).
+  fused saturation pass, then each criterion in the calling thread).
 * :mod:`repro.engine.artifacts` — :class:`SaturationArtifact`: the
   relocatable (trimmed automaton + canonical key + per-procedure
   ownership footprint) form every saturation takes — the single
@@ -20,7 +20,8 @@
   saturations filed under *other* revisions via the store's per-revision
   footprint indexes.
 * :mod:`repro.engine.parallel` — :func:`slice_many_programs`, the
-  multi-program batch driver (one worker per program).
+  multi-program batch driver (one worker process per program, or the
+  calling process with one worker).
 
 Most users reach this through :func:`repro.open_session`.
 """

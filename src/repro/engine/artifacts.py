@@ -215,16 +215,12 @@ def symbol_owner_procs(sdg, automaton):
     return procs
 
 
-def artifact_footprint(sdg, proc_keys, automaton, trimmed=True):
-    """The ownership footprint of an automaton over a front half: the
-    content keys of every procedure owning a symbol on the automaton's
-    useful part.  ``proc_keys`` is the ``name -> content key`` map of
-    the front half.
-
-    ``trimmed=False`` trims first (saturations produced with
-    ``trim=True`` skip it)."""
-    if not trimmed:
-        automaton = automaton.trim()
+def artifact_footprint(sdg, proc_keys, automaton):
+    """The ownership footprint of a trimmed automaton over a front half:
+    the content keys of every procedure owning one of its symbols.
+    ``proc_keys`` is the ``name -> content key`` map of the front half.
+    Every saturation is computed with ``trim=True``, so its whole
+    automaton is the useful part."""
     return frozenset(
         proc_keys[name]
         for name in symbol_owner_procs(sdg, automaton)
@@ -232,11 +228,10 @@ def artifact_footprint(sdg, proc_keys, automaton, trimmed=True):
     )
 
 
-def make_artifact(kind, key, automaton, sdg, proc_keys, trimmed=True):
-    """Package a saturation automaton as an artifact over the given
-    front half (see :func:`artifact_footprint` for the arguments)."""
-    if not trimmed:
-        automaton = automaton.trim()
+def make_artifact(kind, key, automaton, sdg, proc_keys):
+    """Package a trimmed saturation automaton as an artifact over the
+    given front half (see :func:`artifact_footprint` for the
+    arguments)."""
     return SaturationArtifact(
         kind, key, automaton, artifact_footprint(sdg, proc_keys, automaton)
     )

@@ -1,17 +1,17 @@
 """Multi-program batch slicing: one worker per program.
 
-:meth:`SlicingSession.slice_many` batches criteria *within* one
-program on threads; this module parallelizes *across* programs — the
-corpus-inspection shape (run every criterion of every file in a
-project) and the one place process-level parallelism measured a win
-(0.46-0.51 s on processes vs 0.58-0.72 s on threads for four generated
-programs on 2 cores), because the per-program front half and
-saturations are completely independent and the GIL is the only thing
-serializing them on the thread backend.
+:meth:`SlicingSession.slice_many` answers the criteria *within* one
+program in the calling thread; this module spreads *across* programs —
+the corpus-inspection shape (run every criterion of every file in a
+project) and the one place parallelism measured a win: four generated
+programs took 0.55 s on a 2-process pool, 0.64 s one after another and
+0.85 s on 2 threads (which share one GIL), on 2 cores.  One worker
+runs the jobs in the calling process: a one-process pool took twice as
+long on a one-job batch.
 
 ``slice_many_programs`` takes ``(source, criteria)`` jobs and returns
 one result list per job, in order.  With ``cache_dir`` set, every
-worker — thread or process — reads and writes the shared persistent
+worker reads and writes the shared persistent
 :class:`repro.store.SliceStore`: a warm corpus batch is answered from
 disk without any saturation work, and even a half-warm one loads each
 program's ``Poststar(entry_main)`` artifact from the shared
@@ -20,8 +20,8 @@ program's ``Poststar(entry_main)`` artifact from the shared
 Each worker is *batch-aware*: its program's cold criteria saturate in
 one fused multi-criterion kernel pass (the
 :meth:`~SlicingSession.slice_many` fused path), so a job costs one
-front half plus one worklist run, not one per criterion.  Jobs are
-submitted **largest first** — source length is the cheap proxy for
+front half plus one worklist run, not one per criterion.  The pool
+takes jobs **largest first** — source length is the cheap proxy for
 front-half size — so the most expensive program starts immediately
 instead of landing on an almost-drained pool and stretching the
 straggler tail; results still come back in input order.
@@ -29,7 +29,7 @@ straggler tail; results still come back in input order.
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.session import SlicingSession
 
@@ -53,7 +53,6 @@ class ProgramSliceError(RuntimeError):
 def slice_many_programs(
     jobs,
     contexts="reachable",
-    backend="thread",
     max_workers=None,
     cache_dir=None,
 ):
@@ -63,12 +62,13 @@ def slice_many_programs(
         jobs: iterable of ``(source, criteria)`` pairs — TinyC source
             text plus the criterion specs to slice it by (any spec form
             :mod:`repro.engine.canonical` accepts, as long as it
-            pickles for the process backend; ``("print", i)`` tuples
-            and vertex-id tuples are the usual shapes).
+            pickles for the process pool; ``("print", i)`` tuples and
+            vertex-id tuples are the usual shapes).
         contexts: completes vertex criteria (``"reachable"``/``"empty"``).
-        backend: ``"thread"`` or ``"process"`` — what kind of worker
-            handles each program.
-        max_workers: pool size (default: ``min(len(jobs), cpu_count)``).
+        max_workers: how many programs run at once (default:
+            ``cpu_count``; never more than there are jobs).  More than
+            one means a process pool; one means the jobs run one after
+            another in the calling process.
         cache_dir: optional persistent-store directory shared by all
             workers.
 
@@ -78,46 +78,53 @@ def slice_many_programs(
 
     Raises:
         ProgramSliceError: when any job fails — after every job has
-            settled (a failing program never cancels its siblings' work
-            mid-flight), naming the failing job's index and source
-            digest, with the worker's exception as ``__cause__``.
+            settled (a failing program never cancels its siblings'
+            work), naming the first failing job in input order by index
+            and source digest, with the job's exception as
+            ``__cause__``.
     """
     jobs = [(source, list(criteria)) for source, criteria in jobs]
     if not jobs:
         return []
-    if backend not in ("thread", "process"):
-        raise ValueError("backend must be 'thread' or 'process'")
     if max_workers is None:
-        max_workers = min(len(jobs), os.cpu_count() or 1)
-    # Largest front half first (source length is the proxy: front-half
-    # cost tracks program size far better than criterion count).  With
-    # more jobs than workers this kills the straggler tail — the big
-    # program overlaps everything else instead of starting last.
-    order = sorted(
-        range(len(jobs)), key=lambda i: len(jobs[i][0]), reverse=True
-    )
-    pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+        max_workers = os.cpu_count() or 1
+    max_workers = min(max_workers, len(jobs))
+    # With one worker there is no pool: each job runs in the loop
+    # below, in input order.
     futures = {}
-    with pool_cls(max_workers=max_workers) as pool:
-        for i in order:
-            source, criteria = jobs[i]
-            futures[i] = pool.submit(
-                _slice_one_program, source, criteria, contexts, cache_dir
-            )
-        # Settle every job before raising: ``pool.shutdown`` inside the
-        # context manager waits for all of them, so sibling results (and
-        # their store writes) complete even when one program fails.
+    if max_workers != 1:
+        # Largest front half first (source length is the proxy:
+        # front-half cost tracks program size far better than
+        # criterion count).  With more jobs than workers this kills
+        # the straggler tail — the big program overlaps everything
+        # else instead of starting last.
+        order = sorted(
+            range(len(jobs)), key=lambda i: len(jobs[i][0]), reverse=True
+        )
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            for i in order:
+                source, criteria = jobs[i]
+                futures[i] = pool.submit(
+                    _slice_one_program, source, criteria, contexts, cache_dir
+                )
+            # Settle every job before raising: ``pool.shutdown`` inside
+            # the context manager waits for all of them, so sibling
+            # results (and their store writes) complete even when one
+            # program fails.
+    # A failure is kept until every sibling has settled, as in the pool.
     results = []
     failure = None
-    for i in range(len(jobs)):
+    for i, (source, criteria) in enumerate(jobs):
         try:
-            results.append(futures[i].result())
+            if futures:
+                result = futures[i].result()
+            else:
+                result = _slice_one_program(source, criteria, contexts, cache_dir)
+            results.append(result)
         except Exception as exc:
             results.append(None)
             if failure is None:
-                digest = hashlib.sha256(
-                    jobs[i][0].encode("utf-8")
-                ).hexdigest()[:12]
+                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
                 failure = ProgramSliceError(i, digest, exc)
                 failure.__cause__ = exc
     if failure is not None:
@@ -136,4 +143,4 @@ def _slice_one_program(source, criteria, contexts, cache_dir):
 
         store = SliceStore(cache_dir)
     session = SlicingSession(source, store=store)
-    return session.slice_many(criteria, contexts=contexts, max_workers=1)
+    return session.slice_many(criteria, contexts=contexts)

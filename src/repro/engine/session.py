@@ -39,9 +39,10 @@ front half:
   Writes are batched: each public query method files the results it
   computed as one ``results`` entry, and each saturation pass merges
   its artifacts' records into the revision's index with one write;
-* :meth:`SlicingSession.slice_many` fans the per-criterion MRD and
-  read-out out over a thread pool sharing the read-only encoding,
-  deduplicating identical criteria;
+* after the fused pass, :meth:`SlicingSession.slice_many` answers
+  each criterion's MRD and read-out in the calling thread,
+  deduplicating identical criteria (those steps are pure Python, so a
+  thread pool only adds GIL contention);
 * :meth:`SlicingSession.update_source` re-points the session at an
   edited text in place: per-procedure content keys decide which PDGs
   are rebuilt, and memo entries are invalidated as a pure function of
@@ -53,10 +54,10 @@ concurrent submissions of the same criterion compute it exactly once.
 
 import functools
 import hashlib
-import os
 import pickle
 import threading
 import time
+# ThreadPoolExecutor is not used here: perfbench/tracing.py patches it by name.
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.core.criteria import configs_criterion
@@ -267,36 +268,30 @@ class SlicingSession(object):
         return self._memoized("slice", key, compute)
 
     @_files_results
-    def slice_many(self, criteria, contexts="reachable", max_workers=None):
-        """The batch driver: slice each criterion, fanning independent
-        queries out over a thread pool that shares this session's
-        read-only encoding.  Duplicate criteria are computed once.
-        Returns results in input order.
+    def slice_many(self, criteria, contexts="reachable"):
+        """The batch driver: slice each criterion, in the calling
+        thread.  Duplicate criteria are computed once.  Returns results
+        in input order.
 
         Every query saturates through the fused batch pass
         (:meth:`_fused_batch`): here the Prestars of the criteria with
         no memoized or persisted answer run as *one* multi-criterion
-        kernel pass (:func:`repro.pds.prestar_many`) before the pool
-        fans out, so each PDS rule fires once for the whole batch
-        instead of once per criterion; :meth:`slice` is a batch of one.
-        Results, artifacts, memo entries, and store bytes are identical
-        to slicing the criteria one at a time with :meth:`slice`.
+        kernel pass (:func:`repro.pds.prestar_many`), so each PDS rule
+        fires once for the whole batch instead of once per criterion;
+        :meth:`slice` is a batch of one.  Results, artifacts, memo
+        entries, and store bytes are identical to slicing the criteria
+        one at a time with :meth:`slice`.  A failing criterion raises
+        at once; the results computed before it are still filed.
         """
-        criteria = list(criteria)
-        if not criteria:
-            return []
         # Resolve each spec exactly once, up front: specs may be one-
-        # shot iterables, and early validation beats a worker traceback.
+        # shot iterables, and a bad spec should fail before any work.
         specs = [resolve_criterion_spec(self.sdg, c) for c in criteria]
+        if not specs:
+            return []
         self._fused_batch(specs, contexts, SAT_PRESTAR, result_table="slice")
-        if max_workers is None:
-            max_workers = min(len(criteria), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(self._slice_resolved, kind, payload, contexts)
-                for kind, payload in specs
-            ]
-        return [future.result() for future in futures]
+        return [
+            self._slice_resolved(kind, payload, contexts) for kind, payload in specs
+        ]
 
     @_files_results
     def executable(self, criterion=PRINTS, contexts="reachable"):

@@ -202,18 +202,16 @@ def assemble_automaton(states, initials, finals, triples):
     return automaton
 
 
-def trim_bits(enc, extra_sources=0):
+def trim_bits(enc):
     """The useful-part bitset of an encoded automaton: states reachable
     from an initial state and co-reachable to a final one — the int
-    form of :meth:`FiniteAutomaton.trim`.  ``extra_sources`` widens the
-    forward roots (the saturation kernel seeds it with the control
-    locations, which are initial in every saturation result)."""
+    form of :meth:`FiniteAutomaton.trim`."""
     out = enc.out
     eps_out = enc.eps_out
     n = len(enc.states)
 
     forward = 0
-    todo = (enc.initials_bits | extra_sources) & ((1 << n) - 1 if n else 0)
+    todo = enc.initials_bits
     while todo:
         low = todo & -todo
         todo ^= low

@@ -12,10 +12,11 @@ suite asserts that structural identity.  :func:`remove_epsilon_int`,
 
 :func:`mrd_int` is the fused form of Algorithm 1 lines 4–8 (reverse;
 determinize; minimize; reverse) that :func:`repro.core.specialize
-.specialization_slice` runs: one encode, the whole chain over bitsets,
-one decode — no intermediate object automata at all, which is where
-the kernel's speedup on determinize-heavy workloads (Fig. 13) comes
-from.
+.specialization_slice` and :func:`repro.fsa.mrd` (feature removal,
+binding-time analysis) run on epsilon-free input: one encode, the
+whole chain over bitsets, one decode — no intermediate object automata
+at all, which is where the kernel's speedup on determinize-heavy
+workloads (Fig. 13) comes from.
 """
 
 from repro.fsa.automaton import FiniteAutomaton
@@ -233,9 +234,9 @@ def mrd_int(view):
 
     Returns ``(a6, a3_states, a4_states)``, or None when the view has
     epsilon transitions (the caller falls back to the staged chain,
-    whose determinize-through-closure produces structurally different —
-    language-equal — subsets than remove-epsilon-then-determinize
-    would).
+    :func:`repro.fsa.ops.staged_mrd`, whose determinize-through-closure
+    produces structurally different — language-equal — subsets than
+    remove-epsilon-then-determinize would).
     """
     enc = encode_automaton(view)
     if enc.has_eps:

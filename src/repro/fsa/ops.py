@@ -12,6 +12,7 @@ from collections import deque
 from repro.fsa.automaton import FiniteAutomaton
 from repro.fsa.intops import determinize_int as determinize
 from repro.fsa.intops import minimize_int as minimize
+from repro.fsa.intops import mrd_int
 from repro.fsa.intops import remove_epsilon_int as remove_epsilon
 
 
@@ -153,13 +154,23 @@ def language_equal(left, right):
 
 def mrd(automaton):
     """The minimal reverse-deterministic automaton for L(A): Algorithm 1,
-    lines 4–8 (reverse; determinize; minimize; reverse; remove-epsilon —
-    the last is a no-op in our representation, kept for fidelity)."""
-    reversed_a = reverse(automaton)
-    det = determinize(remove_epsilon(reversed_a) if reversed_a.has_epsilon() else reversed_a)
-    minimal = minimize(det)
-    back = reverse(minimal)
-    return remove_epsilon(back) if back.has_epsilon() else back
+    lines 4–8 (reverse; determinize; minimize; reverse; remove-epsilon),
+    as the fused int chain on epsilon-free input."""
+    fused = mrd_int(automaton)
+    return staged_mrd(automaton)[0] if fused is None else fused[0]
+
+
+def staged_mrd(automaton):
+    """Lines 4–8 one automaton at a time, for the epsilon input
+    :func:`repro.fsa.intops.mrd_int` declines.  Returns ``(a6,
+    a2_states, a3_states, a4_states)``."""
+    a2 = reverse(automaton)
+    a2 = remove_epsilon(a2) if a2.has_epsilon() else a2
+    a3 = determinize(a2)
+    a4 = minimize(a3)
+    a5 = reverse(a4)
+    a6 = remove_epsilon(a5) if a5.has_epsilon() else a5
+    return a6, len(a2.states), len(a3.states), len(a4.states)
 
 
 def is_reverse_deterministic(automaton):

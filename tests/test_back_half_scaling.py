@@ -64,7 +64,7 @@ def test_projection_work_per_criterion_stays_flat():
         session.reachable_configs()
         before = session.stats.get("kernel_projection_visits", 0)
         criteria = _prints(session)
-        session.slice_many(criteria, max_workers=1)
+        session.slice_many(criteria)
         stats = session.stats
         assert stats["fused_batches"] == 1 and stats["fused_criteria"] == len(criteria)
         visits = stats["kernel_projection_visits"] - before
@@ -100,7 +100,7 @@ def test_print_resolution_scans_the_vertex_table_once():
 def test_answering_and_rendering_builds_no_r(sessions, r_builds):
     for session in sessions.values():
         criteria = _prints(session)
-        results = session.slice_many(criteria, max_workers=1)
+        results = session.slice_many(criteria)
         for criterion in criteria:
             pretty(session.executable(criterion).program)
         assert all(result.vertex_count() > 0 for result in results)
@@ -109,7 +109,7 @@ def test_answering_and_rendering_builds_no_r(sessions, r_builds):
 
 def test_reading_r_builds_it_once_equal_to_an_eager_read_out(sessions, r_builds):
     for session in sessions.values():
-        results = session.slice_many(_prints(session), max_workers=1)
+        results = session.slice_many(_prints(session))
         del r_builds[:]
         for result in results:
             lazy = result.sdg

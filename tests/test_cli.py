@@ -47,7 +47,7 @@ def test_slice_print_index_out_of_range(fig1_file):
 
 
 def test_slice_batch(fig16_file):
-    output = run_cli(["slice-batch", fig16_file, "--jobs", "2"])
+    output = run_cli(["slice-batch", fig16_file])
     assert "print #0:" in output and "print #1:" in output
     assert "batch: 2 criteria" in output
     assert "slice hits/misses" in output
@@ -180,7 +180,7 @@ def test_slice_batch_reports_the_fused_pass(tmp_path):
 
     path = tmp_path / "scaledwc.tc"
     path.write_text(scaled_wc_source(3))
-    output = run_cli(["slice-batch", str(path), "--jobs", "2"])
+    output = run_cli(["slice-batch", str(path)])
     assert "fused: 6 criteria saturated in 1 batch pass" in output
     assert "worklist pops" in output
     # A lone cold criterion is a batch of one.

@@ -2,14 +2,16 @@
 
 A failing job names itself after its siblings settle (their work
 still reaches the shared store), the first failure in input order
-wins, and largest-first scheduling keeps results in input order,
-byte-identical to one-at-a-time sessions.
+wins, one worker runs the jobs in the calling thread, and
+largest-first scheduling keeps results in input order, byte-identical
+to one-at-a-time sessions.
 
 ``repro.open_session`` memoizes sessions by source hash; every test
 here builds :class:`SlicingSession` directly so nothing is memo-warm.
 """
 
 import hashlib
+import threading
 
 import pytest
 
@@ -26,8 +28,8 @@ def _source(seed):
 
 
 @pytest.mark.smoke
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_failing_job_names_itself_after_siblings_settle(backend, tmp_path):
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_failing_job_names_itself_after_siblings_settle(max_workers, tmp_path):
     good = _source(7)
     bad = "int main() { this is not tinyc"
     cache = str(tmp_path / "cache")
@@ -37,7 +39,7 @@ def test_failing_job_names_itself_after_siblings_settle(backend, tmp_path):
         (_source(8), [("print", 0)]),
     ]
     with pytest.raises(ProgramSliceError) as info:
-        slice_many_programs(jobs, backend=backend, cache_dir=cache)
+        slice_many_programs(jobs, max_workers=max_workers, cache_dir=cache)
     error = info.value
     assert error.job_index == 1
     digest = hashlib.sha256(bad.encode("utf-8")).hexdigest()[:12]
@@ -57,8 +59,24 @@ def test_first_failing_job_wins_in_input_order():
         ("also broken(", [("print", 0)]),
     ]
     with pytest.raises(ProgramSliceError) as info:
-        slice_many_programs(jobs, backend="thread")
+        slice_many_programs(jobs)
     assert info.value.job_index == 0
+
+
+@pytest.mark.smoke
+def test_one_worker_runs_the_jobs_in_the_calling_thread(monkeypatch):
+    threads = []
+    slice_many = SlicingSession.slice_many
+
+    def recording(session, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return slice_many(session, *args, **kwargs)
+
+    monkeypatch.setattr(SlicingSession, "slice_many", recording)
+    jobs = [(_source(seed), [("print", 0)]) for seed in (7, 8)]
+    batch = slice_many_programs(jobs, max_workers=1)
+    assert [len(results) for results in batch] == [1, 1]
+    assert threads == [threading.get_ident()] * 2
 
 
 def test_largest_first_scheduling_preserves_result_order(tmp_path):
@@ -66,7 +84,7 @@ def test_largest_first_scheduling_preserves_result_order(tmp_path):
     in input order, byte-identical to one-at-a-time runs."""
     sources = sorted((_source(seed) for seed in range(9, 13)), key=len)
     jobs = [(source, [("print", 0), "prints"]) for source in sources]
-    batch = slice_many_programs(jobs, backend="thread")
+    batch = slice_many_programs(jobs)
     for (source, criteria), results in zip(jobs, batch):
         solo = SlicingSession(source)
         for criterion, result in zip(criteria, results):

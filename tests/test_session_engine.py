@@ -103,6 +103,25 @@ def test_slice_many_dedupes_and_preserves_order():
     assert session.stats["slice_misses"] == 1
 
 
+def test_slice_many_answers_every_criterion_in_the_calling_thread(monkeypatch):
+    import threading
+
+    import repro.engine.session as session_module
+
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return specialization_slice(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "specialization_slice", recording)
+    session = SlicingSession(FIG16_SOURCE)
+    prints = len(session.sdg.print_call_vertices())
+    assert prints > 1
+    session.slice_many([("print", index) for index in range(prints)])
+    assert threads == [threading.get_ident()] * prints
+
+
 def test_session_matches_one_shot_pipeline():
     session = SlicingSession(FIG1_SOURCE)
     via_session = session.executable()

@@ -6,8 +6,8 @@ a tight cap — plus configuration/filesystem degradation (malformed
 ``REPRO_CACHE_MAX_BYTES``, ENOSPC-style write failures), the
 per-revision saturation index, and the session integration: warm
 front-half loads, disk-served slices with zero saturation work,
-store-backed ``open_session``, ``slice_many_programs`` on both
-backends, and the ``repro cache`` CLI.
+store-backed ``open_session``, ``slice_many_programs`` in process and
+on a process pool, and the ``repro cache`` CLI.
 """
 
 import errno
@@ -625,14 +625,12 @@ def test_open_session_with_cache_dir(tmp_path):
 def test_slice_many_programs_both_backends(tmp_path):
     cache = str(tmp_path / "cache")
     jobs = [(FIG1_SOURCE, [("print", 0)]), (FIG1_SOURCE, ["prints"])]
-    threaded = slice_many_programs(jobs, backend="thread", cache_dir=cache)
-    processed = slice_many_programs(jobs, backend="process", cache_dir=cache)
-    assert [len(batch) for batch in threaded] == [1, 1]
-    for batch_a, batch_b in zip(threaded, processed):
+    in_process = slice_many_programs(jobs, max_workers=1, cache_dir=cache)
+    processed = slice_many_programs(jobs, max_workers=2, cache_dir=cache)
+    assert [len(batch) for batch in in_process] == [1, 1]
+    for batch_a, batch_b in zip(in_process, processed):
         for a, b in zip(batch_a, batch_b):
             assert a.version_counts() == b.version_counts()
-    with pytest.raises(ValueError):
-        slice_many_programs(jobs, backend="fiber")
 
 
 # -- the cache CLI -----------------------------------------------------------------

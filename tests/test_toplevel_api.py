@@ -33,6 +33,13 @@ def test_slice_source_by_index():
     assert result.values == [21]  # the sum only
 
 
+@pytest.mark.parametrize("print_index", [-1, 1])
+def test_slice_source_rejects_out_of_range_print_index(print_index):
+    # FIG1 has one print: -1 is not "the last one", 1 is past the end.
+    with pytest.raises(ValueError, match="out of range"):
+        repro.slice_source(FIG1_SOURCE, print_index=print_index)
+
+
 def test_slice_source_lowers_funcptr():
     from repro.workloads.paper_figures import FIG15_SOURCE
 
