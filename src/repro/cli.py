@@ -54,6 +54,7 @@ from repro.core import (
     remove_feature,
     specialization_slice,
 )
+from repro.engine.canonical import resolve_criterion_spec
 from repro.lang import pretty
 from repro.lang.errors import TinyCError
 from repro.lang.interp import ExecutionLimitExceeded, run_program
@@ -86,18 +87,6 @@ def _load(path):
     return repro.load_source(_read(path))
 
 
-def _print_criterion(sdg, index):
-    prints = sdg.print_call_vertices()
-    if not prints:
-        raise SystemExit("error: the program has no print statements")
-    if not 0 <= index < len(prints):
-        raise SystemExit(
-            "error: --print %d out of range (program has %d prints)"
-            % (index, len(prints))
-        )
-    return sdg.print_criterion([prints[index]])
-
-
 def cmd_info(args):
     program, _info, sdg = _load(args.file)
     kinds = {}
@@ -117,7 +106,10 @@ def cmd_info(args):
 
 def cmd_slice(args):
     _program, _info, sdg = _load(args.file)
-    criterion = _print_criterion(sdg, args.print_index)
+    try:
+        _kind, criterion = resolve_criterion_spec(sdg, ("print", args.print_index))
+    except ValueError as exc:
+        raise SystemExit("error: %s" % exc)
     result = specialization_slice(sdg, criterion)
     executable = executable_program(result)
     header = "// specialization slice w.r.t. print #%d\n" % args.print_index
@@ -287,7 +279,10 @@ def cmd_cache(args):
 
 def cmd_mono(args):
     _program, _info, sdg = _load(args.file)
-    criterion = _print_criterion(sdg, args.print_index)
+    try:
+        _kind, criterion = resolve_criterion_spec(sdg, ("print", args.print_index))
+    except ValueError as exc:
+        raise SystemExit("error: %s" % exc)
     result = binkley_slice(sdg, criterion)
     executable = monovariant_program(sdg, result.slice_set)
     header = (

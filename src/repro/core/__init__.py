@@ -6,7 +6,8 @@
 * :mod:`repro.core.readout` — reading the specialized SDG out of the
   MRD automaton (Alg. 1 lines 9–24).
 * :mod:`repro.core.executable` — pretty-printing a specialized SDG back
-  to a runnable TinyC program.
+  to a runnable TinyC program; monovariant slices (Binkley, Weiser)
+  render through the same path (:func:`monovariant_program`).
 * :mod:`repro.core.binkley` — monovariant executable slicing baseline.
 * :mod:`repro.core.weiser` — Weiser-style executable slicing baseline.
 * :mod:`repro.core.flawed` — the flawed §1 candidate algorithm
@@ -30,11 +31,10 @@ from repro.core.criteria import (
     reachable_configs_automaton,
     reachable_contexts_criterion,
 )
-from repro.core.executable import executable_program
+from repro.core.executable import executable_program, monovariant_program
 from repro.core.feature_removal import remove_feature
 from repro.core.flawed import flawed_specialization_slice
 from repro.core.funcptr import lower_indirect_calls
-from repro.core.mono import monovariant_program
 from repro.core.readout import SpecializedPDG
 from repro.core.reslice import reslice_check
 from repro.core.specialize import SpecializationResult, specialization_slice

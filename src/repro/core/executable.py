@@ -20,11 +20,18 @@ Details the paper's examples imply:
 * Globals are emitted only if some kept statement mentions them; their
   (constant) initializers are preserved.
 * Procedures referenced only as function-pointer values are emitted as
-  empty stubs, preserving the address space (§6.2).
+  empty stubs, preserving the address space (§6.2): every ``FuncRef`` in
+  a kept statement, ``if``/``while`` conditions included, and in a kept
+  global's initializer names a procedure the slice must define.
+
+A monovariant vertex set (a Binkley or Weiser slice, §8) renders through
+the same path: :func:`monovariant_program` states it as one
+specialization per kept procedure, under the procedure's own name.
 """
 
+from repro.core.readout import SpecializedPDG
+from repro.core.specialize import SpecializationResult
 from repro.lang import ast_nodes as A
-from repro.sdg.graph import VertexKind
 
 
 class ExecutableError(Exception):
@@ -40,7 +47,9 @@ class ExecutableSlice(object):
     Attributes:
         program: the new :class:`Program` AST (semantically checked).
         stmt_map: new statement uid -> original statement uid.
-        spec_of_proc: new procedure name -> :class:`SpecializedPDG`.
+        spec_of_proc: new procedure name -> :class:`SpecializedPDG`
+            (for a :func:`monovariant_program` rendering, one per kept
+            procedure, named like it).
     """
 
     def __init__(self, program, stmt_map, spec_of_proc):
@@ -64,6 +73,32 @@ def executable_program(result):
     return generator.run()
 
 
+def monovariant_program(sdg, slice_set):
+    """Render a monovariant vertex set (a Binkley or Weiser slice) as a
+    runnable program: each procedure whose entry vertex is in the set
+    (and ``main`` always) keeps its name and its kept vertices, and each
+    kept call site is bound to its callee."""
+    kept = frozenset(slice_set)
+    result = SpecializationResult()
+    result.source_sdg = sdg
+    for proc in sdg.program.procs:
+        name = proc.name
+        if sdg.entry_vertex[name] in kept or name == "main":
+            spec = SpecializedPDG(
+                name, name, kept.intersection(sdg.proc_vertices[name])
+            )
+            spec.name = name
+            result.pdgs[name] = spec
+    for label, site in sdg.call_sites.items():
+        if (
+            site.call_vertex in kept
+            and site.caller in result.pdgs
+            and site.callee in result.pdgs
+        ):
+            result.bindings[(site.caller, label)] = site.callee
+    return executable_program(result)
+
+
 class _Generator(object):
     def __init__(self, result, program, info):
         self.result = result
@@ -72,7 +107,6 @@ class _Generator(object):
         self.sdg = result.source_sdg
         self.stmt_map = {}
         self.spec_of_proc = {}
-        self.funcref_names = set()
 
     # -- top level ------------------------------------------------------------
 
@@ -95,9 +129,8 @@ class _Generator(object):
             empty_main = A.Proc("main", [], "int", A.Block([]))
             new_procs.append(empty_main)
 
-        new_procs.extend(self._funcref_stubs({proc.name for proc in new_procs}))
-        globals_ = self._referenced_globals(new_procs)
-        new_program = A.Program(globals_, new_procs)
+        globals_, stubs = self._globals_and_stubs(new_procs)
+        new_program = A.Program(globals_, new_procs + stubs)
 
         from repro.lang.sema import check
 
@@ -152,26 +185,13 @@ class _Generator(object):
         return rendered
 
     def _render_stmt(self, stmt, spec):
-        kept = spec.orig_vertices
         vid = self.sdg.vertex_of_stmt.get(stmt.uid)
-        vertex = self.sdg.vertices[vid] if vid is not None else None
-        in_slice = vid in kept
-
-        if isinstance(stmt, (A.Assign, A.LocalDecl)) and isinstance(
-            _rhs(stmt), A.CallExpr
-        ):
-            if not in_slice:
-                return None
-            return self._render_call(stmt, vertex, spec)
-
-        if isinstance(stmt, A.CallStmt):
-            if not in_slice:
-                return None
-            return self._render_call(stmt, vertex, spec)
+        if vid not in spec.orig_vertices:
+            return None
+        if isinstance(stmt, A.CallStmt) or isinstance(_rhs(stmt), A.CallExpr):
+            return self._render_call(stmt, self.sdg.vertices[vid], spec)
 
         if isinstance(stmt, A.If):
-            if not in_slice:
-                return None
             then = A.Block(self._render_block(stmt.then, spec))
             els = None
             if stmt.els is not None:
@@ -179,35 +199,13 @@ class _Generator(object):
                 if els_stmts:
                     els = A.Block(els_stmts)
             new_stmt = A.If(_copy_expr(stmt.cond), then, els)
-            self.stmt_map[new_stmt.uid] = stmt.uid
-            return new_stmt
-
-        if isinstance(stmt, A.While):
-            if not in_slice:
-                return None
+        elif isinstance(stmt, A.While):
             body = A.Block(self._render_block(stmt.body, spec))
             new_stmt = A.While(_copy_expr(stmt.cond), body)
-            self.stmt_map[new_stmt.uid] = stmt.uid
-            return new_stmt
-
-        if not in_slice:
-            return None
-
-        if isinstance(stmt, A.Assign):
-            expr = (
-                A.InputExpr()
-                if isinstance(stmt.expr, A.InputExpr)
-                else _copy_expr(stmt.expr)
-            )
-            new_stmt = A.Assign(stmt.name, expr)
+        elif isinstance(stmt, A.Assign):
+            new_stmt = A.Assign(stmt.name, _copy_expr(stmt.expr))
         elif isinstance(stmt, A.LocalDecl):
-            init = None
-            if stmt.init is not None:
-                init = (
-                    A.InputExpr()
-                    if isinstance(stmt.init, A.InputExpr)
-                    else _copy_expr(stmt.init)
-                )
+            init = _copy_expr(stmt.init) if stmt.init is not None else None
             new_stmt = A.LocalDecl(stmt.name, init, stmt.is_fnptr)
         elif isinstance(stmt, A.Return):
             if stmt.expr is not None and self._returns_value(spec):
@@ -222,7 +220,6 @@ class _Generator(object):
         else:
             raise AssertionError("unknown statement %r" % stmt)
         self.stmt_map[new_stmt.uid] = stmt.uid
-        self._note_funcrefs(new_stmt)
         return new_stmt
 
     def _render_call(self, stmt, call_vertex, spec):
@@ -251,8 +248,6 @@ class _Generator(object):
         else:
             new_stmt = A.CallStmt(new_call)
         self.stmt_map[new_stmt.uid] = stmt.uid
-        for arg in args:
-            self._note_funcrefs_expr(arg)
         return new_stmt
 
     # -- post passes ---------------------------------------------------------------
@@ -286,42 +281,40 @@ class _Generator(object):
                 missing.append(A.LocalDecl(name, None, is_fnptr))
         body.stmts[:0] = missing
 
-    def _funcref_stubs(self, existing_names):
-        """Empty stubs for procedures referenced only as function-pointer
-        values (§6.2: addresses define the dispatch space)."""
+    def _globals_and_stubs(self, procs):
+        """The globals the rendered procedures mention, and empty stubs
+        for the procedures they reference only as function-pointer
+        values (§6.2: addresses define the dispatch space) — in a kept
+        statement, conditions included, or in a kept global's
+        initializer."""
+        mentioned = set()
+        funcrefs = set()
+        for proc in procs:
+            for stmt in A.walk_stmts(proc.body):
+                if isinstance(stmt, (A.Assign, A.LocalDecl)):
+                    mentioned.add(stmt.name)
+                for expr in A.stmt_exprs(stmt):
+                    for sub in A.walk_exprs(expr):
+                        if isinstance(sub, A.Var):
+                            mentioned.add(sub.name)
+                        elif isinstance(sub, A.FuncRef):
+                            funcrefs.add(sub.name)
+        globals_ = []
+        for decl in self.program.globals:
+            if decl.name in mentioned and decl.name in self.info.global_names:
+                init = _copy_expr(decl.init) if decl.init is not None else None
+                if isinstance(init, A.FuncRef):  # initializers are constants
+                    funcrefs.add(init.name)
+                globals_.append(A.GlobalDecl(decl.name, init, decl.is_fnptr))
         stubs = []
-        for name in sorted(self.funcref_names - existing_names):
+        for name in sorted(funcrefs - {proc.name for proc in procs}):
             try:
                 orig = self.program.proc(name)
             except KeyError:
                 continue
             params = [self._copy_param(param) for param in orig.params]
             stubs.append(A.Proc(name, params, orig.ret, A.Block([])))
-        return stubs
-
-    def _referenced_globals(self, procs):
-        mentioned = set()
-        for proc in procs:
-            for stmt in A.walk_stmts(proc.body):
-                if isinstance(stmt, (A.Assign, A.LocalDecl)):
-                    mentioned.add(stmt.name)
-                for expr in A.stmt_exprs(stmt):
-                    mentioned.update(A.expr_vars(expr))
-        globals_ = []
-        for decl in self.program.globals:
-            if decl.name in mentioned and decl.name in self.info.global_names:
-                init = _copy_expr(decl.init) if decl.init is not None else None
-                globals_.append(A.GlobalDecl(decl.name, init, decl.is_fnptr))
-        return globals_
-
-    def _note_funcrefs(self, stmt):
-        for expr in A.stmt_exprs(stmt):
-            self._note_funcrefs_expr(expr)
-
-    def _note_funcrefs_expr(self, expr):
-        for sub in A.walk_exprs(expr):
-            if isinstance(sub, A.FuncRef):
-                self.funcref_names.add(sub.name)
+        return globals_, stubs
 
 
 def _rhs(stmt):

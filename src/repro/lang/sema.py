@@ -13,7 +13,8 @@ Responsibilities:
   - ``input()`` likewise only as an entire right-hand side;
   - arguments bound to ``ref`` parameters are plain variables;
   - direct calls match the callee's arity and parameter kinds;
-  - a procedure used as a value (function pointer) exists;
+  - a procedure used as a value (function pointer), in a statement or
+    a global's initializer, exists;
 
 * collect, for the function-pointer extension (§6.2), the set of
   procedures that may flow into each function-pointer variable
@@ -98,6 +99,11 @@ class _Checker(object):
     def run(self):
         self._collect_globals()
         self._collect_procs()
+        for decl in self.program.globals:
+            # Checked once every procedure is known.
+            init = decl.init
+            if isinstance(init, A.FuncRef) and init.name not in self.info.procs:
+                _error("unknown procedure %r" % init.name, init)
         for proc in self.program.procs:
             self._check_proc(proc)
         self._resolve_fnptr_flow()

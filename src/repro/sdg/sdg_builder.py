@@ -2,7 +2,7 @@
 
 Pipeline: semantic info -> call graph -> mod/ref -> one PDG per
 procedure -> interprocedural edges (call, parameter-in, parameter-out)
--> optional summary edges.
+-> summary edges.
 
 The per-procedure step has two interchangeable paths: build the PDG
 from the AST (:class:`~repro.sdg.pdg_builder.PDGBuilder`), or relocate
@@ -25,22 +25,21 @@ from repro.sdg.pdg_builder import BuildContext, PDGBuilder
 from repro.sdg.summary import compute_summary_edges
 
 
-def build_sdg(program, info, with_summary=True):
-    """Build the SDG of a semantically checked program.
+def build_sdg(program, info):
+    """Build the SDG of a semantically checked program, summary edges
+    included.
 
     Args:
         program: the checked AST.
         info: the :class:`~repro.lang.sema.ProgramInfo` from ``check``.
-        with_summary: also compute summary edges (needed by the HRB
-            closure-slicing baseline; harmless otherwise).
 
     Returns:
         a :class:`SystemDependenceGraph`.
     """
-    return assemble_sdg(program, info, with_summary=with_summary)
+    return assemble_sdg(program, info)
 
 
-def assemble_sdg(program, info, parts=None, with_summary=True, call_graph=None, modref=None):
+def assemble_sdg(program, info, parts=None, call_graph=None, modref=None):
     """Build an SDG, relocating reusable per-procedure parts.
 
     Args:
@@ -51,14 +50,13 @@ def assemble_sdg(program, info, parts=None, with_summary=True, call_graph=None, 
         parts: optional mapping of procedure name to
             :class:`~repro.sdg.parts.ProcPart`; procedures not in the
             mapping are built from the AST.
-        with_summary: recompute summary edges over the assembled graph
-            (they depend on transitive callee contents and are never
-            carried by a part).
         call_graph / modref: precomputed analyses of ``program`` (e.g.
             from content-key computation); computed here otherwise.
 
     Returns:
-        the :class:`SystemDependenceGraph`.
+        the :class:`SystemDependenceGraph`.  Summary edges are
+        recomputed over the assembled graph: they depend on transitive
+        callee contents, so a part never carries them.
     """
     if call_graph is None:
         call_graph = build_call_graph(program)
@@ -77,8 +75,7 @@ def assemble_sdg(program, info, parts=None, with_summary=True, call_graph=None, 
             part.add_to(sdg, context)
 
     _connect_pdgs(sdg)
-    if with_summary:
-        compute_summary_edges(sdg)
+    compute_summary_edges(sdg)
     return sdg
 
 

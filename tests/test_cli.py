@@ -42,8 +42,15 @@ def test_slice(fig1_file):
 
 
 def test_slice_print_index_out_of_range(fig1_file):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as info:
         run_cli(["slice", fig1_file, "--print", "9"])
+    assert str(info.value) == "error: print index 9 out of range (program has 1 prints)"
+
+
+def test_mono_print_index_out_of_range(fig1_file):
+    with pytest.raises(SystemExit) as info:
+        run_cli(["mono", fig1_file, "--print", "9"])
+    assert str(info.value) == "error: print index 9 out of range (program has 1 prints)"
 
 
 def test_slice_batch(fig16_file):
@@ -250,8 +257,15 @@ def test_slice_batch_answers_one_criterion_per_print(printer_file):
             % ("  while (0) {\n" * 101, "  }\n" * 101),
             "102:3: statement nested deeper than 100 levels",
         ),
+        (
+            "fnptr fp = &nosuch;\nint main() { fp(); return 0; }",
+            "1:12: unknown procedure 'nosuch'",
+        ),
     ],
-    ids=["parse", "semantic", "lex", "nesting", "if-nesting", "while-nesting"],
+    ids=[
+        "parse", "semantic", "lex", "nesting", "if-nesting", "while-nesting",
+        "global-funcref",
+    ],
 )
 def test_tinyc_errors_are_one_line_and_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.tc"

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.core import executable_program, lower_indirect_calls, specialization_slice
+from repro.cli import main
+from repro.core import (
+    binkley_slice,
+    executable_program,
+    lower_indirect_calls,
+    monovariant_program,
+    specialization_slice,
+)
 from repro.core.funcptr import LoweringError
+from repro.engine import SlicingSession
 from repro.lang import ast_nodes as A
 from repro.lang import check, parse, pretty
 from repro.lang.interp import run_program
@@ -144,3 +152,74 @@ def test_stub_retained_for_address_space():
             run_program(program, inputs).values
             == run_program(executable.program, inputs).values
         )
+
+
+#: Slices of print #2 (the ``print 3`` in ``main``) that keep no
+#: statement of ``a`` or ``b`` but still owe one of them a §6.2 stub:
+#: for a ``FuncRef`` in an ``if`` condition, and for one in the
+#: initializer of a kept global.  name -> (source, procedure stubbed).
+FUNCREF_STUB_CASES = {
+    "condition": (
+        """
+        fnptr fp;
+        void a() { print("%d\\n", 1); }
+        void b() { print("%d\\n", 2); }
+        int main() {
+          int x = input();
+          fp = &a;
+          if (x > 0) { fp = &a; }
+          if (fp == &b) { print("%d\\n", 3); }
+          return 0;
+        }
+        """,
+        "b",
+    ),
+    "global-initializer": (
+        """
+        fnptr fp = &a;
+        void a() { print("%d\\n", 1); }
+        void b() { print("%d\\n", 2); }
+        int main() {
+          int x = input();
+          if (x > 0) { fp = &b; }
+          if (fp == &b) { print("%d\\n", 3); }
+          print("%d\\n", x);
+          return 0;
+        }
+        """,
+        "a",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["slice", "mono"])
+@pytest.mark.parametrize("case", sorted(FUNCREF_STUB_CASES))
+def test_funcref_stub_rendered_by_both_commands(tmp_path, capsys, case, command):
+    source, stub = FUNCREF_STUB_CASES[case]
+    path = tmp_path / "fp.tc"
+    path.write_text(source)
+    assert main([command, str(path), "--print", "2"]) == 0
+    assert "void %s() {\n}" % stub in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(FUNCREF_STUB_CASES))
+def test_funcref_stub_slices_print_what_the_original_prints(case):
+    source, _stub = FUNCREF_STUB_CASES[case]
+    session = SlicingSession(source)
+    sdg = session.sdg
+    print_vid = sdg.print_call_vertices()[2]
+    criterion_uid = sdg.vertices[print_vid].stmt_uid
+    binkley = binkley_slice(sdg, sdg.print_criterion([print_vid]))
+    for executable in (
+        session.executable(("print", 2)),
+        monovariant_program(sdg, binkley.slice_set),
+    ):
+        for inputs in ([0], [1]):
+            original = run_program(sdg.program, inputs)
+            sliced = run_program(executable.program, inputs)
+            assert [
+                (executable.stmt_map[uid], values) for uid, _fmt, values in sliced.prints
+            ] == [
+                (uid, values) for uid, _fmt, values in original.prints
+                if uid == criterion_uid
+            ]

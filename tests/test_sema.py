@@ -166,3 +166,4 @@ def test_unknown_procedure_called():
 
 def test_unknown_funcref():
     expect_error("int main() { fnptr p; p = &nosuch; }", "unknown procedure")
+    expect_error("fnptr fp = &nosuch;\nint main() { return 0; }", "unknown procedure")
