@@ -10,8 +10,10 @@ that work (deterministic); the wall times against a cold rebuild go
 to :func:`bench_utils.record_bench` (measured ~8-10x on 2 cores).
 
 A second measurement pins the structural-edit (slow) path: it reuses
-every unchanged PDG even when the saturations are not kept, and stays
-byte-identical to the cold rebuild.
+every unchanged PDG, keeps every Prestar whose criterion the edit did
+not change together with its renamed result, so re-slicing computes
+only the edited category's print, and stays byte-identical to the
+cold rebuild.
 """
 
 import time
@@ -96,8 +98,9 @@ def test_incremental_reslice_speedup():
 
 
 def test_incremental_structural_edit_still_wins():
-    """The slow path (dependence shape changed, saturations dropped)
-    still reuses every unchanged PDG, and the updated session agrees
+    """The slow path (dependence shape changed, so the PDS is
+    re-encoded) still reuses every unchanged PDG, keeps the 30 results
+    whose criteria the edit left alone, and the updated session agrees
     with the cold one exactly.  The front-half update and build times
     go to the benchmark trail."""
     warm = SlicingSession(BASE)
@@ -115,8 +118,14 @@ def test_incremental_structural_edit_still_wins():
     assert summary["fast_path"] is False
     assert summary["procs_rebuilt"] == 1
     assert summary["procs_reused"] == len(warm.sdg.procedures()) - 1
+    assert (summary["results_kept"], summary["results_dropped"]) == (30, 1)
     cold.slice_many(criteria)
+    before = warm.stats
     warm.slice_many(criteria)
+    after = warm.stats
+    # Only cat_5's print is answered again, in a fused pass of one.
+    assert after["slice_misses"] - before["slice_misses"] == 1
+    assert after["fused_criteria"] - before["fused_criteria"] == 1
     _check_identical(warm, cold, criteria)
     record_bench(
         "incremental_structural_edit",

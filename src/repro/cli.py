@@ -192,12 +192,15 @@ def cmd_slice_batch(args):
         )
     if update is not None:
         lines.append(
-            "reuse: %d/%d procedures kept, %d saturations kept / %d dropped (%s path)"
+            "reuse: %d/%d procedures kept, %d saturations kept / %d dropped, "
+            "%d results kept / %d dropped (%s path)"
             % (
                 update["procs_reused"],
                 update["procs_reused"] + update["procs_rebuilt"],
-                update.get("saturations_kept", 0),
-                update.get("saturations_dropped", 0),
+                update["saturations_kept"],
+                update["saturations_dropped"],
+                update["results_kept"],
+                update["results_dropped"],
                 "fast" if update["fast_path"] else "slow",
             )
         )

@@ -22,6 +22,7 @@ Three constructors cover the paper's usage:
 from repro.fsa import FiniteAutomaton
 from repro.fsa.intops import query_view_int
 from repro.pds import poststar
+from repro.pds.encode import MAIN_LOCATION
 
 FINAL = "m"
 
@@ -103,7 +104,7 @@ def reachable_query_view(encoding, stats=None):
     return cached
 
 
-def reachable_contexts_criterion(encoding, vids):
+def reachable_contexts_criterion(encoding, vids, view=None):
     """Accepts ``{(v, w) : v in vids, (v, w) reachable}`` — the "slice
     from every calling context of these vertices" criterion.
 
@@ -119,9 +120,14 @@ def reachable_contexts_criterion(encoding, vids):
     proportional to the part of the view the criterion reaches.  When
     no criterion vertex is reachable from main (dead code) the result
     accepts nothing and the slice is empty.
+
+    ``view`` restricts an explicit reachable query view instead of the
+    encoding's own (``encoding`` may then be None): the incremental
+    layer compares an edit's two revisions' criteria this way.
     """
-    view = reachable_query_view(encoding)
-    main = encoding.main_location
+    if view is None:
+        view = reachable_query_view(encoding)
+    main = MAIN_LOCATION
     automaton = FiniteAutomaton(initials=[main])
     seen = set()
     stack = []

@@ -71,7 +71,7 @@ def read_out_sdg(source_sdg, a6, encoding):
 
     * ``pdgs`` — dict: A6 state -> :class:`SpecializedPDG`;
     * ``bindings`` — dict: (caller state, original site label) ->
-      callee state, in ``A6`` transition order (the order
+      callee state, in :func:`ordered_bindings` order (the order
       :func:`specialized_sdg` numbers the specialized call sites in).
     """
     # The object trim: an int-codec trim measured 10-27% slower here.
@@ -120,7 +120,7 @@ def read_out_sdg(source_sdg, a6, encoding):
         _check_site(
             source_sdg, specialized[caller_state], specialized[callee_state], site_label
         )
-    return specialized, bindings
+    return specialized, ordered_bindings(source_sdg, specialized, bindings)
 
 
 def specialized_sdg(source_sdg, pdgs, bindings):
@@ -199,6 +199,23 @@ def _ordered(specialized, source_sdg):
     return sorted(
         specialized.values(), key=lambda spec: (proc_order.get(spec.proc, 0), spec.name)
     )
+
+
+def ordered_bindings(source_sdg, pdgs, bindings):
+    """``bindings`` in canonical order: by caller specialization
+    (:func:`_ordered`), then by the site's position in the caller's
+    ``sites_in_proc``.  ``A6``'s transition order follows the ``repr``
+    order of its symbols, so without this a result renamed across an
+    edit would number ``R``'s call sites differently from a cold
+    read-out."""
+    rank = {spec.state: index for index, spec in enumerate(_ordered(pdgs, source_sdg))}
+
+    def key(item):
+        (caller_state, site_label), _callee_state = item
+        sites = source_sdg.sites_in_proc[pdgs[caller_state].proc]
+        return rank[caller_state], sites.index(site_label)
+
+    return dict(sorted(bindings.items(), key=key))
 
 
 def _assign_names(source_sdg, specialized):

@@ -31,20 +31,25 @@ artifact outlives an edit is decided in one place,
 :func:`repro.engine.incremental.carry_over`, for both the live
 ``update_source`` and a cold process's discovery: across a structural
 edit it survives iff its footprint is a subset of the new revision's
-content keys (an empty footprint always is), because any PDS rule the
-edit added or removed mentions a changed procedure's vertex or call
-site, and the first changed rule usable in a new derivation needs a
-configuration the old automaton already accepted that mentions such a
-symbol.  Content keys, not names, so the check composes with the
-store's content-addressed tables and stays meaningful across
-processes; :func:`index_record` is the form a revision's saturation
-index keeps of each filed artifact, so the decision never unpickles
-one.  The store files an artifact *without* its footprint
-(:meth:`SaturationArtifact.without_footprint`), named by the digest of
-those bytes, and the record carries the footprint instead: a label
-edit re-addresses footprints but keeps every automaton, so the edited
-revision's records name the very files its donor's do
-(:func:`load_filed` puts the two halves back together).
+content keys (an empty footprint always is) and, for a criterion
+restricted from the shared Poststar, the criterion itself did not
+change.  Any PDS rule the edit added or removed mentions a changed
+procedure's vertex or call site, and the first changed rule usable in
+a new derivation needs a configuration the old automaton already
+accepted that mentions such a symbol; so an unchanged query saturates
+to the same automaton, up to the :class:`Relocation` that renames its
+symbols *and* the states built from them (docs/ARCHITECTURE.md §8
+gives the whole argument).  A carried artifact is therefore the very
+bytes a cold session would compute.  Content keys, not names, so the
+check composes with the store's content-addressed tables and stays
+meaningful across processes; :func:`index_record` is the form a
+revision's saturation index keeps of each filed artifact, so the
+decision never unpickles one.  The store files an artifact *without*
+its footprint (:meth:`SaturationArtifact.without_footprint`), named by
+the digest of those bytes, and the record carries the footprint
+instead: a label edit re-addresses footprints but keeps every
+automaton, so the edited revision's records name the very files its
+donor's do (:func:`load_filed` puts the two halves back together).
 
 Artifacts pickle deterministically: ``__getstate__`` renders the
 automaton through :func:`repro.fsa.serialize.automaton_to_payload` and
@@ -58,6 +63,7 @@ unpickled from a store-loaded Poststar, and whether those are one
 object or two depends on which worker persisted the Poststar first.
 """
 
+from repro.core.criteria import FINAL
 from repro.fsa.serialize import automaton_from_payload, automaton_to_payload
 
 
@@ -152,21 +158,6 @@ class SaturationArtifact(object):
             return self
         return SaturationArtifact(self.kind, self.key, self.automaton, footprint)
 
-    def relocated(self, new_key, vid_map, site_map):
-        """This artifact renamed into an edited revision: transition
-        symbols are renumbered through the two revisions' layouts (see
-        :func:`repro.engine.incremental.carry_over`, which must have
-        kept it).  Transitions on symbols absent from the maps belong
-        to rebuilt procedures, are off every accepting path, and are
-        dropped.  The footprint lies within the procedures both
-        revisions share, so it carries over unchanged."""
-        return SaturationArtifact(
-            self.kind,
-            new_key,
-            remap_automaton(self.automaton, vid_map, site_map),
-            self.footprint,
-        )
-
 
 def index_record(artifact, name):
     """The record a revision's saturation index keeps for an artifact
@@ -237,26 +228,84 @@ def make_artifact(kind, key, automaton, sdg, proc_keys):
     )
 
 
-def remap_automaton(automaton, vid_map, site_map):
-    """Rename an automaton's transition symbols through the renumbering
-    maps between two revisions.  Transitions labeled by symbols of
-    rebuilt procedures (absent from the maps) are dropped; callers must
-    have already checked, via the artifact footprint, that no such
-    symbol is on an accepting path, so the accepted language is
-    preserved.  States are opaque and kept as-is."""
-    from repro.fsa.automaton import FiniteAutomaton
+class Relocation(object):
+    """The renaming a structural edit applies to what it keeps (ρ in
+    docs/ARCHITECTURE.md §8): ``vid_map`` and ``site_map`` pair the
+    vertex ids and call-site labels of the procedures both revisions
+    share, and :meth:`state` extends them to the states that embed ids —
+    control locations ``("p_fo", fo)`` (:mod:`repro.pds.encode`),
+    Poststar mid states ``("__post__", p, γ)`` (:mod:`repro.pds.kernel`),
+    criterion states ``(q, "m")`` (:mod:`repro.core.criteria`), and the
+    frozensets of these that A6 states are.  Other states (``"p"``,
+    ``"m"``, ``configs_criterion``'s ``("q", i, k)``) name no id and are
+    kept.  A state or symbol naming an id outside the maps has no
+    counterpart in the new revision: None.
 
-    result = FiniteAutomaton(initials=automaton.initials, finals=automaton.finals)
-    for state in automaton.states:
-        result.add_state(state)
-    for (src, symbol, dst) in automaton.transitions():
-        if symbol is None:
-            result.add_transition(src, symbol, dst)
-            continue
+    Calling a relocation renames a carried artifact
+    (:func:`repro.engine.incremental.carry_over` must have kept it)."""
+
+    def __init__(self, vid_map, site_map):
+        self.vid_map = vid_map
+        self.site_map = site_map
+        self._states = {}
+
+    def __call__(self, artifact, new_key):
+        # The footprint lies within the procedures both revisions
+        # share, so it carries over unchanged.
+        return SaturationArtifact(
+            artifact.kind,
+            new_key,
+            self.automaton(artifact.automaton),
+            artifact.footprint,
+        )
+
+    def symbol(self, symbol):
         if isinstance(symbol, int):
-            new_symbol = vid_map.get(symbol)
-        else:
-            new_symbol = site_map.get(symbol)
-        if new_symbol is not None:
-            result.add_transition(src, new_symbol, dst)
-    return result
+            return self.vid_map.get(symbol)
+        return self.site_map.get(symbol)
+
+    def state(self, state):
+        if state in self._states:
+            return self._states[state]
+        renamed = state
+        if isinstance(state, frozenset):
+            members = [self.state(member) for member in state]
+            renamed = None if None in members else frozenset(members)
+        elif isinstance(state, tuple) and len(state) == 2 and state[0] == "p_fo":
+            fo = self.vid_map.get(state[1])
+            renamed = None if fo is None else ("p_fo", fo)
+        elif isinstance(state, tuple) and len(state) == 2 and state[1] == FINAL:
+            inner = self.state(state[0])
+            renamed = None if inner is None else (inner, FINAL)
+        elif isinstance(state, tuple) and len(state) == 3 and state[0] == "__post__":
+            location, head = self.state(state[1]), self.symbol(state[2])
+            renamed = None if None in (location, head) else ("__post__", location, head)
+        self._states[state] = renamed
+        return renamed
+
+    def automaton(self, automaton):
+        """``automaton`` with its states and transition symbols renamed.
+        A transition whose state or symbol has no counterpart belongs to
+        a rebuilt procedure and is dropped; callers must have checked,
+        via the artifact footprint, that none is on an accepting path,
+        so the accepted language is preserved and the result is the
+        automaton a cold session builds."""
+        from repro.fsa.automaton import FiniteAutomaton
+
+        state = self.state
+        result = FiniteAutomaton(
+            initials=[new for new in map(state, automaton.initials) if new is not None],
+            finals=[new for new in map(state, automaton.finals) if new is not None],
+        )
+        for new in map(state, automaton.states):
+            if new is not None:
+                result.add_state(new)
+        for (src, symbol, dst) in automaton.transitions():
+            src, dst = state(src), state(dst)
+            if symbol is not None:
+                symbol = self.symbol(symbol)
+                if symbol is None:
+                    continue
+            if src is not None and dst is not None:
+                result.add_transition(src, symbol, dst)
+        return result

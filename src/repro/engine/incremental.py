@@ -38,15 +38,17 @@ front half assemblable from per-procedure parts and teaches
     re-addressed onto the new content keys;
   - otherwise a saturation carries over iff its footprint is a subset
     of the new revision's content keys — an empty footprint always is
-    — renumbered through the two layouts.  A reachable-contexts
-    Prestar or feature cone additionally needs the shared Poststar to
-    carry over, because its query automaton was derived from it.
+    — renamed through the two layouts, states included
+    (:class:`~repro.engine.artifacts.Relocation`).  A reachable-contexts
+    Prestar or feature cone additionally needs its criterion to be
+    unchanged: restricted from the old Poststar view and renamed, it
+    must equal the criterion the new revision restricts from its own
+    view (early cutoff).
 
-  Rendered slice / feature-removal / cleanup results survive only a
-  fast-equivalent edit whose changed procedures their footprint
-  avoids (re-pointed at the new parse's statement uids); otherwise they
-  are recomputed (cheap: their saturation is the expensive part and it
-  carries over).
+  Results follow their saturation: across a fast-equivalent edit a
+  result survives iff its footprint avoids the label-edited procedures,
+  and across a structural edit a slice result survives, renamed with
+  its rendering, iff its Prestar did (see :func:`_prune_results`).
 
 Why the subset rule is sound: a saturation can only grow or shrink
 through a rule that the edit added or removed, and every such rule
@@ -57,10 +59,11 @@ configuration *already accepted by the old automaton* that mentions
 one of those symbols — and a footprint within the unchanged
 procedures' content keys means no such symbol is on any accepting
 path.  An empty footprint (an empty saturation, e.g. the Prestar of an
-unreachable print) stays empty for the same reason.  (The
-reachable-contexts caveat exists because those query automata bake in
-the old Poststar language, which the footprint cannot see; they are
-kept only when the Poststar itself carries over.)
+unreachable print) stays empty for the same reason.  The argument
+holds for a fixed query automaton; a reachable-contexts query is
+restricted from the Poststar language, which the footprint cannot see,
+so the criterion check supplies the fixed query: an equal renamed
+query saturates to the renamed automaton (docs/ARCHITECTURE.md §8).
 
 With a store attached, every survivor is recorded in the edited
 revision's saturation index, so the on-disk saturation cache survives
@@ -77,15 +80,21 @@ from concurrent.futures import Future
 
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.modref import compute_modref
-from repro.engine.artifacts import index_record, load_filed
+from repro.core.criteria import reachable_contexts_criterion
+from repro.core.readout import SpecializedPDG, ordered_bindings
+from repro.core.specialize import SpecializationResult
+from repro.engine.artifacts import Relocation, index_record, load_filed, make_artifact
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
     REACHABLE_KEY,
+    SAT_POSTSTAR,
+    SAT_PRESTAR,
     VERTICES,
     is_stable_key,
     stable_key_digest,
 )
+from repro.fsa.serialize import structurally_equal
 from repro.lang import check, parse
 from repro.lang.pretty import pretty_global, pretty_proc
 from repro.pds import encode_sdg
@@ -264,7 +273,11 @@ def _remap_criterion_key(key, vid_map, site_map):
                     return None
                 sites.append(site_map[site])
             configs.append((vid_map[vid], tuple(sites)))
-        return (CONFIGS, tuple(sorted(configs)))
+        if configs != sorted(configs):
+            # configs_criterion numbers its states by position in the
+            # sorted key: moved procedures would carry stale names.
+            return None
+        return (CONFIGS, tuple(configs))
     if kind == AUTOMATON:
         transitions = set()
         for (src, symbol, dst) in key[3]:
@@ -277,16 +290,6 @@ def _remap_criterion_key(key, vid_map, site_map):
             transitions.add((src, symbol, dst))
         return (AUTOMATON, key[1], key[2], frozenset(transitions))
     return None
-
-
-def _needs_poststar(key):
-    """Whether a prestar memo key's query automaton was derived from
-    the shared Poststar (reachable-contexts vertex criteria): such
-    entries bake the old reachable-configuration language into their
-    query and may only be kept while that language is provably
-    unchanged.  Configuration-set and automaton criteria pin their
-    contexts explicitly and are independent of the Poststar."""
-    return key[0] == VERTICES and len(key) == 3 and key[2] == "reachable"
 
 
 # -- revision layouts --------------------------------------------------------------
@@ -411,25 +414,31 @@ def _within(footprint, content_keys):
     return content_keys.issuperset(footprint)
 
 
-def carry_over(old_layout, new_layout, saturations):
+def carry_over(old_layout, new_layout, saturations, views, held=frozenset()):
     """The one survival rule for saturations across revisions, shared
     by :func:`update_session` (the live memo) and
     :func:`discover_artifacts` (a stored revision's index).
 
     ``saturations`` is a sequence of ``(key, footprint)`` pairs, one
-    per saturation of the old revision.  Returns ``(fast, new_keys,
-    rename)``: whether the revisions are fast-equivalent, each
-    saturation's key in the new revision (input order; None when it is
-    dropped), and ``rename(artifact, new_key)``, which renames a
-    carried-over artifact into the new revision.
+    per saturation of the old revision; keys in ``held``, which the
+    receiving memo already has, are neither checked nor carried.
+    ``views`` is a pair of functions returning the old revision's
+    Poststar view (or None) and the new revision's, each called at most
+    once and only when a reachable-contexts saturation fits.  Returns
+    ``(fast, new_keys, rename)``: whether the revisions are
+    fast-equivalent, each saturation's key in the new revision (input
+    order; None when it is dropped), and ``rename(artifact, new_key)``.
 
     * Fast-equivalent revisions share one PDS: every saturation
       carries over under its own key, its footprint re-addressed onto
       the new content keys.
-    * Otherwise a saturation carries over iff its footprint is
-      within the new revision's content keys and its key
-      renumbers through the layouts; a reachable-contexts one also
-      needs the shared Poststar to carry over.
+    * Otherwise a saturation carries over iff its footprint is within
+      the new revision's content keys and its key renumbers through the
+      layouts; ``rename`` is the edit's :class:`Relocation`.  A
+      reachable-contexts one also needs its criterion, restricted from
+      the old view and renamed, to equal the new view's (early cutoff;
+      docs/ARCHITECTURE.md §8).  A fitting Poststar, renamed, is the
+      new view.
     """
     translation = _fast_translation(old_layout, new_layout)
     if translation is not None:
@@ -442,28 +451,49 @@ def carry_over(old_layout, new_layout, saturations):
     fits = [_within(footprint, new_key_set) for _key, footprint in saturations]
     maps = _layout_maps(old_layout, new_layout) if any(fits) else None
     if maps is None:
-        return False, [None] * len(saturations), None
-    vid_map, site_map = maps
-    poststar_carried = any(
-        fit and key == REACHABLE_KEY for (key, _footprint), fit in zip(saturations, fits)
+        # Nothing fits: an empty renaming, which carries nothing.
+        return False, [None] * len(saturations), Relocation({}, {})
+    relocation = Relocation(*maps)
+    poststar_fits = any(
+        fit for (key, _footprint), fit in zip(saturations, fits) if key == REACHABLE_KEY
     )
+    compared = []  # the (old view, new view) pair, once needed
+
+    def criterion_unchanged(old_vids, new_vids):
+        if not compared:
+            old_view, new_view = views[0](), None
+            if old_view is not None:
+                new_view = (
+                    relocation.automaton(old_view) if poststar_fits else views[1]()
+                )
+            compared.append((old_view, new_view))
+        old_view, new_view = compared[0]
+        return old_view is not None and structurally_equal(
+            relocation.automaton(
+                reachable_contexts_criterion(None, old_vids, old_view)
+            ),
+            reachable_contexts_criterion(None, new_vids, new_view),
+        )
 
     def new_key(key, fit):
         if not fit:
             return None
         if key == REACHABLE_KEY:
-            return key
+            return None if key in held else key
         if not (isinstance(key, tuple) and len(key) == 2):
             return None
-        if _needs_poststar(key[1]) and not poststar_carried:
+        inner = _remap_criterion_key(key[1], *maps)
+        if inner is None or (key[0], inner) in held:
             return None
-        inner = _remap_criterion_key(key[1], vid_map, site_map)
-        return None if inner is None else (key[0], inner)
+        if inner[0] == VERTICES and inner[2] == "reachable":
+            if not criterion_unchanged(key[1][1], inner[1]):
+                return None
+        return (key[0], inner)
 
     return (
         False,
         [new_key(key, fit) for (key, _footprint), fit in zip(saturations, fits)],
-        lambda artifact, key: artifact.relocated(key, vid_map, site_map),
+        relocation,
     )
 
 
@@ -504,7 +534,10 @@ def discover_artifacts(session):
     survivor the memo lacks, installs it, and records it in this
     revision's index (one write; a fast-equivalent donor's files are
     named, not copied), so the adoption is paid once per edit, not
-    once per process.  Adoptions count as
+    once per process.  A donor's Poststar is read only when one of its
+    reachable-contexts Prestars fits and no newer donor supplied that
+    key; this revision's own Poststar, which the check compares
+    against, is computed (and filed) then, once.  Adoptions count as
     ``index_hits`` on the store (and ``sats_adopted`` on the session);
     records whose artifact file was evicted or corrupted count as
     ``index_misses``.
@@ -513,10 +546,9 @@ def discover_artifacts(session):
     """
     store = session.store
     new_hash = session.source_hash
+    poststar_digest = stable_key_digest(REACHABLE_KEY)
     own = store.get_sat_index(new_hash)
-    if own is not None and stable_key_digest(REACHABLE_KEY) in (
-        own.get("artifacts") or {}
-    ):
+    if own is not None and poststar_digest in (own.get("artifacts") or {}):
         return 0
     t0 = time.perf_counter()
     new_layout = session_layout(session)
@@ -533,27 +565,50 @@ def discover_artifacts(session):
     for src_hash, index in candidates:
         if src_hash == new_hash:
             continue
+        filed = index.get("artifacts") or {}
         records = []
-        for _key_digest, record in sorted((index.get("artifacts") or {}).items()):
+        for digest, record in sorted(filed.items()):
             try:
                 key, _kind, footprint, name = record
             except (TypeError, ValueError):
                 continue
-            records.append((key, footprint, name, record))
+            records.append((key, footprint, digest, name))
         if not records:
             continue
+        poststar = []  # the donor's Poststar, once read
+
+        def load(digest):
+            # Only the Poststar can be wanted twice (by the criterion
+            # check and as a survivor); holding on to the others would
+            # keep every donor artifact alive through the loop.
+            if digest != poststar_digest:
+                return load_filed(store, filed[digest])
+            if not poststar:
+                poststar.append(load_filed(store, filed[digest]))
+            return poststar[0]
+
+        def old_view():
+            artifact = load(poststar_digest) if poststar_digest in filed else None
+            return None if artifact is None else artifact.automaton
+
+        with session._lock:
+            held = frozenset(
+                key for kind, key in session._futures if kind == "saturation"
+            )
         fast, new_keys, rename = carry_over(
             index.get("layout") or (),
             new_layout,
-            [(key, footprint) for key, footprint, _name, _record in records],
+            [(key, footprint) for key, footprint, _digest, _name in records],
+            (old_view, session.reachable_configs),
+            held,
         )
-        for (_key, _footprint, name, record), new_key in zip(records, new_keys):
+        for (_key, _footprint, digest, name), new_key in zip(records, new_keys):
             if new_key is None or not is_stable_key(new_key):
                 continue
             with session._lock:
                 if ("saturation", new_key) in session._futures:
                     continue  # a newer revision already supplied it
-            artifact = load_filed(store, record)
+            artifact = load(digest)
             if artifact is None:
                 # Stale record: the artifact file was evicted (or
                 # corrupted) out from under its index entry.  The next
@@ -626,10 +681,27 @@ def update_session(session, new_source):
         for (cache_kind, key), future in snapshot.items()
         if cache_kind == "saturation" and _done(future)
     ]
+    old_poststar = dict(saturations).get(REACHABLE_KEY)
+    fresh = []  # the new revision's Poststar, if the rule needed it
+
+    def new_view():
+        # Imported here so that a wrapper installed on the criteria
+        # module by name sees this call.
+        from repro.core.criteria import reachable_query_view
+
+        sink = {}
+        view = reachable_query_view(encode_sdg(new_sdg), stats=sink)
+        session._absorb_kernel_stats(sink)
+        fresh.append(
+            make_artifact(SAT_POSTSTAR, REACHABLE_KEY, view, new_sdg, new_keys)
+        )
+        return view
+
     fast, new_sat_keys, rename = carry_over(
         old_layout,
         new_layout,
         [(key, artifact.footprint) for key, artifact in saturations],
+        (lambda: None if old_poststar is None else old_poststar.automaton, new_view),
     )
     if fast:
         encoding = session.encoding
@@ -637,25 +709,36 @@ def update_session(session, new_source):
         new_sdg._pds_encoding = encoding
     else:
         encoding = encode_sdg(new_sdg)
-    new_futures = {}
-    counts = {"saturations_kept": 0, "saturations_dropped": 0}
-    survivors = {}  # stable key digest -> (survivor, None), for the store
+    kept_sats = {}  # old saturation key -> its survivor
     for (key, artifact), new_key in zip(saturations, new_sat_keys):
-        if new_key is None:
-            counts["saturations_dropped"] += 1
-            continue
-        survivor = rename(artifact, new_key)
-        if new_key == REACHABLE_KEY:
+        if new_key is not None:
+            kept_sats[key] = rename(artifact, new_key)
+    counts = {
+        "saturations_kept": len(kept_sats),
+        "saturations_dropped": len(saturations) - len(kept_sats),
+    }
+    new_futures = {}
+    survivors = {}  # stable key digest -> (artifact, None), for the store
+    for artifact in list(kept_sats.values()) + fresh:
+        if artifact.key == REACHABLE_KEY:
             # The criterion constructors read the shared Poststar off
-            # the encoding (as its query view); transplant the survivor.
-            encoding._reachable_configs = survivor.automaton
-            encoding._reachable_view = survivor.automaton
-        new_futures[("saturation", new_key)] = _completed(survivor)
-        counts["saturations_kept"] += 1
-        if is_stable_key(new_key):
-            survivors[stable_key_digest(new_key)] = (survivor, None)
-    result_futures, result_counts = _prune_results(
-        session, snapshot, new_sdg, encoding, fast, frozenset(new_keys.values())
+            # the encoding (as its query view); install this one.
+            encoding._reachable_configs = artifact.automaton
+            encoding._reachable_view = artifact.automaton
+        new_futures[("saturation", artifact.key)] = _completed(artifact)
+        if is_stable_key(artifact.key):
+            survivors[stable_key_digest(artifact.key)] = (artifact, None)
+    result_futures, result_counts, relocated = _prune_results(
+        session,
+        snapshot,
+        new_sdg,
+        encoding,
+        None if fast else rename,
+        kept_sats,
+        frozenset(new_keys.values()),
+        frozenset(changed + removed),
+        [name for name in old_names if name in kept]
+        == [name for name in new_names if name in kept],
     )
     new_futures.update(result_futures)
     counts.update(result_counts)
@@ -674,6 +757,7 @@ def update_session(session, new_source):
         session._stats["updates"] += 1
         session._stats["procs_reused"] += len(kept)
         session._stats["procs_rebuilt"] += len(changed)
+        session._stats["saturation_misses"] += len(fresh)
         for name, value in counts.items():
             session._stats[name] += value
 
@@ -686,8 +770,14 @@ def update_session(session, new_source):
             session.store.put_proc(new_keys[name], extract_part(new_sdg, name))
         # Record every survivor in the edited text's index, so a fresh
         # process opening the new text finds its saturations warm —
-        # composing with the __procs__ partial front-half hits.
+        # composing with the __procs__ partial front-half hits — and
+        # the renamed results, so that its first answers are too.
         _refile(session.store, new_hash, new_layout, survivors)
+        for key, result in relocated.items():
+            digest = session._persist_digest("slice", key)
+            if digest is not None:
+                session._stage_result(new_hash, "slice", digest, result)
+        session._file_results()
 
     import repro
 
@@ -714,81 +804,158 @@ def _completed(value):
     return future
 
 
-def _prune_results(session, snapshot, new_sdg, encoding, fast, new_key_set):
-    """Decide which rendered results survive the update: only across a
-    fast-equivalent edit (same PDS, same queries), and only when the
-    result's footprint lies within the new revision's content keys —
-    i.e. avoids every label-edited procedure.  No automaton is trimmed
-    or inspected here.  Returns the surviving result entries and the
-    kept/dropped counters."""
+def _prune_results(
+    session,
+    snapshot,
+    new_sdg,
+    encoding,
+    relocation,
+    kept_sats,
+    new_key_set,
+    stale,
+    same_order,
+):
+    """Decide which results survive the update, without inspecting an
+    automaton.  Across a fast-equivalent edit (``relocation`` None, the
+    identity renaming) a result survives iff its footprint lies within
+    the new content keys.  Across a structural edit a slice result
+    survives iff its Prestar did (``kept_sats``: old saturation key ->
+    survivor), renamed under the survivor's key; its rendering keeps
+    its text only if the unchanged procedures kept their relative
+    order (``same_order``), since procedures render in program order.
+    A kept rendering that stubs (§6.2) a procedure in ``stale`` (changed
+    or gone) is dropped, to be rendered again from its kept result.
+    Returns the surviving memo entries, the kept/dropped counters, and
+    the renamed slice results by their new key (for the store)."""
     new_futures = {}
     counts = {"results_kept": 0, "results_dropped": 0}
-    kept_result_keys = {"slice": set(), "feature": set()}
-    # Rendered slices that survive keep their text but must name the new
-    # parse's statements (its uids are fresh), through the numbering
-    # fast equivalence proved identical.
-    uid_map = _stmt_uid_map(session.sdg, new_sdg) if fast else {}
-
+    moved = {"slice": {}, "feature": {}}  # old key -> (new key, result)
     for (cache_kind, key), future in snapshot.items():
-        if cache_kind not in ("slice", "feature") or not _done(future):
+        if cache_kind not in moved or not _done(future):
             continue
         value = future.result()
-        if fast and _within(value.footprint, new_key_set):
-            # The result's whole cone lies in unchanged procedures: the
-            # result (and its rendered text) is still exact.  Re-point
-            # its front-half references at the new graph.  Feature
-            # removals qualify too — their footprint is the *kept*
-            # cone, and on the fast path the kept language itself is
-            # unchanged (same PDS, same query), so only edits the
-            # residual program could render matter.
-            value.source_sdg = new_sdg
-            value.encoding = encoding
-            new_futures[(cache_kind, key)] = future
-            kept_result_keys[cache_kind].add(key)
+        if relocation is None:
+            if _within(value.footprint, new_key_set):
+                # The result's whole cone lies in unchanged procedures:
+                # the result (and its rendered text) is still exact.
+                # Re-point its front-half references at the new graph.
+                # Feature removals qualify too — their footprint is the
+                # *kept* cone, and on the fast path the kept language
+                # itself is unchanged (same PDS, same query), so only
+                # edits the residual program could render matter.
+                value.source_sdg = new_sdg
+                value.encoding = encoding
+                moved[cache_kind][key] = (key, value)
+        elif cache_kind == "slice":
+            survivor = kept_sats.get((SAT_PRESTAR, key))
+            if survivor is not None:
+                moved[cache_kind][key] = (
+                    survivor.key[1],
+                    _relocated_result(value, survivor, relocation, new_sdg, encoding),
+                )
+        if key in moved[cache_kind]:
+            new_key, value = moved[cache_kind][key]
+            new_futures[(cache_kind, new_key)] = _completed(value)
             counts["results_kept"] += 1
         else:
             counts["results_dropped"] += 1
 
+    uid_map = None
     for (cache_kind, key), future in snapshot.items():
-        if not _done(future):
+        if cache_kind not in ("executable", "feature_clean") or not _done(future):
             continue
+        # An executable rides its slice's fate and is not counted (the
+        # results_* counters tally logical results); a §7 cleanup pair
+        # rides its feature removal's.
+        entry = moved["slice" if cache_kind == "executable" else "feature"].get(key)
         if cache_kind == "executable":
-            # Rides its slice's fate; not counted separately (the
-            # results_* counters tally logical results).
-            if key in kept_result_keys["slice"]:
-                _retarget_executable(future.result(), uid_map)
-                new_futures[(cache_kind, key)] = future
-        elif cache_kind == "feature_clean":
-            # The §7 cleanup pair rides its feature removal's fate.
-            if key in kept_result_keys["feature"]:
-                for executable in future.result():
-                    _retarget_executable(executable, uid_map)
-                new_futures[(cache_kind, key)] = future
-                counts["results_kept"] += 1
-            else:
-                counts["results_dropped"] += 1
+            renderings = (future.result(),)
+        else:
+            renderings = future.result()
+        # A §6.2 stub (a procedure rendered without a specialization)
+        # copies its procedure's current parameter list.
+        stubs = set(
+            proc.name
+            for rendering in renderings
+            for proc in rendering.program.procs
+            if proc.name not in rendering.spec_of_proc
+        )
+        keep = entry is not None and same_order and not (stubs & stale)
+        if keep:
+            if uid_map is None:
+                uid_map = _stmt_uid_map(session.sdg, new_sdg, relocation)
+            for rendering in renderings:
+                _retarget_executable(rendering, uid_map, relocation, entry[1])
+            new_futures[(cache_kind, entry[0])] = future
+        if cache_kind == "feature_clean":
+            counts["results_kept" if keep else "results_dropped"] += 1
 
-    return new_futures, counts
+    relocated = {} if relocation is None else dict(moved["slice"].values())
+    return new_futures, counts, relocated
 
 
-def _stmt_uid_map(old_sdg, new_sdg):
+def _relocated_result(result, survivor, relocation, new_sdg, encoding):
+    """A slice result renamed into the new revision beside its renamed
+    Prestar ``survivor``: ``a1`` is the survivor's automaton, and the
+    query automaton, ``a6``, the partition and the bindings are renamed
+    (bindings in :func:`~repro.core.readout.ordered_bindings` order).
+    ``R`` and its maps are built on first read, as for a fresh result."""
+    state = relocation.state
+    moved = SpecializationResult()
+    moved.source_sdg = new_sdg
+    moved.encoding = encoding
+    moved.criterion = relocation.automaton(result.criterion)
+    moved.a1 = survivor.automaton
+    moved.a6 = relocation.automaton(result.a6)
+    for spec in result.pdgs.values():
+        twin = SpecializedPDG(
+            state(spec.state),
+            spec.proc,
+            [relocation.vid_map[vid] for vid in spec.orig_vertices],
+        )
+        twin.name = spec.name
+        moved.pdgs[twin.state] = twin
+    moved.bindings = ordered_bindings(
+        new_sdg,
+        moved.pdgs,
+        {
+            (state(caller), relocation.site_map[site]): state(callee)
+            for (caller, site), callee in result.bindings.items()
+        },
+    )
+    moved.stats = dict(result.stats)
+    moved.footprint = result.footprint
+    return moved
+
+
+def _stmt_uid_map(old_sdg, new_sdg, relocation):
     """Old statement uid -> new statement uid, matched through the
-    statements' vertex ids (identical across a fast-path update)."""
+    statements' vertex ids: old vid -> ``relocation`` -> new vid (the
+    identity on a fast-path update, ``relocation`` None)."""
     new_uid = {vid: uid for uid, vid in new_sdg.vertex_of_stmt.items()}
-    return {
-        uid: new_uid[vid]
-        for uid, vid in old_sdg.vertex_of_stmt.items()
-        if vid in new_uid
-    }
+    uid_map = {}
+    for uid, vid in old_sdg.vertex_of_stmt.items():
+        if relocation is not None:
+            vid = relocation.vid_map.get(vid)
+        if vid in new_uid:
+            uid_map[uid] = new_uid[vid]
+    return uid_map
 
 
-def _retarget_executable(executable, uid_map):
-    """Point a surviving :class:`ExecutableSlice`'s ``stmt_map`` at the
-    new parse's statement uids (a fresh dict, swapped in whole, like the
-    surviving results' front-half references above)."""
+def _retarget_executable(executable, uid_map, relocation, result):
+    """Point a surviving :class:`ExecutableSlice` at the new revision:
+    its ``stmt_map`` at the new parse's statement uids and, across a
+    structural edit, its ``spec_of_proc`` at the renamed ``result``'s
+    specializations (fresh dicts, swapped in whole)."""
     executable.stmt_map = {
         new: uid_map.get(old, old) for new, old in executable.stmt_map.items()
     }
+    if relocation is not None:
+        executable.spec_of_proc = {
+            name: result.pdgs[relocation.state(spec.state)]
+            for name, spec in executable.spec_of_proc.items()
+        }
+        executable.result = result
 
 
 def _finish(session, t0, fast, noop, **extra):

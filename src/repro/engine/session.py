@@ -680,13 +680,17 @@ class SlicingSession(object):
                 return self._rehydrate(value)
         value = compute()
         if digest is not None:
-            # Pickled now, not when the call files it: the memo's value
-            # can change meanwhile (a cleanup pair gets its result
-            # re-linked).
-            blob = pickle.dumps(self._slim(value), protocol=pickle.HIGHEST_PROTOCOL)
-            with self._lock:
-                self._unfiled.setdefault(src_hash, {})[(cache_kind, digest)] = blob
+            self._stage_result(src_hash, cache_kind, digest, value)
         return value
+
+    def _stage_result(self, src_hash, cache_kind, digest, value):
+        """Queue a result for filing under revision ``src_hash`` (see
+        :meth:`_file_results`).  It is pickled now, not when the call
+        files it: the memo's value can change meanwhile (a cleanup pair
+        gets its result re-linked)."""
+        blob = pickle.dumps(self._slim(value), protocol=pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._unfiled.setdefault(src_hash, {})[(cache_kind, digest)] = blob
 
     def _persisted_results(self, src_hash):
         """The results the store holds for one revision, ``(memo table,

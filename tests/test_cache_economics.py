@@ -29,7 +29,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.engine import SlicingSession, stable_key_digest
-from repro.engine.canonical import REACHABLE_KEY
+from repro.engine.canonical import REACHABLE_KEY, SAT_PRESTAR
 from repro.lang import pretty
 from repro.store import DEFAULT_MAX_BYTES, SliceStore, source_hash
 from repro.store.store import (
@@ -347,24 +347,112 @@ def test_structural_edit_adopts_only_surviving_footprints(tmp_path):
     ).version_counts()
 
 
-def test_reachable_prestar_gated_on_poststar_record(tmp_path):
-    """A reachable-contexts Prestar bakes in the donor's Poststar
-    language, so it transfers only when the Poststar *record* passes
-    the footprint test too — after an edit the Poststar saw, neither
-    transfers and the cold session recomputes."""
+def test_reachable_prestar_adopted_when_its_criterion_is_unchanged(tmp_path):
+    """A reachable-contexts Prestar bakes the donor's Poststar language
+    into its query, so it transfers only when its criterion did not
+    change.  The edit inside ``noise`` changes the Poststar (whose
+    footprint covers everything), but print 0's only context is main's
+    empty stack on both sides: its Prestar is adopted, and the answers
+    are the cold ones."""
     cache = str(tmp_path / "cache")
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0))  # reachable contexts (the default)
 
     reader = SlicingSession(STRUCTURAL_EDIT, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 0
+    assert reader.stats["sats_adopted"] == 1
     result = reader.slice(("print", 0))
-    assert reader.stats["saturation_misses"] == 2  # honest recompute
+    # The Poststar the check compared against is the only saturation.
+    assert reader.stats["saturation_misses"] == 1
     cold = SlicingSession(STRUCTURAL_EDIT)
     assert pretty(reader.executable(("print", 0)).program) == pretty(
         cold.executable(("print", 0)).program
     )
     assert result.version_counts() == cold.slice(("print", 0)).version_counts()
+
+
+#: ``report``'s print sees one calling context, through main
+CONTEXTS = (
+    "int g;\n"
+    'void report(int x) { print("%d\\n", x); }\n'
+    "void other() { g = 1; }\n"
+    "int main() { int v = input(); report(v); other(); "
+    'print("%d\\n", g); return 0; }\n'
+)
+#: ``other`` also calls ``report``: the print gains a calling context
+#: although neither ``main`` nor ``report`` changed
+NEW_CONTEXT = CONTEXTS.replace("g = 1;", "g = 1; report(7);")
+
+
+def test_new_calling_context_drops_a_fitting_prestar(tmp_path):
+    """The footprint of ``report``'s print Prestar, {main, report},
+    fits the edited revision, but its criterion gained a context
+    through ``other``.  Both survival paths compare the criteria and
+    keep nothing; the answers are the cold ones."""
+    live = SlicingSession(CONTEXTS)
+    criteria = [("print", 0), ("print", 1)]
+    live.slice_many(criteria)
+    keys = live._content_keys()
+    prestar = live._futures[("saturation", (SAT_PRESTAR, _print_key(live, 0)))]
+    assert prestar.result().footprint == frozenset([keys["main"], keys["report"]])
+    summary = live.update_source(NEW_CONTEXT)
+    assert summary["fast_path"] is False
+    assert summary["saturations_kept"] == 0
+    assert live._content_keys()["main"] == keys["main"]
+    assert live._content_keys()["report"] == keys["report"]
+
+    cache = str(tmp_path / "cache")
+    SlicingSession(CONTEXTS, store=SliceStore(cache)).slice_many(criteria)
+    reader = SlicingSession(NEW_CONTEXT, store=SliceStore(cache))
+    assert reader.stats["sats_adopted"] == 0
+
+    cold = SlicingSession(NEW_CONTEXT)
+    for session in (live, reader):
+        for criterion in criteria:
+            assert pretty(session.executable(criterion).program) == pretty(
+                cold.executable(criterion).program
+            ), criterion
+
+
+def _print_key(session, index):
+    from repro.engine.canonical import canonical_key, resolve_criterion_spec
+
+    kind, payload = resolve_criterion_spec(session.sdg, ("print", index))
+    return canonical_key(kind, payload, "reachable")
+
+
+def test_structural_edit_keeps_every_unchanged_criterion_on_both_paths(tmp_path):
+    """Early cutoff, counted on wc48: one new local in ``count_cat_3``
+    changes the shared Poststar and that category's print, and nothing
+    else.  A live update keeps the other 50 Prestars and renames their
+    50 results; a store-backed reopen adopts the same 50 Prestars, and
+    answering every print then saturates only the Poststar and
+    ``count_cat_3``'s print."""
+    from repro.workloads.wc import scaled_wc_source
+
+    base = scaled_wc_source(48)
+    edited = base.replace(
+        "void count_cat_3(int c) {", "void count_cat_3(int c) {\n  int z = 1;"
+    )
+    live = SlicingSession(base)
+    criteria = [("print", i) for i in range(len(live.sdg.print_call_vertices()))]
+    assert len(criteria) == 51
+    live.slice_many(criteria)
+    before = live.stats
+    summary = live.update_source(edited)
+    assert summary["fast_path"] is False
+    assert (summary["saturations_kept"], summary["saturations_dropped"]) == (50, 2)
+    assert (summary["results_kept"], summary["results_dropped"]) == (50, 1)
+    live.slice_many(criteria)
+    after = live.stats
+    assert after["slice_misses"] - before["slice_misses"] == 1
+    assert after["saturation_misses"] - before["saturation_misses"] == 2
+
+    cache = str(tmp_path / "cache")
+    SlicingSession(base, store=SliceStore(cache)).slice_many(criteria)
+    reader = SlicingSession(edited, store=SliceStore(cache))
+    assert reader.stats["sats_adopted"] == 50
+    reader.slice_many(criteria)
+    assert reader.stats["saturation_misses"] == 2
 
 
 #: ``d`` and ``e`` are never called, so their prints are unreachable and

@@ -353,6 +353,29 @@ def test_internal_errors_keep_their_traceback(fig1_file, monkeypatch):
         main(["info", fig1_file])
 
 
+def test_reuse_from_reports_kept_results_across_a_structural_edit(tmp_path):
+    """``--reuse-from`` updates the previous revision's session in
+    place: after a structural edit in one category, every other print's
+    result is renamed into the new revision, and the reuse line says
+    so."""
+    from repro.workloads.wc import scaled_wc_source
+
+    text = scaled_wc_source(4) + "// reuse-line test\n"
+    header = "void count_cat_1(int c) {"
+    previous = tmp_path / "prev.tc"
+    current = tmp_path / "cur.tc"
+    previous.write_text(text)
+    current.write_text(text.replace(header, header + "\n  int z = 1;"))
+    run_cli(["slice-batch", str(previous), "--prints", "all"])
+    out = run_cli(
+        ["slice-batch", str(current), "--reuse-from", str(previous), "--prints", "all"]
+    )
+    assert (
+        "reuse: 9/10 procedures kept, 6 saturations kept / 2 dropped, "
+        "6 results kept / 1 dropped (slow path)"
+    ) in out
+
+
 def test_reuse_from_internal_errors_keep_their_traceback(fig1_file, monkeypatch):
     from repro.engine import SlicingSession
 
