@@ -37,7 +37,7 @@ class CallSite(object):
         self.label = None
 
     def __repr__(self):
-        return "CallSite(%s -> %s at uid %d)" % (self.caller, self.callee, self.stmt.uid)
+        return "CallSite(%s -> %s at uid %r)" % (self.caller, self.callee, self.stmt.uid)
 
 
 class CallGraph(object):
@@ -109,7 +109,7 @@ def build_call_graph(program):
                 continue
             if call.is_indirect:
                 raise ValueError(
-                    "indirect call in %r (uid %d): lower function pointers "
+                    "indirect call in %r (uid %r): lower function pointers "
                     "before building the call graph" % (proc.name, stmt.uid)
                 )
             graph.add_site(CallSite(proc.name, call.callee, stmt, call, captures, target))

@@ -27,6 +27,10 @@ Details the paper's examples imply:
 A monovariant vertex set (a Binkley or Weiser slice, §8) renders through
 the same path: :func:`monovariant_program` states it as one
 specialization per kept procedure, under the procedure's own name.
+
+The statement map is built once the rendered program is, because
+building a :class:`~repro.lang.ast_nodes.Program` numbers its
+statements.
 """
 
 from repro.core.readout import SpecializedPDG
@@ -46,7 +50,9 @@ class ExecutableSlice(object):
 
     Attributes:
         program: the new :class:`Program` AST (semantically checked).
-        stmt_map: new statement uid -> original statement uid.
+        stmt_map: new statement uid -> original statement uid (both
+            positions, ``(procedure name, index)``, so the map names the
+            same statements in any parse of the source text).
         spec_of_proc: new procedure name -> :class:`SpecializedPDG`
             (for a :func:`monovariant_program` rendering, one per kept
             procedure, named like it).
@@ -105,7 +111,7 @@ class _Generator(object):
         self.program = program
         self.info = info
         self.sdg = result.source_sdg
-        self.stmt_map = {}
+        self.origins = []  # (rendered statement, original uid)
         self.spec_of_proc = {}
 
     # -- top level ------------------------------------------------------------
@@ -131,11 +137,12 @@ class _Generator(object):
 
         globals_, stubs = self._globals_and_stubs(new_procs)
         new_program = A.Program(globals_, new_procs + stubs)
+        stmt_map = {new.uid: uid for new, uid in self.origins}
 
         from repro.lang.sema import check
 
         check(new_program)  # the slice must be a legal program
-        return ExecutableSlice(new_program, self.stmt_map, self.spec_of_proc)
+        return ExecutableSlice(new_program, stmt_map, self.spec_of_proc)
 
     # -- procedures ---------------------------------------------------------------
 
@@ -219,7 +226,7 @@ class _Generator(object):
             new_stmt = A.ExitStmt(arg)
         else:
             raise AssertionError("unknown statement %r" % stmt)
-        self.stmt_map[new_stmt.uid] = stmt.uid
+        self.origins.append((new_stmt, stmt.uid))
         return new_stmt
 
     def _render_call(self, stmt, call_vertex, spec):
@@ -247,7 +254,7 @@ class _Generator(object):
             new_stmt = A.LocalDecl(stmt.name, new_call, stmt.is_fnptr)
         else:
             new_stmt = A.CallStmt(new_call)
-        self.stmt_map[new_stmt.uid] = stmt.uid
+        self.origins.append((new_stmt, stmt.uid))
         return new_stmt
 
     # -- post passes ---------------------------------------------------------------

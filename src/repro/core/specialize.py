@@ -23,7 +23,6 @@ from repro.core.readout import read_out_sdg, specialized_sdg
 # reverse/remove_epsilon/determinize/minimize are not called here:
 # perfbench/tracing.py wraps them by name.
 from repro.fsa import determinize, intops, minimize, remove_epsilon, reverse
-from repro.fsa.ops import staged_mrd
 from repro.pds import encode_sdg, prestar
 
 
@@ -174,17 +173,12 @@ def specialization_slice(sdg, criterion, contexts="reachable", a1=None):
     result.a1 = a1
     t2 = time.perf_counter()
 
-    # Lines 4-8, keeping the stage sizes experiments report (§4.2).
+    # Lines 4-8, keeping the stage sizes experiments report (§4.2): one
+    # fused pass (reverse; remove-epsilon; determinize; minimize;
+    # reverse) over the int codec.  The reversal keeps every state.
     view = as_query_view(a1, encoding)
-    # One fused pass (reverse; determinize; minimize; reverse) over the
-    # int codec; the staged chain runs iff the view has epsilon
-    # transitions, which saturation views never do.
-    fused = intops.mrd_int(view)
-    if fused is not None:
-        a6, a3_states, a4_states = fused
-        a2_states = len(view.states)
-    else:
-        a6, a2_states, a3_states, a4_states = staged_mrd(view)
+    a6, a3_states, a4_states = intops.mrd_int(view)
+    a2_states = len(view.states)
     result.a6 = a6
     t3 = time.perf_counter()
 

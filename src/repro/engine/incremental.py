@@ -19,10 +19,13 @@ front half assemblable from per-procedure parts and teaches
   propagate into keys without diffing graphs.
 
 * :func:`update_session` diffs old and new keys, lifts the unchanged
-  procedures' PDGs out of the old graph (re-keyed onto the new parse's
-  statement uids — content-key equality makes the ASTs token-identical)
-  and rebuilds only the changed PDGs via :func:`repro.sdg.assemble_sdg`
-  (which numbers the result identically to a cold build).
+  procedures' PDGs out of the old graph and rebuilds only the changed
+  PDGs via :func:`repro.sdg.assemble_sdg` (which numbers the result
+  identically to a cold build).  A statement's id is its position,
+  ``(procedure name, index)``, and content-key equality means
+  token-identical procedures, name included, so a lifted part, a kept
+  rendering's statement map and a stored result name the new parse's
+  statements as they are: nothing is translated between parses.
 
 * :func:`carry_over` is **the one survival rule** for saturations
   across revisions.  :func:`update_session` feeds it the live memo and
@@ -95,6 +98,7 @@ from repro.engine.canonical import (
     stable_key_digest,
 )
 from repro.fsa.serialize import structurally_equal
+from repro.lang import ast_nodes as A
 from repro.lang import check, parse
 from repro.lang.pretty import pretty_global, pretty_proc
 from repro.pds import encode_sdg
@@ -216,6 +220,10 @@ def load_front_half(source, store):
     Returns ``(program, info, sdg, proc_keys, parts_hit, parts_total)``
     (``proc_keys`` is None without a store — sessions compute keys
     lazily on first update).
+
+    A stored part is disk input, so it is checked: it is used only if
+    its name and statement ids equal the target procedure's, and is a
+    miss otherwise.
     """
     program, info = front_end(source)
     if store is None:
@@ -227,13 +235,13 @@ def load_front_half(source, store):
     parts = {}
     for proc in program.procs:
         part = store.get_proc(keys[proc.name])
-        if isinstance(part, ProcPart) and part.name == proc.name:
-            try:
-                # The donor AST is token-identical (same content key);
-                # re-key the part onto this parse's statement uids.
-                parts[proc.name] = part.retarget_uids(proc)
-            except ValueError:
-                pass  # defensive: a mismatched part is just a miss
+        if (
+            isinstance(part, ProcPart)
+            and part.name == proc.name
+            and set(part.stmt_vertices)
+            == set(stmt.uid for stmt in A.walk_stmts(proc.body))
+        ):
+            parts[proc.name] = part
     sdg = assemble_sdg(program, info, parts, call_graph=call_graph, modref=modref)
     for proc in program.procs:
         if proc.name not in parts:
@@ -657,18 +665,9 @@ def update_session(session, new_source):
     new_name_set = set(new_names)
     removed = [name for name in old_names if name not in new_name_set]
 
-    # Lift the unchanged procedures' PDGs out of the old graph and
-    # re-key them onto the new parse (token-identical by content key).
-    old_sdg = session.sdg
-    parts = {}
-    for name in list(kept):
-        try:
-            parts[name] = extract_part(old_sdg, name).retarget_uids(
-                program.proc(name)
-            )
-        except ValueError:  # defensive: rebuild rather than trust a bad part
-            kept.discard(name)
-            changed.append(name)
+    # Lift the unchanged procedures' PDGs out of the old graph: a
+    # content-equal procedure has the same statement ids in the new parse.
+    parts = {name: extract_part(session.sdg, name) for name in kept}
     new_sdg = assemble_sdg(program, info, parts, call_graph=call_graph, modref=modref)
 
     # The survival rule, fed the live memo.
@@ -729,7 +728,6 @@ def update_session(session, new_source):
         if is_stable_key(artifact.key):
             survivors[stable_key_digest(artifact.key)] = (artifact, None)
     result_futures, result_counts, relocated = _prune_results(
-        session,
         snapshot,
         new_sdg,
         encoding,
@@ -805,7 +803,6 @@ def _completed(value):
 
 
 def _prune_results(
-    session,
     snapshot,
     new_sdg,
     encoding,
@@ -860,7 +857,6 @@ def _prune_results(
         else:
             counts["results_dropped"] += 1
 
-    uid_map = None
     for (cache_kind, key), future in snapshot.items():
         if cache_kind not in ("executable", "feature_clean") or not _done(future):
             continue
@@ -882,10 +878,9 @@ def _prune_results(
         )
         keep = entry is not None and same_order and not (stubs & stale)
         if keep:
-            if uid_map is None:
-                uid_map = _stmt_uid_map(session.sdg, new_sdg, relocation)
-            for rendering in renderings:
-                _retarget_executable(rendering, uid_map, relocation, entry[1])
+            if relocation is not None:
+                for rendering in renderings:
+                    _retarget_executable(rendering, relocation, entry[1])
             new_futures[(cache_kind, entry[0])] = future
         if cache_kind == "feature_clean":
             counts["results_kept" if keep else "results_dropped"] += 1
@@ -928,34 +923,17 @@ def _relocated_result(result, survivor, relocation, new_sdg, encoding):
     return moved
 
 
-def _stmt_uid_map(old_sdg, new_sdg, relocation):
-    """Old statement uid -> new statement uid, matched through the
-    statements' vertex ids: old vid -> ``relocation`` -> new vid (the
-    identity on a fast-path update, ``relocation`` None)."""
-    new_uid = {vid: uid for uid, vid in new_sdg.vertex_of_stmt.items()}
-    uid_map = {}
-    for uid, vid in old_sdg.vertex_of_stmt.items():
-        if relocation is not None:
-            vid = relocation.vid_map.get(vid)
-        if vid in new_uid:
-            uid_map[uid] = new_uid[vid]
-    return uid_map
-
-
-def _retarget_executable(executable, uid_map, relocation, result):
-    """Point a surviving :class:`ExecutableSlice` at the new revision:
-    its ``stmt_map`` at the new parse's statement uids and, across a
-    structural edit, its ``spec_of_proc`` at the renamed ``result``'s
-    specializations (fresh dicts, swapped in whole)."""
-    executable.stmt_map = {
-        new: uid_map.get(old, old) for new, old in executable.stmt_map.items()
+def _retarget_executable(executable, relocation, result):
+    """Point a surviving :class:`ExecutableSlice` at the new revision
+    across a structural edit: its ``spec_of_proc`` at the renamed
+    ``result``'s specializations (a fresh dict, swapped in whole).  Its
+    ``stmt_map`` names statement positions, which a kept rendering's
+    procedures share with the new parse."""
+    executable.spec_of_proc = {
+        name: result.pdgs[relocation.state(spec.state)]
+        for name, spec in executable.spec_of_proc.items()
     }
-    if relocation is not None:
-        executable.spec_of_proc = {
-            name: result.pdgs[relocation.state(spec.state)]
-            for name, spec in executable.spec_of_proc.items()
-        }
-        executable.result = result
+    executable.result = result
 
 
 def _finish(session, t0, fast, noop, **extra):

@@ -10,13 +10,13 @@ suite asserts that structural identity.  :func:`remove_epsilon_int`,
 :func:`determinize_int`, and :func:`minimize_int` are the runtime
 ``repro.fsa.remove_epsilon`` / ``determinize`` / ``minimize``.
 
-:func:`mrd_int` is the fused form of Algorithm 1 lines 4–8 (reverse;
-determinize; minimize; reverse) that :func:`repro.core.specialize
-.specialization_slice` and :func:`repro.fsa.mrd` (feature removal,
-binding-time analysis) run on epsilon-free input: one encode, the
-whole chain over bitsets, one decode — no intermediate object automata
-at all, which is where the kernel's speedup on determinize-heavy
-workloads (Fig. 13) comes from.
+:func:`mrd_int` is the one MRD chain, Algorithm 1 lines 4–8 (reverse;
+remove-epsilon; determinize; minimize; reverse) fused, that
+:func:`repro.core.specialize.specialization_slice` and
+:func:`repro.fsa.mrd` (feature removal, binding-time analysis) run: one
+encode, the whole chain over bitsets, one decode — no intermediate
+object automata at all, which is where the kernel's speedup on
+determinize-heavy workloads (Fig. 13) comes from.
 """
 
 from repro.fsa.automaton import FiniteAutomaton
@@ -227,24 +227,18 @@ def minimize_int(automaton):
 
 
 def mrd_int(view):
-    """The fused int MRD chain over an epsilon-free query view:
-    reverse, determinize, Moore-minimize, reverse — all over bitsets,
-    decoding only the final automaton (``a6``).  Structurally identical
-    to running the chain stage by stage, and 2-3x faster.
+    """The fused int MRD chain over a query view: reverse,
+    remove-epsilon, determinize, Moore-minimize, reverse — all over
+    bitsets, decoding only the final automaton (``a6``).  Structurally
+    identical to running the chain stage by stage, and 2-3x faster.
 
-    Returns ``(a6, a3_states, a4_states)``, or None when the view has
-    epsilon transitions (the caller falls back to the staged chain,
-    :func:`repro.fsa.ops.staged_mrd`, whose determinize-through-closure
-    produces structurally different — language-equal — subsets than
-    remove-epsilon-then-determinize would).
+    Returns ``(a6, a3_states, a4_states)``.
     """
     enc = encode_automaton(view)
-    if enc.has_eps:
-        return None
     n = len(enc.states)
 
-    # Reversed adjacency: rev_rows[t] lists (symbol, source bitset) for
-    # every transition src -symbol-> t of the view.
+    # Reversed adjacency: rev[t] maps each symbol to the bitset of the
+    # sources of the view's transitions src -symbol-> t.
     rev = [{} for _ in range(n)]
     for sid in range(n):
         bit = 1 << sid
@@ -252,10 +246,31 @@ def mrd_int(view):
             for dst in iter_bits(bits):
                 row = rev[dst]
                 row[sym] = row.get(sym, 0) | bit
+    rev_finals = enc.initials_bits
+    if enc.has_eps:
+        # Remove epsilons from the reversal: each state takes the moves
+        # of its reversed epsilon closure (the states with an epsilon
+        # path to it in the view) and accepts iff that closure meets
+        # the view's initials.
+        closure = [1 << sid for sid in range(n)]
+        for sid in range(n):
+            for dst in iter_bits(enc.closure_bits(1 << sid)):
+                closure[dst] |= 1 << sid
+        rev_finals = 0
+        merged = []
+        for sid in range(n):
+            if closure[sid] & enc.initials_bits:
+                rev_finals |= 1 << sid
+            row = {}
+            for mid in iter_bits(closure[sid]):
+                for sym, bits in rev[mid].items():
+                    row[sym] = row.get(sym, 0) | bits
+            merged.append(row)
+        rev = merged
     rev_rows = [list(row.items()) for row in rev]
 
     # Subset construction over the reversal: initials are the view's
-    # finals, accepting subsets meet the view's initials.
+    # finals, accepting subsets meet the reversal's finals.
     start = enc.finals_bits
     subsets = [start]
     index = {start: 0}
@@ -278,7 +293,6 @@ def mrd_int(view):
         position += 1
     a3_states = len(subsets)
 
-    rev_finals = enc.initials_bits
     dfa_finals = [
         position for position, bits in enumerate(subsets) if bits & rev_finals
     ]

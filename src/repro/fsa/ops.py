@@ -5,7 +5,8 @@ Algorithm 1 (lines 4–8).
 Determinize, minimize, and epsilon removal are the integer-codec
 implementations of :mod:`repro.fsa.intops`, re-exported here under
 their plain names (the object loops they replaced live on as the test
-oracle in :mod:`repro.fsa.reference`)."""
+oracle in :mod:`repro.fsa.reference`).  :func:`mrd` is the fused int
+chain, the one MRD implementation, on any input, epsilon or not."""
 
 from collections import deque
 
@@ -154,23 +155,9 @@ def language_equal(left, right):
 
 def mrd(automaton):
     """The minimal reverse-deterministic automaton for L(A): Algorithm 1,
-    lines 4–8 (reverse; determinize; minimize; reverse; remove-epsilon),
-    as the fused int chain on epsilon-free input."""
-    fused = mrd_int(automaton)
-    return staged_mrd(automaton)[0] if fused is None else fused[0]
-
-
-def staged_mrd(automaton):
-    """Lines 4–8 one automaton at a time, for the epsilon input
-    :func:`repro.fsa.intops.mrd_int` declines.  Returns ``(a6,
-    a2_states, a3_states, a4_states)``."""
-    a2 = reverse(automaton)
-    a2 = remove_epsilon(a2) if a2.has_epsilon() else a2
-    a3 = determinize(a2)
-    a4 = minimize(a3)
-    a5 = reverse(a4)
-    a6 = remove_epsilon(a5) if a5.has_epsilon() else a5
-    return a6, len(a2.states), len(a3.states), len(a4.states)
+    lines 4–8 (reverse; remove-epsilon; determinize; minimize; reverse),
+    as the fused int chain (:func:`repro.fsa.intops.mrd_int`)."""
+    return mrd_int(automaton)[0]
 
 
 def is_reverse_deterministic(automaton):

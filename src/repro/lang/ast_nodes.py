@@ -1,23 +1,21 @@
 """Abstract syntax tree node classes for TinyC.
 
 Every node carries a ``pos`` attribute (``(line, col)`` or ``None``) and
-statement nodes additionally receive a stable integer ``uid`` assigned by
-the parser; the uid is what dependence-graph vertices refer back to.
+statement nodes additionally carry a ``uid``: the statement's position,
+``(procedure name, index in walk_stmts order)``, set when a
+:class:`Program` is built from them.  The uid is what dependence-graph
+vertices and rendered statement maps refer back to.  Procedure names are
+unique, so uids are unique within a program, and the same text parses
+to the same uids in any process.
 
-AST nodes are deliberately plain mutable objects rather than frozen
-dataclasses: the specialization pipeline builds new programs by copying
-and editing trees (dropping statements, renaming call targets), and plain
-objects keep that straightforward.
+AST nodes are deliberately plain objects rather than frozen dataclasses,
+but nothing adds, removes or moves the statements of a built
+:class:`Program` (semantic checking resolves names inside expressions in
+place, which leaves positions alone).  Every producer — the parser,
+function-pointer lowering, the renderer, the §7 cleanup and the workload
+generator — assembles fresh statements and builds a new program, which
+numbers them.
 """
-
-import itertools
-
-_uid_counter = itertools.count(1)
-
-
-def fresh_uid():
-    """Allocate a process-unique statement id."""
-    return next(_uid_counter)
 
 
 class Node(object):
@@ -119,11 +117,12 @@ class InputExpr(Expr):
 
 
 class Stmt(Node):
-    """Base class for statements; every statement has a ``uid``."""
+    """Base class for statements; ``uid`` is None until a
+    :class:`Program` numbers the statement."""
 
     def __init__(self, pos=None):
         self.pos = pos
-        self.uid = fresh_uid()
+        self.uid = None
 
 
 class Block(Node):
@@ -252,12 +251,19 @@ class Proc(Node):
 
 
 class Program(Node):
+    """A whole program.  Building one numbers its statements: each
+    statement's ``uid`` becomes ``(procedure name, index in walk_stmts
+    order)``."""
+
     _repr_fields = ("globals", "procs")
 
     def __init__(self, globals, procs, pos=None):
         self.globals = list(globals)
         self.procs = list(procs)
         self.pos = pos
+        for proc in self.procs:
+            for index, stmt in enumerate(walk_stmts(proc.body)):
+                stmt.uid = (proc.name, index)
 
     def proc(self, name):
         """Look up a procedure by name; raises ``KeyError`` if absent."""

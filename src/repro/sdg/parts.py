@@ -12,23 +12,23 @@ operations:
   numbered exactly as a cold :func:`repro.sdg.build_sdg` of the same
   program would number it;
 * :meth:`ProcPart.shape_key` renders the part's *dependence structure*
-  (positions, roles, edges, site/role wiring — not labels or AST) into
-  a hashable value: two parts with equal shape keys contribute
-  identical PDS rules under identical numbering, which is what lets
-  the incremental engine keep saturations across label-only edits.
+  (positions, roles, edges, site/role wiring — not labels or statement
+  ids) into a hashable value: two parts with equal shape keys
+  contribute identical PDS rules under identical numbering, which is
+  what lets the incremental engine keep saturations across label-only
+  edits.
 
 Summary edges are deliberately not part of a part: they depend on the
 transitive contents of callees and are recomputed per assembly.
 
 Parts are pickled into the persistent store's content-addressed
-per-procedure table, so they also carry the donor procedure's AST (the
-SDG vertices refer back to its statement uids); before relocation,
-:meth:`retarget_uids` re-keys a part onto the matching procedure of a
-freshly parsed program — content-key equality guarantees the two ASTs
-are token-identical, so their statement walks correspond one to one.
+per-procedure table.  They carry no AST: a vertex names its statement
+by position (``(procedure name, index)``, see
+:mod:`repro.lang.ast_nodes`), and content-key equality means
+token-identical procedures, name included, so a part's statement ids
+are the target procedure's in any parse.
 """
 
-from repro.lang import ast_nodes as A
 from repro.sdg.graph import CONTROL, FLOW, LIBRARY, CallSiteInfo, VertexKind
 
 #: Edge kinds a part owns (SUMMARY is recomputed per assembly, and the
@@ -44,8 +44,6 @@ class ProcPart(object):
 
     Attributes:
         name: the procedure name.
-        proc_ast: the procedure's :class:`~repro.lang.ast_nodes.Proc`
-            node (vertices refer to its statement uids).
         vertices: the :class:`~repro.sdg.graph.Vertex` objects in build
             order (their ``vid`` fields are donor-local).
         edges: ``(src_vid, dst_vid, kind)`` intraprocedural edges.
@@ -59,7 +57,6 @@ class ProcPart(object):
 
     __slots__ = (
         "name",
-        "proc_ast",
         "vertices",
         "edges",
         "entry",
@@ -67,12 +64,10 @@ class ProcPart(object):
         "formal_outs",
         "sites",
         "stmt_vertices",
-        "_uid_map",
     )
 
     def __init__(self):
         self.name = None
-        self.proc_ast = None
         self.vertices = []
         self.edges = []
         self.entry = None
@@ -80,18 +75,6 @@ class ProcPart(object):
         self.formal_outs = {}
         self.sites = []
         self.stmt_vertices = {}
-        self._uid_map = None  # donor stmt uid -> target stmt uid
-
-    def __getstate__(self):
-        # The uid translation is relocation-local state, never stored.
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_uid_map"
-        }
-
-    def __setstate__(self, state):
-        self._uid_map = None
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     def add_to(self, sdg, context):
         """Relocate this part into ``sdg``, drawing vertex ids from the
@@ -100,7 +83,6 @@ class ProcPart(object):
         the procedure would draw them).
         """
         name = self.name
-        uid_map = self._uid_map or {}
         site_map = {}
         for site in self.sites:
             site_map[site[0]] = context.next_site_label()
@@ -113,7 +95,7 @@ class ProcPart(object):
                 vertex.kind,
                 name,
                 vertex.label,
-                stmt_uid=uid_map.get(vertex.stmt_uid, vertex.stmt_uid),
+                stmt_uid=vertex.stmt_uid,
                 site_label=site_label,
                 role=vertex.role,
             )
@@ -127,10 +109,7 @@ class ProcPart(object):
         sdg.sites_in_proc.setdefault(name, [])
         for (label, callee, stmt_uid, call_vid, actual_ins, actual_outs) in self.sites:
             new_label = site_map[label]
-            site = CallSiteInfo(
-                new_label, name, callee, vid_map[call_vid],
-                uid_map.get(stmt_uid, stmt_uid),
-            )
+            site = CallSiteInfo(new_label, name, callee, vid_map[call_vid], stmt_uid)
             site.actual_ins = {role: vid_map[vid] for role, vid in actual_ins}
             site.actual_outs = {role: vid_map[vid] for role, vid in actual_outs}
             sdg.call_sites[new_label] = site
@@ -139,14 +118,14 @@ class ProcPart(object):
         for (src, dst, kind) in self.edges:
             sdg.add_edge(vid_map[src], vid_map[dst], kind)
         for uid, vid in self.stmt_vertices.items():
-            sdg.vertex_of_stmt[uid_map.get(uid, uid)] = vid_map[vid]
+            sdg.vertex_of_stmt[uid] = vid_map[vid]
 
     def shape_key(self):
         """The part's dependence structure in position space (vertex ids
         replaced by build-order indices, site labels by site indices).
-        Vertex labels, statement uids, and the AST are excluded: two
-        parts with equal shape keys produce identical PDS rules when
-        relocated at identical numbering."""
+        Vertex labels and statement uids are excluded: two parts with
+        equal shape keys produce identical PDS rules when relocated at
+        identical numbering."""
         pos = {vertex.vid: index for index, vertex in enumerate(self.vertices)}
         return (
             tuple((vertex.kind, vertex.role) for vertex in self.vertices),
@@ -165,39 +144,16 @@ class ProcPart(object):
             ),
         )
 
-    def retarget_uids(self, new_proc):
-        """Point the part at ``new_proc`` — the same procedure in a
-        freshly parsed program.  The donor and target ASTs are
-        token-identical (the part was looked up by content key), so
-        their statement walks correspond one to one; the resulting uid
-        translation is applied lazily during :meth:`add_to`, leaving
-        the donor's vertices untouched (they may be shared with a live
-        SDG).  Raises ValueError if the shapes do not line up."""
-        donor_stmts = list(A.walk_stmts(self.proc_ast.body))
-        target_stmts = list(A.walk_stmts(new_proc.body))
-        if len(donor_stmts) != len(target_stmts) or any(
-            type(a) is not type(b) for a, b in zip(donor_stmts, target_stmts)
-        ):
-            raise ValueError(
-                "procedure %r does not structurally match its part" % self.name
-            )
-        self._uid_map = {
-            donor.uid: target.uid for donor, target in zip(donor_stmts, target_stmts)
-        }
-        self.proc_ast = new_proc
-        return self
-
 
 def extract_part(sdg, name):
     """Lift procedure ``name`` out of a built SDG as a :class:`ProcPart`.
 
-    The part references the SDG's :class:`Vertex` objects and the
-    program's :class:`Proc` node; neither is mutated by extraction or
-    relocation, so extracting from a live SDG is safe.
+    The part references the SDG's :class:`Vertex` objects, which
+    neither extraction nor relocation mutates, so extracting from a live
+    SDG is safe.
     """
     part = ProcPart()
     part.name = name
-    part.proc_ast = sdg.program.proc(name) if sdg.program is not None else None
     vids = list(sdg.proc_vertices[name])
     part.vertices = [sdg.vertices[vid] for vid in vids]
     for vid in vids:

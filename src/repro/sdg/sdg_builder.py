@@ -43,9 +43,9 @@ def assemble_sdg(program, info, parts=None, call_graph=None, modref=None):
     """Build an SDG, relocating reusable per-procedure parts.
 
     Args:
-        program: the checked AST (reused parts must have been
-            retargeted onto its procedures' statement uids via
-            :meth:`~repro.sdg.parts.ProcPart.retarget_uids`).
+        program: the checked AST (a reused part must describe the
+            procedure of its name: equal statement ids, which a part of
+            a content-equal procedure has in any parse).
         info: the matching :class:`~repro.lang.sema.ProgramInfo`.
         parts: optional mapping of procedure name to
             :class:`~repro.sdg.parts.ProcPart`; procedures not in the

@@ -124,7 +124,9 @@ MAGIC = b"RSLC"
 #: v5: ``__sats__`` files are named by their footprint-free payload's
 #: sha256 and shared across revisions; index records name the file;
 #: per-criterion result files became one ``results`` entry per call.
-STORE_VERSION = 5
+#: v6: statement ids are positions, ``(procedure name, index)``, not
+#: process-counter ints; per-procedure parts no longer carry an AST.
+STORE_VERSION = 6
 
 _VERSION_STRUCT = struct.Struct(">H")
 _HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size + hashlib.sha256().digest_size

@@ -20,7 +20,11 @@ from repro.core.criteria import (
 from repro.core.readout import read_out_sdg
 from repro.core.specialize import SpecializationResult
 from repro.fsa import FiniteAutomaton, complement, intersection, reverse
-from repro.fsa.reference import determinize_reference, minimize_reference
+from repro.fsa.reference import (
+    determinize_reference,
+    minimize_reference,
+    remove_epsilon_reference,
+)
 from repro.pds import encode_sdg
 from repro.pds.reference import poststar_reference, prestar_reference
 
@@ -57,8 +61,13 @@ def query_automaton(encoding, vids, contexts, view=None):
 
 
 def mrd(automaton):
-    """Algorithm 1 lines 4-8 on an epsilon-free automaton."""
-    return reverse(minimize_reference(determinize_reference(reverse(automaton))))
+    """Algorithm 1 lines 4-8: reverse, remove-epsilon, determinize,
+    minimize, reverse."""
+    return reverse(
+        minimize_reference(
+            determinize_reference(remove_epsilon_reference(reverse(automaton)))
+        )
+    )
 
 
 def _result(sdg, encoding, a0, a1, a6):

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fsa import FiniteAutomaton
+from repro.fsa import FiniteAutomaton, reverse
 from repro.fsa.automaton import EPSILON
 from repro.fsa.intcodec import bits_of, decode_automaton, encode_automaton, iter_bits
 from repro.fsa.intops import (
@@ -217,11 +217,18 @@ def test_fused_mrd_matches_reference_chain(seed):
     assert structurally_equal(a6, reference_mrd(view))
 
 
-def test_fused_mrd_declines_epsilon_views():
-    view = random_automaton(0, eps=0.8)
-    if not view.has_epsilon():
-        view.add_transition("s0", EPSILON, "s1")
-    assert mrd_int(view) is None
+def test_fused_mrd_matches_reference_on_epsilon_views():
+    # The one MRD chain removes epsilons from the reversal itself: a6
+    # and the a3/a4 stage sizes equal the object chain's.
+    for seed in range(16):
+        view = random_automaton(seed, eps=0.3 + 0.6 * (seed % 2))
+        if not view.has_epsilon():
+            view.add_transition("s0", EPSILON, "s1")
+        a6, a3_states, a4_states = mrd_int(view)
+        assert structurally_equal(a6, reference_mrd(view)), seed
+        a3 = determinize_reference(remove_epsilon_reference(reverse(view)))
+        assert a3_states == len(a3.states), seed
+        assert a4_states == len(minimize_reference(a3).states), seed
 
 
 # -- the saturations ---------------------------------------------------------------

@@ -885,6 +885,104 @@ def test_corrupt_proc_part_degrades_to_fresh_build(tmp_path):
     )
 
 
+def _positions(program):
+    """Statement uid -> (procedure name, index in walk_stmts order)."""
+    from repro.lang import ast_nodes as A
+
+    return {
+        stmt.uid: (proc.name, index)
+        for proc in program.procs
+        for index, stmt in enumerate(A.walk_stmts(proc.body))
+    }
+
+
+def test_cleanup_pair_from_parts_names_the_readers_statements(tmp_path):
+    """A §7 cleanup pair read back from the store, by a session whose
+    front half was assembled from parts (the bundle is gone), maps each
+    cleaned statement to the same original statement as the writer's
+    pair, read as (procedure, walk_stmts index) in each session's own
+    program."""
+    from repro.workloads.paper_figures import FIG16_SOURCE
+
+    def statements(session, pair):
+        _raw, cleaned = pair
+        new, old = _positions(cleaned.program), _positions(session.program)
+        return {new[uid]: old.get(orig) for uid, orig in cleaned.stmt_map.items()}
+
+    cache = str(tmp_path / "cache")
+    writer = SlicingSession(FIG16_SOURCE, store=SliceStore(cache))
+    expected = statements(writer, writer.remove_feature_cleaned("prod"))
+    os.unlink(os.path.join(cache, writer.source_hash, "fronthalf.slc"))
+
+    reader = SlicingSession(FIG16_SOURCE, store=SliceStore(cache))
+    got = statements(reader, reader.remove_feature_cleaned("prod"))
+    stats = reader.stats
+    assert stats["front_half_from_store"] is False
+    assert stats["front_half_parts_hits"] == stats["front_half_parts_total"]
+    assert stats["persist_hits"] == 2  # feature + feature_clean
+    assert None not in expected.values()
+    assert got == expected
+
+
+def test_planted_part_is_a_miss(tmp_path):
+    """A stored part is checked before use: the part of another body
+    filed under a procedure's content key is a miss, and the rendering
+    equals a cold session's."""
+    from repro.engine.incremental import front_end, procedure_keys
+    from repro.sdg import build_sdg, extract_part
+
+    short = (
+        "int g;\n"
+        "void f(int x) { g = x; }\n"
+        'int main() { f(3); print("%d", g); return 0; }\n'
+    )
+    long = short.replace("g = x; }", "g = x; g = g + 1; }")
+    store = SliceStore(str(tmp_path / "cache"))
+    planted = extract_part(build_sdg(*front_end(short)), "f")
+    store.put_proc(procedure_keys(*front_end(long))["f"], planted)
+
+    reader = SlicingSession(long, store=SliceStore(store.cache_dir))
+    assert reader.stats["front_half_parts_hits"] == 0
+    assert reader.stats["front_half_parts_total"] == 2
+    assert pretty(reader.executable().program) == pretty(
+        SlicingSession(long).executable().program
+    )
+
+
+def test_statement_ids_are_stable_across_parses():
+    """Statement ids are positions: two parses of one text give equal
+    ids, and a procedure's part pickles to the same bytes whether or
+    not the process parsed another program first."""
+    import subprocess
+    import sys
+
+    from repro.lang import parse
+
+    assert _positions(parse(FIG1_SOURCE)) == _positions(parse(FIG1_SOURCE))
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    script = (
+        "import pickle, sys\n"
+        "from repro.engine.incremental import front_end\n"
+        "from repro.sdg import build_sdg, extract_part\n"
+        "from repro.workloads.paper_figures import FIG1_SOURCE, FIG16_SOURCE\n"
+        "if sys.argv[1] == 'other-first':\n"
+        "    front_end(FIG16_SOURCE)\n"
+        "sdg = build_sdg(*front_end(FIG1_SOURCE))\n"
+        "part = extract_part(sdg, 'p')\n"
+        "print(pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL).hex())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    blobs = [
+        subprocess.check_output(
+            [sys.executable, "-c", script, order], env=env, text=True
+        )
+        for order in ("alone", "other-first")
+    ]
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_slice_batch_reuse_from(tmp_path):
     from repro.workloads.wc import WC_SOURCE
 
