@@ -349,7 +349,11 @@ def _copy_expr(expr):
     if isinstance(expr, A.InputExpr):
         return A.InputExpr()
     if isinstance(expr, A.Bin):
-        return A.Bin(expr.op, _copy_expr(expr.left), _copy_expr(expr.right))
+        chain, operand = A.left_spine(expr)
+        copied = _copy_expr(operand)
+        for node in reversed(chain):
+            copied = A.Bin(node.op, copied, _copy_expr(node.right))
+        return copied
     if isinstance(expr, A.Un):
         return A.Un(expr.op, _copy_expr(expr.operand))
     if isinstance(expr, A.CallExpr):

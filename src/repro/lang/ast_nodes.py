@@ -68,6 +68,28 @@ class FuncRef(Expr):
         self.pos = pos
 
 
+#: How tightly each binary operator binds, loosest first: the parser
+#: builds ``Bin`` trees by it and the printer parenthesizes by it.  All
+#: operators associate to the left except the comparisons, which do not
+#: associate at all (``a < b < c`` is a syntax error).
+BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3,
+    "!=": 3,
+    "<": 3,
+    "<=": 3,
+    ">": 3,
+    ">=": 3,
+    "+": 4,
+    "-": 4,
+    "*": 5,
+    "/": 5,
+    "%": 5,
+}
+COMPARISON_PRECEDENCE = 3
+
+
 class Bin(Expr):
     _repr_fields = ("op", "left", "right")
 
@@ -296,21 +318,37 @@ def walk_stmts(block):
                 yield inner
 
 
+def left_spine(expr):
+    """``(chain, operand)``: the ``Bin`` nodes down ``expr``'s left
+    spine, ``expr`` first, and the operand below the last of them.
+
+    ``g + g + … + g`` is one spine as long as the expression, so a walk
+    follows the spine in a loop and recurses only into right operands,
+    which bind tighter than their operator unless parenthesized (and
+    parentheses count toward the parser's ``MAX_NESTING``)."""
+    chain = []
+    while isinstance(expr, Bin):
+        chain.append(expr)
+        expr = expr.left
+    return chain, expr
+
+
 def walk_exprs(expr):
-    """Yield ``expr`` and every sub-expression."""
-    yield expr
-    if isinstance(expr, Bin):
-        for sub in walk_exprs(expr.left):
-            yield sub
-        for sub in walk_exprs(expr.right):
-            yield sub
-    elif isinstance(expr, Un):
-        for sub in walk_exprs(expr.operand):
-            yield sub
-    elif isinstance(expr, CallExpr):
-        for arg in expr.args:
-            for sub in walk_exprs(arg):
-                yield sub
+    """Yield ``expr`` and every sub-expression, in preorder.
+
+    One loop over an explicit stack, so a flat chain ``g + g + … + g``
+    of any length costs no recursion and one step per node."""
+    stack = [expr]
+    while stack:
+        sub = stack.pop()
+        yield sub
+        if isinstance(sub, Bin):
+            stack.append(sub.right)
+            stack.append(sub.left)
+        elif isinstance(sub, Un):
+            stack.append(sub.operand)
+        elif isinstance(sub, CallExpr):
+            stack.extend(reversed(sub.args))
 
 
 def stmt_exprs(stmt):

@@ -230,9 +230,11 @@ class Interpreter(object):
                 return 0 if value else 1
             raise AssertionError("unknown unary %r" % expr.op)
         if isinstance(expr, A.Bin):
-            left = self._eval(expr.left, frame)
-            right = self._eval(expr.right, frame)
-            return self._binop(expr.op, left, right)
+            chain, operand = A.left_spine(expr)
+            value = self._eval(operand, frame)
+            for node in reversed(chain):
+                value = self._binop(node.op, value, self._eval(node.right, frame))
+            return value
         raise AssertionError("unexpected expression %r" % expr)
 
     @staticmethod

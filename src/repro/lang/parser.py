@@ -34,6 +34,15 @@ A program may nest at most :data:`MAX_NESTING` levels of ``if`` and
 ``while`` bodies (an ``else if`` nests inside its ``if``), parentheses
 (grouping or call arguments) and unary operators, all counted together;
 the opener of the next level is a :class:`ParseError`.
+
+The parser reads the token list by index: ``_peek`` and ``_at`` look at
+``tokens[index]`` directly, with no bounds clamp, since the list ends
+with an ``eof`` token that ``_advance`` never moves past and a
+look-ahead is only taken from a token that is not ``eof``.  The five
+binary-operator levels (``or_expr`` … ``mul_expr``) are parsed by
+precedence climbing (``_parse_binary``): one loop per run of operators
+rather than one call per level per operand, building the same
+left-associated trees, with the same errors.
 """
 
 from repro.lang import ast_nodes as A
@@ -43,10 +52,15 @@ from repro.lang.tokens import tokenize
 #: The deepest nesting of ``if``/``while`` bodies, parenthesized
 #: subexpressions, call argument lists, and unary operators, counted
 #: together.  Every level costs several Python frames here and in each
-#: later tree walk (checker, lowering, interpreter, printer); at this
-#: depth the whole pipeline stays inside the interpreter's default
-#: recursion limit.
+#: later tree walk (checker, lowering, interpreter, printer, renderer);
+#: at this depth the whole pipeline stays inside the interpreter's
+#: default recursion limit.  Length is not nesting: ``g + g + … + g``
+#: is a left spine as long as the expression, which every walk follows
+#: in a loop, and a right operand binds tighter than its operator, so
+#: between two of these levels the frames stack at most five deep.
 MAX_NESTING = 100
+
+_TIGHTEST = max(A.BINARY_PRECEDENCE.values())
 
 
 class Parser(object):
@@ -58,11 +72,10 @@ class Parser(object):
     # -- token plumbing ----------------------------------------------------
 
     def _peek(self, offset=0):
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.index + offset]
 
     def _at(self, *kinds):
-        return self._peek().kind in kinds
+        return self.tokens[self.index].kind in kinds
 
     def _advance(self):
         token = self.tokens[self.index]
@@ -71,12 +84,13 @@ class Parser(object):
         return token
 
     def _expect(self, kind):
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind != kind:
             raise ParseError(
                 "expected %r but found %r" % (kind, token.kind), token.line, token.col
             )
-        return self._advance()
+        self.index += 1  # ``kind`` is never "eof"
+        return token
 
     @staticmethod
     def _pos(token):
@@ -281,47 +295,28 @@ class Parser(object):
     # -- expressions ---------------------------------------------------------
 
     def _parse_expr(self):
-        return self._parse_or()
+        return self._parse_binary(1)
 
-    def _parse_or(self):
-        left = self._parse_and()
-        while self._at("||"):
-            op = self._advance()
-            right = self._parse_and()
-            left = A.Bin("||", left, right, pos=self._pos(op))
-        return left
-
-    def _parse_and(self):
-        left = self._parse_cmp()
-        while self._at("&&"):
-            op = self._advance()
-            right = self._parse_cmp()
-            left = A.Bin("&&", left, right, pos=self._pos(op))
-        return left
-
-    def _parse_cmp(self):
-        left = self._parse_add()
-        if self._at("==", "!=", "<", "<=", ">", ">="):
-            op = self._advance()
-            right = self._parse_add()
-            return A.Bin(op.kind, left, right, pos=self._pos(op))
-        return left
-
-    def _parse_add(self):
-        left = self._parse_mul()
-        while self._at("+", "-"):
-            op = self._advance()
-            right = self._parse_mul()
-            left = A.Bin(op.kind, left, right, pos=self._pos(op))
-        return left
-
-    def _parse_mul(self):
+    def _parse_binary(self, min_prec):
+        """An expression whose binary operators all bind at least as
+        tightly as ``min_prec`` (precedence climbing over ``or_expr`` …
+        ``mul_expr``).  After ``left op right`` the loop goes on only at
+        an operator binding less tightly than ``op``, or as tightly when
+        ``op`` is left-associative; comparisons are not, so
+        ``a < b < c`` stops at the second ``<`` and the caller reports
+        it, as the grammar's ``cmp_expr`` does."""
         left = self._parse_unary()
-        while self._at("*", "/", "%"):
-            op = self._advance()
-            right = self._parse_unary()
+        tokens = self.tokens
+        limit = _TIGHTEST + 1
+        while True:
+            op = tokens[self.index]
+            prec = A.BINARY_PRECEDENCE.get(op.kind, 0)
+            if prec < min_prec or prec >= limit:
+                return left
+            self.index += 1
+            right = self._parse_binary(prec + 1)
             left = A.Bin(op.kind, left, right, pos=self._pos(op))
-        return left
+            limit = prec if prec == A.COMPARISON_PRECEDENCE else prec + 1
 
     def _parse_unary(self):
         if self._at("-", "!"):

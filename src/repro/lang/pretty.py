@@ -9,21 +9,12 @@ from repro.lang import ast_nodes as A
 
 _INDENT = "  "
 
-# Binding strengths for minimal parenthesization.
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    ">": 3,
-    ">=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-    "/": 5,
-    "%": 5,
+# The binding strength a left operand of each operator must have to
+# go unparenthesized: the operator's own, or one tighter for a
+# comparison, since comparisons do not associate.
+_LEFT_OPERAND = {
+    op: prec + 1 if prec == A.COMPARISON_PRECEDENCE else prec
+    for op, prec in A.BINARY_PRECEDENCE.items()
 }
 
 
@@ -42,18 +33,26 @@ def _expr(expr, parent_prec=0):
         inner = _expr(expr.operand, 6)
         return "%s%s" % (expr.op, inner)
     if isinstance(expr, A.Bin):
-        prec = _PRECEDENCE[expr.op]
-        # Comparisons are non-associative in the grammar (no chained
-        # a < b < c), so a comparison operand at the same precedence
-        # level must be parenthesized even on the left.
-        non_associative = expr.op in ("==", "!=", "<", "<=", ">", ">=")
-        left = _expr(expr.left, prec + 1 if non_associative else prec)
-        right = _expr(expr.right, prec + 1)  # left-associative
-        text = "%s %s %s" % (left, expr.op, right)
-        if prec < parent_prec:
-            return "(%s)" % text
-        return text
+        return _bin_chain(expr, parent_prec)
     raise AssertionError("unknown expression %r" % expr)
+
+
+def _bin_chain(expr, parent_prec):
+    """Render a binary operator and the chain down its left spine
+    (:func:`~repro.lang.ast_nodes.left_spine`) in one loop.  A
+    parenthesized link opens its parenthesis before the chain's first
+    operand and closes it after its own right operand."""
+    chain, operand = A.left_spine(expr)
+    parts = [_expr(operand, _LEFT_OPERAND[chain[-1].op])]
+    opened = 0
+    for index in range(len(chain) - 1, -1, -1):
+        node = chain[index]
+        prec = A.BINARY_PRECEDENCE[node.op]
+        parts.append(" %s %s" % (node.op, _expr(node.right, prec + 1)))
+        if prec < (_LEFT_OPERAND[chain[index - 1].op] if index else parent_prec):
+            opened += 1
+            parts.append(")")
+    return "(" * opened + "".join(parts)
 
 
 def _escape(text):

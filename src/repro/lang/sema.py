@@ -234,8 +234,10 @@ class _Checker(object):
                 return A.FuncRef(expr.name, pos=expr.pos)
             _error("undeclared variable %r" % expr.name, expr)
         if isinstance(expr, A.Bin):
-            expr.left = self._check_expr(expr.left, proc_info)
-            expr.right = self._check_expr(expr.right, proc_info)
+            chain, operand = A.left_spine(expr)
+            chain[-1].left = self._check_expr(operand, proc_info)
+            for node in reversed(chain):
+                node.right = self._check_expr(node.right, proc_info)
             return expr
         if isinstance(expr, A.Un):
             expr.operand = self._check_expr(expr.operand, proc_info)

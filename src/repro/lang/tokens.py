@@ -1,8 +1,16 @@
 """Token definitions and the lexer for TinyC.
 
-The lexer is a straightforward single-pass scanner.  Tokens carry their
-line/column so later phases can produce positioned diagnostics.
+:func:`tokenize` scans the whole text with one compiled regular
+expression, :data:`_SCANNER`, whose alternatives are the token classes
+in priority order: the regex engine walks the characters, and Python
+runs once per token or run of trivia.  Tokens carry their line and
+column so later phases can produce positioned diagnostics.  A
+per-character scanner, ``tests/reference_lexer.py``, is the test
+oracle: ``tests/test_lexer_differential.py`` pins the two to the same
+tokens and the same errors.
 """
+
+import re
 
 from repro.lang.errors import LexError
 
@@ -79,122 +87,96 @@ class Token(object):
         return hash((self.kind, self.value))
 
 
-class Lexer(object):
-    """Scans TinyC source text into a list of tokens.
-
-    Supports ``//`` line comments and ``/* ... */`` block comments.
-    String literals (used only as ``print`` format strings) support the
-    escapes ``\\n``, ``\\t``, ``\\\\`` and ``\\"``.
+# The whole scanner is one compiled pattern.  Its alternatives are
+# tried in order at each position: trivia and comments first, with
+# ``/*`` before the ``/`` operator (an unterminated block comment is
+# reported at its opener); then numbers, words, string literals (one
+# that does not close properly is reported at its opening quote) and
+# operators (OPERATORS lists each before its prefixes); last, any
+# other character, which is an error.  The character classes are
+# spelled out in ASCII because ``\s``, ``\d`` and ``\w`` also accept
+# Unicode whitespace, digits and letters that TinyC rejects.
+_SCANNER = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*[\s\S]*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<num>[0-9]+)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>"(?P<body>(?:[^"\\]|\\[nt\\"])*)")
+    | (?P<bad_string>"(?:[^"\\]|\\[nt\\"])*(?P<bad_escape>\\[\s\S]?)?)
+    | (?P<op>%s)
+    | (?P<other>[\s\S])
     """
+    % "|".join(re.escape(op) for op in OPERATORS),
+    re.VERBOSE,
+)
 
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+# Operator tokens take their kind from OPERATORS itself, so every ``==``
+# of a program is one string object: pickle memoizes strings by
+# identity, so this keeps the pickled AST (a ``Bin``'s ``op`` is its
+# token's kind) as small as it has always been.
+_OPERATOR_KINDS = {op: op for op in OPERATORS}
 
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+_ESCAPE = re.compile(r"\\(.)")
 
-    def _advance(self):
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
 
-    def _skip_trivia(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance()
-                self._advance()
-                while True:
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated block comment", start_line, start_col)
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-            else:
-                return
-
-    def _lex_string(self):
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", line, col)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                esc = self._advance() if self.pos < len(self.source) else ""
-                mapping = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
-                if esc not in mapping:
-                    raise LexError("bad escape \\%s" % esc, line, col)
-                chars.append(mapping[esc])
-            else:
-                chars.append(ch)
-        return Token("string", "".join(chars), line, col)
-
-    def tokens(self):
-        """Return the full token list, ending with an ``eof`` token."""
-        result = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                result.append(Token("eof", None, self.line, self.col))
-                return result
-            ch = self._peek()
-            line, col = self.line, self.col
-            # ASCII-only classes: unicode "digits" like '¹' satisfy
-            # str.isdigit() but are not valid int() literals.
-            if ch in "0123456789":
-                start = self.pos
-                while self.pos < len(self.source) and self._peek() in "0123456789":
-                    self._advance()
-                result.append(Token("num", int(self.source[start : self.pos]), line, col))
-            elif ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
-                start = self.pos
-                while self.pos < len(self.source) and (
-                    ("a" <= self._peek() <= "z")
-                    or ("A" <= self._peek() <= "Z")
-                    or self._peek() in "0123456789_"
-                ):
-                    self._advance()
-                name = self.source[start : self.pos]
-                if name in KEYWORDS:
-                    result.append(Token(name, name, line, col))
-                else:
-                    result.append(Token("ident", name, line, col))
-            elif ch == '"':
-                result.append(self._lex_string())
-            else:
-                for op in OPERATORS:
-                    if self.source.startswith(op, self.pos):
-                        for _ in op:
-                            self._advance()
-                        result.append(Token(op, op, line, col))
-                        break
-                else:
-                    raise LexError("unexpected character %r" % ch, line, col)
+def _unescape(match):
+    return _ESCAPES[match.group(1)]
 
 
 def tokenize(source):
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source).tokens()
+    """Lex ``source`` into a token list ending with an ``eof`` token.
+
+    One pass of :data:`_SCANNER` over the text.  Lines and columns count
+    from 1, a column is a character offset (a tab is one column) and
+    only ``\n`` ends a line.  Raises :class:`LexError` at an
+    unterminated block comment's ``/*``, at a bad string literal's
+    opening quote, or at an unexpected character.
+    """
+    tokens = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for match in _SCANNER.finditer(source):
+        group = match.lastgroup
+        start = match.start()
+        if group == "word":
+            name = match.group()
+            kind = name if name in KEYWORDS else "ident"
+            append(Token(kind, name, line, start - line_start + 1))
+            continue
+        if group == "op":
+            op = _OPERATOR_KINDS[match.group()]
+            append(Token(op, op, line, start - line_start + 1))
+            continue
+        if group == "num":
+            append(Token("num", int(match.group()), line, start - line_start + 1))
+            continue
+        if group == "string":
+            body = match.group("body")
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            append(Token("string", body, line, start - line_start + 1))
+        elif group == "open_comment":
+            raise LexError("unterminated block comment", line, start - line_start + 1)
+        elif group == "bad_string":
+            # The longest well-formed prefix, then the first bad escape
+            # (a backslash and what follows it, if anything) or the end.
+            escape = match.group("bad_escape")
+            message = "bad escape %s" % escape if escape else "unterminated string literal"
+            raise LexError(message, line, start - line_start + 1)
+        elif group == "other":
+            raise LexError(
+                "unexpected character %r" % match.group(), line, start - line_start + 1
+            )
+        # Trivia, comments and string literals are what may span lines.
+        text = match.group()
+        breaks = text.count("\n")
+        if breaks:
+            line += breaks
+            line_start = start + text.rindex("\n") + 1
+    append(Token("eof", None, line, len(source) - line_start + 1))
+    return tokens

@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro``)."""
 
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -309,6 +311,44 @@ def test_deepest_statement_nesting_runs_end_to_end(tmp_path, keyword):
     # The if chain steps in once; the innermost loop counts x down.
     expected = "1[" if keyword == "if" else "3["
     assert run_cli(["run", file, "--inputs", "3"]).startswith(expected)
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    """Run the test under CPython's default recursion limit."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
+
+
+@pytest.mark.parametrize("terms", [1000, 10000])
+def test_flat_sum_runs_end_to_end(tmp_path, capsys, default_recursion_limit, terms):
+    """A flat ``g + g + … + g`` is as long as the programmer makes it
+    (``MAX_NESTING`` bounds nesting, not length): every command takes
+    it, since each tree walk loops down a chain's left spine."""
+    path = tmp_path / "flat.tc"
+    path.write_text(
+        "int g;\nint main() {\n  g = input();\n  int s = %s;\n"
+        "  print(\"%%d\", s);\n  return 0;\n}\n" % " + ".join(["g"] * terms)
+    )
+    file = str(path)
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    assert "procedures:   1" in run("info", file)
+    sliced = tmp_path / "slice.tc"
+    sliced.write_text(run("slice", file))
+    printed = "%d[" % (3 * terms)
+    assert run("run", file, "--inputs", "3").startswith(printed)
+    assert run("run", str(sliced), "--inputs", "3").startswith(printed)
+    assert "print #0" in run("slice-batch", file)
+    assert "int s = g + g + g" in run("mono", file)
+    removed = run("remove", file, "--feature", "int s = ")
+    assert "int s = " not in removed.split("\n", 1)[1]  # below the header
+    assert "main:" in run("bta", file)
 
 
 def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys, fig1_file):

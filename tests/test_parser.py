@@ -54,6 +54,50 @@ def test_logical_operators():
     assert stmt.expr.left.op == "&&"
 
 
+def shape(expr):
+    """``expr`` with every operator application parenthesized."""
+    if isinstance(expr, A.Bin):
+        return "(%s %s %s)" % (shape(expr.left), expr.op, shape(expr.right))
+    if isinstance(expr, A.Un):
+        return "(%s%s)" % (expr.op, shape(expr.operand))
+    if isinstance(expr, A.Num):
+        return str(expr.value)
+    return expr.name
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("a || b && c == d + e * f", "(a || (b && (c == (d + (e * f)))))"),
+        ("a * b + c == d && e || f", "(((((a * b) + c) == d) && e) || f)"),
+        ("a - b + c % d / e * f", "((a - b) + (((c % d) / e) * f))"),
+        ("a < b && c >= d || e != f", "(((a < b) && (c >= d)) || (e != f))"),
+        ("-a * !(b || c) - -d", "(((-a) * (!(b || c))) - (-d))"),
+        ("a + b < c + d", "((a + b) < (c + d))"),
+    ],
+)
+def test_operator_levels(text, expected):
+    assert shape(first_stmt("x = %s;" % text).expr) == expected
+
+
+@pytest.mark.parametrize(
+    "text,op",
+    [
+        ("x = a < b < c;", "<"),
+        ("x = a + b == c - d != e;", "!="),
+        ("x = a < b && c < d < e;", "<"),
+        ("x = a || b == c <= d;", "<="),
+    ],
+)
+def test_comparisons_do_not_chain(text, op):
+    # Reported at the second comparison, by the statement it ends early.
+    prefix = "int main() { "
+    with pytest.raises(ParseError) as info:
+        parse(prefix + text + " }")
+    assert info.value.message == "expected ';' but found %r" % op
+    assert (info.value.line, info.value.col) == (1, len(prefix) + 1 + text.rindex(op))
+
+
 def test_unary():
     stmt = first_stmt("x = -a + !b;")
     assert stmt.expr.left.op == "-"

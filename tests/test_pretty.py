@@ -60,6 +60,17 @@ def test_unary_printing():
     assert "-(1 + 2)" in text
 
 
+def test_parentheses_down_a_left_spine():
+    # Several left operands down one chain need parentheses: they all
+    # open before the chain's first operand.
+    text = roundtrip(
+        "int main() { int x = ((1 + 2) * 3 - 4) * 5 % 6; "
+        "int y = (1 < 2) == (3 > 4); return 0; }"
+    )
+    assert "x = ((1 + 2) * 3 - 4) * 5 % 6;" in text
+    assert "y = (1 < 2) == (3 > 4);" in text
+
+
 def test_associativity_parens():
     # 1 - (2 - 3) must keep its parentheses; (1 - 2) - 3 must not.
     text = roundtrip("int main() { int x = 1 - (2 - 3); int y = 1 - 2 - 3; return 0; }")
