@@ -207,7 +207,7 @@ def cmd_slice_batch(args):
     if session.store is not None:
         lines.append(
             "store: %s (front half %s, %d/%d procedure parts; "
-            "persist hits/misses %d/%d; saturations %d/%d; adopted %d)"
+            "persist hits/misses %d/%d; saturations %d/%d)"
             % (
                 session.store.cache_dir,
                 "warm" if stats["front_half_from_store"] else "cold",
@@ -217,7 +217,6 @@ def cmd_slice_batch(args):
                 stats["persist_misses"],
                 stats["sat_persist_hits"],
                 stats["sat_persist_misses"],
-                stats["sats_adopted"],
             )
         )
     return "\n".join(lines)
@@ -257,14 +256,8 @@ def cmd_cache(args):
                 stats["lifetime"]["compactions"],
                 stats["lifetime"]["gc_index_pruned"],
             ),
-            "this process: %d write errors, %d config errors, "
-            "%d index hits / %d misses"
-            % (
-                stats["write_errors"],
-                stats["config_errors"],
-                stats["index_hits"],
-                stats["index_misses"],
-            ),
+            "this process: %d write errors, %d config errors"
+            % (stats["write_errors"], stats["config_errors"]),
         ]
         for table in sorted(stats["tables"]):
             lines.append(

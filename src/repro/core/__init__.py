@@ -28,7 +28,6 @@ from repro.core.bta import (
 from repro.core.criteria import (
     configs_criterion,
     empty_stack_criterion,
-    reachable_configs_automaton,
     reachable_contexts_criterion,
 )
 from repro.core.executable import executable_program, monovariant_program
@@ -55,7 +54,6 @@ __all__ = [
     "flawed_specialization_slice",
     "lower_indirect_calls",
     "monovariant_program",
-    "reachable_configs_automaton",
     "reachable_contexts_criterion",
     "remove_feature",
     "reslice_check",

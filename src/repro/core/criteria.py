@@ -69,36 +69,23 @@ def configs_criterion(encoding, configs):
     return automaton
 
 
-def reachable_configs_automaton(encoding, stats=None):
-    """An automaton for *all* configurations reachable in the unrolled
-    SDG from ``(entry_main, ε)`` — the language
-    ``Poststar[P](entry_main)`` used by Alg. 2 line 5 and by the
-    reslicing check.  Criterion-independent, so cached per encoding
-    (``stats`` reaches the saturation only on the cold compute)."""
-    cached = getattr(encoding, "_reachable_configs", None)
-    if cached is not None:
-        return cached
-    sdg = encoding.sdg
-    entry_main = sdg.entry_vertex["main"]
-    query = empty_stack_criterion(encoding, [entry_main])
-    result = poststar(encoding.pds, query, stats=stats)
-    encoding._reachable_configs = result
-    return result
-
-
 def reachable_query_view(encoding, stats=None):
-    """The reachable-configuration language as a trimmed single-initial
-    query view (:func:`as_query_view` of
-    :func:`reachable_configs_automaton`) — criterion-independent, so
-    cached per encoding like the Poststar itself.  Every criterion
-    construction and Algorithm 2 run reads the Poststar through this
-    view; the session engine installs a store-loaded or edit-surviving
-    Poststar artifact here directly, which is what lets a warm front
-    half answer a brand-new criterion without any Poststar-sized work.
+    """The reachable-configuration language ``Poststar[P](entry_main)``
+    — all configurations reachable in the unrolled SDG from
+    ``(entry_main, ε)``, used by Alg. 2 line 5 and by the reslicing
+    check — as a trimmed single-initial query view
+    (:func:`as_query_view`).  Criterion-independent, so cached per
+    encoding (``stats`` reaches the saturation only on the cold
+    compute).  Every criterion construction and Algorithm 2 run reads
+    the Poststar through this view; the session engine installs a
+    store-loaded or edit-surviving Poststar artifact here directly,
+    which is what lets a warm front half answer a brand-new criterion
+    without any Poststar-sized work.
     """
     cached = getattr(encoding, "_reachable_view", None)
     if cached is None:
-        reachable = reachable_configs_automaton(encoding, stats=stats)
+        query = empty_stack_criterion(encoding, [encoding.sdg.entry_vertex["main"]])
+        reachable = poststar(encoding.pds, query, stats=stats)
         cached = as_query_view(reachable, encoding)
         encoding._reachable_view = cached
     return cached

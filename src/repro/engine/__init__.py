@@ -8,7 +8,7 @@
   relocatable (trimmed automaton + canonical key + per-procedure
   ownership footprint) form every saturation takes — the single
   representation shared by the session memo, the store's ``__sats__``
-  table, cross-revision discovery, and incremental invalidation.
+  table, and incremental invalidation.
 * :mod:`repro.engine.canonical` — canonical cache keys for criterion
   specs and saturations, plus the stable digests the on-disk store
   names entries by.
@@ -16,9 +16,9 @@
   :meth:`SlicingSession.update_source` machinery: after a source edit,
   only changed procedures are rebuilt and memo entries are invalidated
   as a pure function of artifact footprints; plus
-  :func:`discover_artifacts`, the cold-process counterpart that adopts
-  saturations filed under *other* revisions via the store's per-revision
-  footprint indexes.
+  :func:`discover_artifacts`, which reads the store's saturation index
+  for a session's pushdown system (shared by every revision a label
+  edit separates).
 * :mod:`repro.engine.parallel` — :func:`slice_many_programs`, the
   multi-program batch driver (one worker process per program, or the
   calling process with one worker).

@@ -7,8 +7,8 @@ inside one session's memo; the store could not persist it, process-pool
 workers re-saturated it, and the incremental layer re-derived its
 procedure ownership by trimming at every update.  A
 :class:`SaturationArtifact` packages the saturation once, in the form
-all four consumers — memo, store, ``update_source`` survival, and
-cross-revision discovery — need:
+all three consumers — memo, store, and ``update_source`` survival —
+need:
 
 * ``automaton`` — the *trimmed* saturation automaton (the useful part
   only; trimming preserves the configuration language read from every
@@ -27,10 +27,9 @@ cross-revision discovery — need:
   the store files (see below).
 
 The footprint is what makes the artifact *relocatable*.  Whether an
-artifact outlives an edit is decided in one place,
-:func:`repro.engine.incremental.carry_over`, for both the live
-``update_source`` and a cold process's discovery: across a structural
-edit it survives iff its footprint is a subset of the new revision's
+artifact outlives a live edit is decided in one place,
+:func:`repro.engine.incremental.carry_over`: across a structural edit
+it survives iff its footprint is a subset of the new revision's
 content keys (an empty footprint always is) and, for a criterion
 restricted from the shared Poststar, the criterion itself did not
 change.  Any PDS rule the edit added or removed mentions a changed
@@ -42,14 +41,17 @@ symbols *and* the states built from them (docs/ARCHITECTURE.md §8
 gives the whole argument).  A carried artifact is therefore the very
 bytes a cold session would compute.  Content keys, not names, so the
 check composes with the store's content-addressed tables and stays
-meaningful across processes; :func:`index_record` is the form a
-revision's saturation index keeps of each filed artifact, so the
-decision never unpickles one.  The store files an artifact *without*
-its footprint (:meth:`SaturationArtifact.without_footprint`), named by
-the digest of those bytes, and the record carries the footprint
-instead: a label edit re-addresses footprints but keeps every
-automaton, so the edited revision's records name the very files its
-donor's do (:func:`load_filed` puts the two halves back together).
+meaningful across processes.
+
+The store files an artifact *without* its footprint
+(:meth:`SaturationArtifact.without_footprint`), named by the digest of
+those bytes, and records it in the index of its pushdown system
+(:func:`repro.engine.incremental.layout_signature`) with the footprint
+as procedure names (:func:`index_record`).  Every revision of one
+pushdown system has the same procedures, so each resolves the names to
+its own content keys (:func:`load_filed` puts the two halves back
+together): a label edit changes content keys but no automaton, and the
+edited revision loads the very files the index names.
 
 Artifacts pickle deterministically: ``__getstate__`` renders the
 automaton through :func:`repro.fsa.serialize.automaton_to_payload` and
@@ -159,24 +161,27 @@ class SaturationArtifact(object):
         return SaturationArtifact(self.kind, self.key, self.automaton, footprint)
 
 
-def index_record(artifact, name):
-    """The record a revision's saturation index keeps for an artifact
-    filed as ``__sats__`` file ``name``: ``(memo key, kind, sorted
-    footprint tuple, name)`` — everything the carry-over rule reads,
-    so deciding survival never unpickles an artifact."""
-    return (artifact.key, artifact.kind, tuple(sorted(artifact.footprint)), name)
+def index_record(artifact, file_name, names):
+    """The record a saturation index keeps for an artifact filed as
+    ``__sats__`` file ``file_name``: ``(memo key, kind, footprint,
+    file name)``, the footprint as the sorted names of its procedures
+    (``names`` maps the filing revision's content keys to procedure
+    names), so every revision of the pushdown system can read it."""
+    footprint = tuple(sorted(names[content_key] for content_key in artifact.footprint))
+    return (artifact.key, artifact.kind, footprint, file_name)
 
 
-def load_filed(store, record):
-    """The artifact an index record names, its footprint restored from
-    the record, or None when the record is malformed or its file is
-    missing, corrupt, or holds another key."""
+def load_filed(store, record, proc_keys):
+    """The artifact an index record names, its footprint resolved from
+    the record's procedure names through ``proc_keys`` (name -> content
+    key of the loading revision), or None when the record is malformed
+    or its file is missing, corrupt, or holds another key."""
     try:
-        key, _kind, footprint, name = record
-        footprint = frozenset(footprint)
-    except (TypeError, ValueError):
+        key, _kind, names, file_name = record
+        footprint = frozenset(proc_keys[name] for name in names)
+    except (TypeError, ValueError, KeyError):
         return None
-    artifact = store.get_sat(name, key)
+    artifact = store.get_sat(file_name, key)
     if not isinstance(artifact, SaturationArtifact):
         return None
     artifact.footprint = footprint

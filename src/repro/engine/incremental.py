@@ -28,12 +28,10 @@ front half assemblable from per-procedure parts and teaches
   statements as they are: nothing is translated between parses.
 
 * :func:`carry_over` is **the one survival rule** for saturations
-  across revisions.  :func:`update_session` feeds it the live memo and
-  :func:`discover_artifacts` (a cold process, no donor session) feeds
-  it a stored revision's saturation index; both hand it the same
-  inputs — the two revisions' *layouts* (:func:`session_layout`) and
-  each saturation's key and ownership footprint
-  (:mod:`repro.engine.artifacts`) — so the two paths cannot drift:
+  across a live edit.  :func:`update_session` feeds it the two
+  revisions' *layouts* (:func:`session_layout`) and each memoized
+  saturation's key and ownership footprint
+  (:mod:`repro.engine.artifacts`):
 
   - **fast-equivalent** revisions (a label-only edit: same procedure
     sequence and numbering, every edited procedure shape-identical)
@@ -68,13 +66,20 @@ restricted from the Poststar language, which the footprint cannot see,
 so the criterion check supplies the fixed query: an equal renamed
 query saturates to the renamed automaton (docs/ARCHITECTURE.md §8).
 
-With a store attached, every survivor is recorded in the edited
-revision's saturation index, so the on-disk saturation cache survives
-source edits the same way the content-addressed ``__procs__`` table
-lets the front half survive them.  ``__sats__`` files are named by
-their footprint-free bytes, so a survivor of a fast-equivalent edit
-keeps its donor's file (the record carries the re-addressed
-footprint) and only a renumbered survivor is written anew.
+With a store attached, saturations are filed by the pushdown system
+they belong to, not by revision.  A revision's :func:`layout_signature`
+digests its layout without the content keys, so two revisions share a
+signature exactly when :func:`_fast_translation` proves them one
+pushdown system, and every saturation of one is a saturation of the
+other.  Each signature has one index in ``__sats__``; its records name
+footprints by procedure, and each revision resolves those names to its
+own content keys.  A session reads its index once
+(:func:`discover_artifacts`), when it first claims a saturation, and
+loads only the saturations it answers with: a fresh process opening a
+label-edited text is a warm reopen, and one opening a structurally
+edited text computes its own saturations.  A live structural edit
+files its survivors under the new signature; a fast-equivalent one
+files nothing, since its index already holds them.
 """
 
 import hashlib
@@ -86,7 +91,7 @@ from repro.analysis.modref import compute_modref
 from repro.core.criteria import reachable_contexts_criterion
 from repro.core.readout import SpecializedPDG, ordered_bindings
 from repro.core.specialize import SpecializationResult
-from repro.engine.artifacts import Relocation, index_record, load_filed, make_artifact
+from repro.engine.artifacts import Relocation, index_record, make_artifact
 from repro.engine.canonical import (
     AUTOMATON,
     CONFIGS,
@@ -305,10 +310,9 @@ def _remap_criterion_key(key, vid_map, site_map):
 # A layout is a revision's symbol coordinate system: one ``(name,
 # content key, shape digest, vertex ids, call-site labels)`` entry per
 # procedure, in program order, with the ids and labels in PDG build
-# order.  Both survival paths compare two layouts: a live update holds
-# the old and new revisions in memory, and a cold process reads the
-# old one from the store's per-revision saturation index (the index
-# keeps layouts in exactly this shape).
+# order.  A live update compares the old and new revisions' layouts;
+# the store files saturations under a layout's signature.  Layouts are
+# always computed in process, never read from disk.
 
 
 def _shape_digest(sdg, name):
@@ -360,6 +364,30 @@ def session_layout(session):
     return layout
 
 
+def layout_signature(layout):
+    """The pushdown system a layout numbers, as a digest over
+    everything in it *except* the content keys: procedure names, shape
+    digests, vertex ids and call-site labels, in program order.  Two
+    layouts have equal signatures exactly when :func:`_fast_translation`
+    accepts them (a procedure whose key did not change kept its shape),
+    so the signature names the store index that all revisions of one
+    pushdown system share."""
+    projected = tuple(
+        (name, shape, vids, sites) for name, _key, shape, vids, sites in layout
+    )
+    return hashlib.sha256(repr(projected).encode("utf-8")).hexdigest()
+
+
+def session_signature(session):
+    """The :func:`layout_signature` of the session's revision, cached
+    beside its layout."""
+    cached = getattr(session, "_sat_signature", None)
+    if cached is None or cached[0] != session.source_hash:
+        cached = (session.source_hash, layout_signature(session_layout(session)))
+        session._sat_signature = cached
+    return cached[1]
+
+
 # -- the survival rule -------------------------------------------------------------
 
 
@@ -374,10 +402,7 @@ def _fast_translation(old_layout, new_layout):
         return None
     key_translation = {}
     for old_entry, new_entry in zip(old_layout, new_layout):
-        try:
-            old_name, old_key, old_shape, old_vids, old_sites = old_entry
-        except (TypeError, ValueError):
-            return None
+        old_name, old_key, old_shape, old_vids, old_sites = old_entry
         new_name, new_key, new_shape, new_vids, new_sites = new_entry
         if old_name != new_name or old_vids != new_vids or old_sites != new_sites:
             return None
@@ -393,25 +418,14 @@ def _layout_maps(old_layout, new_layout):
     layouts, covering every procedure whose content key appears in
     both (content-key equality makes the procedure ASTs
     token-identical, so the PDG builders emit their vertices and call
-    sites in the same order on both sides).  None when the layouts
-    disagree about a shared procedure's shape — impossible for
-    honestly computed layouts, so the whole old revision is distrusted
-    rather than partially mapped."""
+    sites in the same order on both sides)."""
     new_by_key = {entry[1]: (entry[3], entry[4]) for entry in new_layout}
     vid_map, site_map = {}, {}
-    for entry in old_layout:
-        try:
-            _name, content_key, _shape, old_vids, old_sites = entry
-        except (TypeError, ValueError):
-            return None
+    for _name, content_key, _shape, old_vids, old_sites in old_layout:
         new_entry = new_by_key.get(content_key)
-        if new_entry is None:
-            continue
-        new_vids, new_sites = new_entry
-        if len(old_vids) != len(new_vids) or len(old_sites) != len(new_sites):
-            return None
-        vid_map.update(zip(old_vids, new_vids))
-        site_map.update(zip(old_sites, new_sites))
+        if new_entry is not None:
+            vid_map.update(zip(old_vids, new_entry[0]))
+            site_map.update(zip(old_sites, new_entry[1]))
     return vid_map, site_map
 
 
@@ -422,20 +436,18 @@ def _within(footprint, content_keys):
     return content_keys.issuperset(footprint)
 
 
-def carry_over(old_layout, new_layout, saturations, views, held=frozenset()):
-    """The one survival rule for saturations across revisions, shared
-    by :func:`update_session` (the live memo) and
-    :func:`discover_artifacts` (a stored revision's index).
+def carry_over(old_layout, new_layout, saturations, views):
+    """The one survival rule for saturations across a live edit
+    (:func:`update_session`).
 
     ``saturations`` is a sequence of ``(key, footprint)`` pairs, one
-    per saturation of the old revision; keys in ``held``, which the
-    receiving memo already has, are neither checked nor carried.
-    ``views`` is a pair of functions returning the old revision's
-    Poststar view (or None) and the new revision's, each called at most
-    once and only when a reachable-contexts saturation fits.  Returns
-    ``(fast, new_keys, rename)``: whether the revisions are
-    fast-equivalent, each saturation's key in the new revision (input
-    order; None when it is dropped), and ``rename(artifact, new_key)``.
+    per saturation of the old revision.  ``views`` is a pair of
+    functions returning the old revision's Poststar view (or None) and
+    the new revision's, each called at most once and only when a
+    reachable-contexts saturation fits.  Returns ``(fast, new_keys,
+    rename)``: whether the revisions are fast-equivalent, each
+    saturation's key in the new revision (input order; None when it is
+    dropped), and ``rename(artifact, new_key)``.
 
     * Fast-equivalent revisions share one PDS: every saturation
       carries over under its own key, its footprint re-addressed onto
@@ -457,10 +469,9 @@ def carry_over(old_layout, new_layout, saturations, views, held=frozenset()):
         )
     new_key_set = frozenset(entry[1] for entry in new_layout)
     fits = [_within(footprint, new_key_set) for _key, footprint in saturations]
-    maps = _layout_maps(old_layout, new_layout) if any(fits) else None
-    if maps is None:
-        # Nothing fits: an empty renaming, which carries nothing.
+    if not any(fits):
         return False, [None] * len(saturations), Relocation({}, {})
+    maps = _layout_maps(old_layout, new_layout)
     relocation = Relocation(*maps)
     poststar_fits = any(
         fit for (key, _footprint), fit in zip(saturations, fits) if key == REACHABLE_KEY
@@ -487,11 +498,9 @@ def carry_over(old_layout, new_layout, saturations, views, held=frozenset()):
         if not fit:
             return None
         if key == REACHABLE_KEY:
-            return None if key in held else key
-        if not (isinstance(key, tuple) and len(key) == 2):
-            return None
+            return key
         inner = _remap_criterion_key(key[1], *maps)
-        if inner is None or (key[0], inner) in held:
+        if inner is None:
             return None
         if inner[0] == VERTICES and inner[2] == "reachable":
             if not criterion_unchanged(key[1][1], inner[1]):
@@ -505,135 +514,51 @@ def carry_over(old_layout, new_layout, saturations, views, held=frozenset()):
     )
 
 
-def _refile(store, src_hash, layout, survivors):
-    """Record artifacts (key digest -> ``(artifact, file name or
-    None)``) in a revision's index, beside the revision's layout, with
-    one write — which is what lets a cold process discover them later.
-    The one filing function: carried-over survivors come from updates
-    and discovery, fresh saturations from the session's
-    :meth:`~repro.engine.session.SlicingSession._file_sats`.  A
-    survivor with a file name is byte-identical to the donor file it
-    names; the others are filed first
-    (:meth:`~repro.store.SliceStore.put_sat` writes only a file that
-    is missing or invalid, so an undo/redo loop returning to seen text
-    writes none)."""
+# -- the store index -----------------------------------------------------------------
+
+
+def file_artifacts(store, signature, proc_keys, artifacts):
+    """File artifacts (key digest -> artifact) in ``__sats__`` and
+    record them, with one write, in the index of the pushdown system
+    ``signature`` names; ``proc_keys`` (name -> content key, the
+    revision the footprints address) turns each footprint into
+    procedure names.  The one filing function: fresh saturations come
+    from the session's
+    :meth:`~repro.engine.session.SlicingSession._file_sats`, a live
+    structural edit's survivors from :func:`update_session`.
+    :meth:`~repro.store.SliceStore.put_sat` writes only a file that is
+    missing or invalid, so an undo/redo loop returning to seen text
+    writes none."""
+    names = {key: name for name, key in proc_keys.items()}
     records = {}
-    for digest, (artifact, name) in survivors.items():
-        if name is None:
-            name = store.put_sat(artifact.without_footprint())
-        if name is not None:
-            records[digest] = index_record(artifact, name)
+    for digest, artifact in artifacts.items():
+        file_name = store.put_sat(artifact.without_footprint())
+        if file_name is not None:
+            records[digest] = index_record(artifact, file_name, names)
     if records:
-        store.merge_sat_index(src_hash, layout=layout, records=records)
-
-
-# -- cross-revision discovery ------------------------------------------------------
+        store.merge_sat_index(signature, records)
 
 
 def discover_artifacts(session):
-    """Adopt saturation artifacts filed under *other* revisions of this
-    session's program, with no live donor session.
+    """The saturation records filed for the session's pushdown system
+    (key digest -> record, see :func:`~repro.engine.artifacts
+    .index_record`): the store index named by the revision's
+    :func:`layout_signature`, shared by every revision of that system.
 
-    Runs at session creation when a store is attached.  Skips instantly
-    when this revision's own index already records a shared Poststar
-    (the warm-reopen hot path: everything expensive is directly
-    addressable).  Otherwise feeds each candidate revision's index —
-    newest first — to :func:`carry_over`, loads and renames every
-    survivor the memo lacks, installs it, and records it in this
-    revision's index (one write; a fast-equivalent donor's files are
-    named, not copied), so the adoption is paid once per edit, not
-    once per process.  A donor's Poststar is read only when one of its
-    reachable-contexts Prestars fits and no newer donor supplied that
-    key; this revision's own Poststar, which the check compares
-    against, is computed (and filed) then, once.  Adoptions count as
-    ``index_hits`` on the store (and ``sats_adopted`` on the session);
-    records whose artifact file was evicted or corrupted count as
-    ``index_misses``.
-
-    Returns the number of artifacts adopted.
-    """
-    store = session.store
-    new_hash = session.source_hash
-    poststar_digest = stable_key_digest(REACHABLE_KEY)
-    own = store.get_sat_index(new_hash)
-    if own is not None and poststar_digest in (own.get("artifacts") or {}):
-        return 0
-    t0 = time.perf_counter()
-    new_layout = session_layout(session)
-    survivors = {}
-    # The inverted keymap narrows the scan to revisions that can
-    # possibly donate — sharing a content key or the full layout shape
-    # signature (fast-equivalent label edits may share none) — so
-    # discovery stays O(changed keys) however many revisions the store
-    # holds.
-    candidates = store.sat_indexes_for(
-        frozenset(entry[1] for entry in new_layout),
-        store.layout_signature(new_layout),
-    )
-    for src_hash, index in candidates:
-        if src_hash == new_hash:
-            continue
-        filed = index.get("artifacts") or {}
-        records = []
-        for digest, record in sorted(filed.items()):
-            try:
-                key, _kind, footprint, name = record
-            except (TypeError, ValueError):
-                continue
-            records.append((key, footprint, digest, name))
-        if not records:
-            continue
-        poststar = []  # the donor's Poststar, once read
-
-        def load(digest):
-            # Only the Poststar can be wanted twice (by the criterion
-            # check and as a survivor); holding on to the others would
-            # keep every donor artifact alive through the loop.
-            if digest != poststar_digest:
-                return load_filed(store, filed[digest])
-            if not poststar:
-                poststar.append(load_filed(store, filed[digest]))
-            return poststar[0]
-
-        def old_view():
-            artifact = load(poststar_digest) if poststar_digest in filed else None
-            return None if artifact is None else artifact.automaton
-
-        with session._lock:
-            held = frozenset(
-                key for kind, key in session._futures if kind == "saturation"
-            )
-        fast, new_keys, rename = carry_over(
-            index.get("layout") or (),
-            new_layout,
-            [(key, footprint) for key, footprint, _digest, _name in records],
-            (old_view, session.reachable_configs),
-            held,
-        )
-        for (_key, _footprint, digest, name), new_key in zip(records, new_keys):
-            if new_key is None or not is_stable_key(new_key):
-                continue
-            with session._lock:
-                if ("saturation", new_key) in session._futures:
-                    continue  # a newer revision already supplied it
-            artifact = load(digest)
-            if artifact is None:
-                # Stale record: the artifact file was evicted (or
-                # corrupted) out from under its index entry.  The next
-                # compaction walk GCs the record.
-                store.count_index(False)
-                continue
-            survivor = rename(artifact, new_key)
-            session._install("saturation", new_key, survivor)
-            # A fast rename re-addresses only the footprint, which the
-            # file does not hold: the survivor's file is the donor's.
-            survivors[stable_key_digest(new_key)] = (survivor, name if fast else None)
-            store.count_index(True)
-    _refile(store, new_hash, new_layout, survivors)
-    with session._lock:
-        session._stats["sats_adopted"] += len(survivors)
-        session._stats["discovery_seconds"] += time.perf_counter() - t0
-    return len(survivors)
+    The one reader of a session's index.  It reads the index at the
+    first call for a signature — when :meth:`~repro.engine.session
+    .SlicingSession._fused_batch` or the shared Poststar first claims a
+    saturation — and answers later calls from the copy it keeps on the
+    session.  Loading is left to the claims, so a reopen loads only
+    the saturations it answers with (:func:`~repro.engine.artifacts
+    .load_filed`, which resolves a record's procedure names to this
+    revision's content keys)."""
+    signature = session_signature(session)
+    cached = session._sat_records
+    if cached is None or cached[0] != signature:
+        cached = (signature, session.store.get_sat_index(signature) or {})
+        session._sat_records = cached
+    return cached[1]
 
 
 # -- the update itself -------------------------------------------------------------
@@ -717,16 +642,15 @@ def update_session(session, new_source):
         "saturations_dropped": len(saturations) - len(kept_sats),
     }
     new_futures = {}
-    survivors = {}  # stable key digest -> (artifact, None), for the store
+    survivors = {}  # stable key digest -> artifact, for the store
     for artifact in list(kept_sats.values()) + fresh:
         if artifact.key == REACHABLE_KEY:
             # The criterion constructors read the shared Poststar off
             # the encoding (as its query view); install this one.
-            encoding._reachable_configs = artifact.automaton
             encoding._reachable_view = artifact.automaton
         new_futures[("saturation", artifact.key)] = _completed(artifact)
         if is_stable_key(artifact.key):
-            survivors[stable_key_digest(artifact.key)] = (artifact, None)
+            survivors[stable_key_digest(artifact.key)] = artifact
     result_futures, result_counts, relocated = _prune_results(
         snapshot,
         new_sdg,
@@ -766,11 +690,16 @@ def update_session(session, new_source):
             session.store.put_program(new_hash, new_sdg)
         for name in changed:
             session.store.put_proc(new_keys[name], extract_part(new_sdg, name))
-        # Record every survivor in the edited text's index, so a fresh
-        # process opening the new text finds its saturations warm —
-        # composing with the __procs__ partial front-half hits — and
-        # the renamed results, so that its first answers are too.
-        _refile(session.store, new_hash, new_layout, survivors)
+        if not fast:
+            # A structural edit moved to another pushdown system: file
+            # every survivor in its index, so that a fresh process
+            # opening the new text finds them warm (composing with the
+            # __procs__ partial front-half hits).  A fast-equivalent
+            # edit stays in the system whose index already holds them.
+            file_artifacts(
+                session.store, layout_signature(new_layout), new_keys, survivors
+            )
+        # The renamed results, so that such a process answers warm too.
         for key, result in relocated.items():
             digest = session._persist_digest("slice", key)
             if digest is not None:

@@ -34,11 +34,13 @@ front half:
   saturation artifacts are persisted on disk under the same canonical
   keys (digested by :func:`repro.engine.canonical.stable_key_digest`),
   so a fresh process answering a repeated batch does no saturation
-  work at all — and one answering a *new* criterion against a warm
-  front half loads the Poststar artifact instead of re-saturating.
-  Writes are batched: each public query method files the results it
-  computed as one ``results`` entry, and each saturation pass merges
-  its artifacts' records into the revision's index with one write;
+  work at all — and one answering a *new* criterion, or opening a
+  label-edited text, loads the saturations it needs instead of
+  re-saturating (saturations are filed by pushdown system, so every
+  revision of one system shares them).  Writes are batched: each
+  public query method files the results it computed as one
+  ``results`` entry, and each saturation pass merges its artifacts'
+  records into its system's index with one write;
 * after the fused pass, :meth:`SlicingSession.slice_many` answers
   each criterion's MRD and read-out in the calling thread,
   deduplicating identical criteria (those steps are pure Python, so a
@@ -139,7 +141,7 @@ class SlicingSession(object):
     The session does no compiling of its own: the kernel compiles the
     encoding's PDS at the first saturation that needs it, once per PDS
     (:func:`repro.pds.kernel.compiled_pds`), so a store-backed reopen
-    whose saturations are all loaded or adopted compiles nothing.  The
+    whose saturations are all loaded compiles nothing.  The
     compile counters (``kernel_compile_hits``/``kernel_compile_misses``)
     reach :attr:`stats` with each saturation's kernel counters.
     """
@@ -183,6 +185,9 @@ class SlicingSession(object):
             store.put_program(self.source_hash, sdg)
         self._lock = threading.Lock()
         self._futures = {}  # (cache kind, criterion key) -> Future
+        # The store's saturation index for this revision's pushdown
+        # system, read once: (layout signature, {key digest: record}).
+        self._sat_records = None
         # The store's results for one revision, read once: (source
         # hash, {(memo table, key digest): pickled slim value}).
         self._results = None
@@ -222,19 +227,7 @@ class SlicingSession(object):
             "persist_misses": 0,
             "sat_persist_hits": 0,
             "sat_persist_misses": 0,
-            "sats_adopted": 0,
-            "discovery_seconds": 0.0,
         }
-        if store is not None:
-            # Cross-revision discovery: adopt saturations filed under
-            # other revisions of this program (see
-            # :func:`repro.engine.incremental.discover_artifacts`).
-            # Skips instantly when this revision's own index already
-            # records the shared Poststar.
-            from repro.engine.incremental import discover_artifacts
-
-            discover_artifacts(self)
-            self._stats["load_seconds"] = time.perf_counter() - t0
 
     # -- queries ---------------------------------------------------------------
 
@@ -404,17 +397,12 @@ class SlicingSession(object):
 
         The memo holds it as a :class:`SaturationArtifact`
         (:meth:`reachable_configs_artifact`); whichever way the
-        artifact arrived — saturation, ``__sats__`` load, cross-revision
-        discovery, incremental survival — its automaton is installed as
-        the encoding's cached reachable-configuration language *and*
+        artifact arrived — saturation, ``__sats__`` load, incremental
+        survival — its automaton is installed as the encoding's cached
         query view, so the criterion constructors and Algorithm 2 do no
         Poststar-sized work at all."""
-        artifact = self.reachable_configs_artifact()
-        automaton = artifact.automaton
-        encoding = self.encoding
-        if getattr(encoding, "_reachable_configs", None) is not automaton:
-            encoding._reachable_configs = automaton
-            encoding._reachable_view = automaton
+        automaton = self.reachable_configs_artifact().automaton
+        self.encoding._reachable_view = automaton
         return automaton
 
     def reachable_configs_artifact(self):
@@ -430,7 +418,6 @@ class SlicingSession(object):
             sink = {}
             view = reachable_query_view(self.encoding, stats=sink)
             self._absorb_kernel_stats(sink)
-            self.encoding._reachable_configs = view
             return self._make_artifact(SAT_POSTSTAR, REACHABLE_KEY, view)
 
         return self._memoized("saturation", REACHABLE_KEY, compute)
@@ -543,8 +530,10 @@ class SlicingSession(object):
 
         ``specs`` is ``[(kind, payload), ...]``.  Each criterion whose
         saturation no one has claimed yet is claimed here (a
-        ``saturation_misses``); of those, the ones with a persisted
-        ``__sats__`` artifact are loaded, and the rest saturate
+        ``saturation_misses``); of those, the ones the store's index
+        for this pushdown system records are loaded
+        (:func:`repro.engine.incremental.discover_artifacts` reads it at
+        the session's first claim), and the rest saturate
         together in one fused kernel pass (:func:`repro.pds.prestar_many`
         or :func:`repro.pds.poststar_many`).  Returns ``{saturation key:
         future}``, claimed or found.
@@ -589,7 +578,7 @@ class SlicingSession(object):
                 )
                 if digest is not None:
                     if records is None:
-                        records = self._filed_records(src_hash)
+                        records = self._filed_records()
                     value = self._load_sat(records, digest, sat_key)
                     if value is not None:
                         future.set_result(value)
@@ -726,15 +715,15 @@ class SlicingSession(object):
     def _saturation_through_store(self, src_hash, key, compute):
         """The shared Poststar (:data:`REACHABLE_KEY`, the one
         saturation not claimed by :meth:`_fused_batch`) goes through
-        the store's ``__sats__`` table, found through the revision's
-        saturation index: a warm store hands back the artifact, so a
-        new criterion against a warm front half skips Poststar
-        entirely, and a freshly computed one is persisted for the next
-        process.  ``src_hash`` is the caller's pre-compute snapshot of
-        the front-half hash."""
+        the store's ``__sats__`` table, found through the index of this
+        revision's pushdown system: a warm store hands back the
+        artifact, so a new criterion against a warm front half skips
+        Poststar entirely, and a freshly computed one is persisted for
+        the next process.  ``src_hash`` is the caller's pre-compute
+        snapshot of the front-half hash."""
         digest = self._persist_digest("saturation", key, table_check=False)
         if digest is not None:
-            value = self._load_sat(self._filed_records(src_hash), digest, key)
+            value = self._load_sat(self._filed_records(), digest, key)
             if value is not None:
                 return value
         value = compute()
@@ -742,18 +731,25 @@ class SlicingSession(object):
             self._file_sats(src_hash, {digest: value})
         return value
 
-    def _filed_records(self, src_hash):
-        """The saturation index records of one revision (key digest ->
-        record), read once per saturation pass."""
-        index = self.store.get_sat_index(src_hash) or {}
-        return index.get("artifacts") or {}
+    def _filed_records(self):
+        """The records of the store's index for this revision's
+        pushdown system (key digest -> record), fetched once per
+        saturation pass (:func:`repro.engine.incremental
+        .discover_artifacts` reads the index once per session)."""
+        # Imported here so that a wrapper installed on the incremental
+        # module by name sees this call.
+        from repro.engine.incremental import discover_artifacts
+
+        return discover_artifacts(self)
 
     def _load_sat(self, records, digest, key):
         """The artifact the index ``records`` file under ``digest`` for
         ``key``, or None; counted as ``sat_persist_hits`` /
         ``sat_persist_misses``."""
         record = records.get(digest)
-        value = None if record is None else load_filed(self.store, record)
+        value = None
+        if record is not None:
+            value = load_filed(self.store, record, self._content_keys())
         loaded = value is not None and value.key == key
         with self._lock:
             self._stats["sat_persist_hits" if loaded else "sat_persist_misses"] += 1
@@ -761,23 +757,19 @@ class SlicingSession(object):
 
     def _file_sats(self, src_hash, artifacts):
         """Persist one saturation pass's fresh artifacts (key digest ->
-        artifact) in ``__sats__`` and record them in their revision's
-        saturation index — layout plus records, one index write, by the
-        filing function updates and discovery use
-        (:func:`repro.engine.incremental._refile`) — making them
-        discoverable by cold sessions on *other* revisions.
-        Nothing is filed when a concurrent ``update_source`` re-pointed
-        the session mid-compute (the snapshot hash no longer names this
-        front half, so this session's layout would be the wrong one)."""
+        artifact) in ``__sats__`` and record them in the index of this
+        revision's pushdown system, with one index write
+        (:func:`repro.engine.incremental.file_artifacts`), where every
+        revision of that system finds them.  Nothing is filed when a
+        concurrent ``update_source`` re-pointed the session mid-compute
+        (the snapshot hash no longer names this front half, so this
+        session's signature would be the wrong one)."""
         if not artifacts or src_hash != self.source_hash:
             return
-        from repro.engine.incremental import _refile, session_layout
+        from repro.engine.incremental import file_artifacts, session_signature
 
-        _refile(
-            self.store,
-            src_hash,
-            session_layout(self),
-            {digest: (artifact, None) for digest, artifact in artifacts.items()},
+        file_artifacts(
+            self.store, session_signature(self), self._content_keys(), artifacts
         )
 
     def _slim(self, value):
@@ -838,16 +830,3 @@ class SlicingSession(object):
         ):
             return None
         return stable_key_digest(key)
-
-    def _install(self, cache_kind, key, value):
-        """Install an externally computed value (an artifact adopted by
-        cross-revision discovery) into the memo; a concurrent
-        computation's value wins."""
-        full_key = (cache_kind, key)
-        with self._lock:
-            existing = self._futures.get(full_key)
-            if existing is None:
-                future = Future()
-                future.set_result(value)
-                self._futures[full_key] = future
-        return value

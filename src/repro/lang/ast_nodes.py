@@ -99,6 +99,24 @@ class Bin(Expr):
         self.right = right
         self.pos = pos
 
+    def __reduce__(self):
+        # pickle recurses once per nested object, so a flat chain
+        # ``g + g + … + g`` pickles as its bottom operand and one
+        # ``(op, right, pos)`` link per node of its left spine, bottom
+        # first, and unpickles in a loop (_rebuild_chain).  Only right
+        # operands recurse, and their nesting counts toward MAX_NESTING.
+        chain, operand = left_spine(self)
+        links = [(node.op, node.right, node.pos) for node in reversed(chain)]
+        return _rebuild_chain, (operand, links)
+
+
+def _rebuild_chain(operand, links):
+    """The inverse of :meth:`Bin.__reduce__`: stack each link's ``Bin``
+    on the chain built so far, bottom first."""
+    for op, right, pos in links:
+        operand = Bin(op, operand, right, pos)
+    return operand
+
 
 class Un(Expr):
     _repr_fields = ("op", "operand")

@@ -127,6 +127,19 @@ def _unescape(match):
     return _ESCAPES[match.group(1)]
 
 
+def _number_value(digits, line, col):
+    """The value of a number literal, or a :class:`LexError` at it when
+    the interpreter refuses to convert that many digits (CPython
+    converts at most ``sys.get_int_max_str_digits()``, 4,300 by
+    default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise LexError(
+            "number literal of %d digits is too long" % len(digits), line, col
+        ) from None
+
+
 def tokenize(source):
     """Lex ``source`` into a token list ending with an ``eof`` token.
 
@@ -134,7 +147,8 @@ def tokenize(source):
     from 1, a column is a character offset (a tab is one column) and
     only ``\n`` ends a line.  Raises :class:`LexError` at an
     unterminated block comment's ``/*``, at a bad string literal's
-    opening quote, or at an unexpected character.
+    opening quote, at a number literal too long to convert, or at an
+    unexpected character.
     """
     tokens = []
     append = tokens.append
@@ -153,7 +167,8 @@ def tokenize(source):
             append(Token(op, op, line, start - line_start + 1))
             continue
         if group == "num":
-            append(Token("num", int(match.group()), line, start - line_start + 1))
+            col = start - line_start + 1
+            append(Token("num", _number_value(match.group(), line, col), line, col))
             continue
         if group == "string":
             body = match.group("body")

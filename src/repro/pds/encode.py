@@ -44,7 +44,6 @@ class SDGEncoding(object):
         # saturations are filed on their own, and the bundle must not
         # depend on which queries ran before it was written.
         state = self.__dict__.copy()
-        state.pop("_reachable_configs", None)
         state.pop("_reachable_view", None)
         return state
 

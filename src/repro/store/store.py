@@ -11,7 +11,7 @@ its source text), plus the tables shared by every revision::
         proc-<content_key>.slc         # pickled per-procedure ProcPart
       __sats__/
         sat-<payload_sha256>.slc       # one saturation (kind, key, automaton)
-        idx-<source_hash>.slc          # per-revision saturation index
+        idx-<layout_signature>.slc     # one pushdown system's saturation index
       __pds__/
         pds-<source_hash>.slc          # legacy; nothing writes it
 
@@ -38,24 +38,22 @@ the per-criterion Prestar/Poststar automata — as
 :class:`repro.engine.artifacts.SaturationArtifact` objects pickled
 *without* their ownership footprint, each in a file named by the
 sha256 of its payload (the checksum its entry header carries).  Equal
-saturations are therefore one file, whichever revisions own them: a
-label-only edit keeps every automaton byte for byte, so adopting a
-revision's saturations writes one index that names the donor's files.
+saturations are therefore one file, whichever revisions own them.
 
-The saturation index.  Beside the artifacts, ``__sats__`` keeps one
-small ``idx-<source_hash>.slc`` file per revision: the revision's
-per-procedure symbol *layout* (each procedure's content key, dependence
-shape digest, vertex ids, and call-site labels, in build order) plus
-one record per saturation, ``(memo key, kind, ownership footprint,
-file name)``, under the saturation's key digest.  The footprint lives
-in the record, not the file, because it names content keys that a
-label edit changes.  A session writes its index once per saturation
-pass.  The index is what makes artifacts discoverable **across
-revisions with no live session**: a cold process opening edited text
-computes its procedure content keys, scans the indexes of other
-revisions for artifacts whose footprint is a subset of its unchanged
-keys, renumbers them through the two layouts, and adopts them (see
-:func:`repro.engine.incremental.discover_artifacts`).  The kind in
+The saturation index.  A saturation depends only on the pushdown
+system and its query, so ``__sats__`` keeps one small
+``idx-<signature>.slc`` file per pushdown system, named by the
+:func:`repro.engine.incremental.layout_signature` of the revisions
+that number it (revisions share a signature exactly when a label edit
+separates them).  The index maps each saturation's key digest to the
+record ``(memo key, kind, footprint, file name)``, the footprint as the
+names of the procedures it touches: every revision of the system has
+those procedures and resolves the names to its own content keys.  A
+session reads its system's index once, at its first saturation claim,
+and writes it once per saturation pass; a fresh process opening a
+label-edited text therefore loads its saturations directly, and one
+opening a structurally edited text finds no index and computes them
+(see :func:`repro.engine.incremental.discover_artifacts`).  The kind in
 each record also tells the evictor how expensive a file is to
 recompute without unpickling it.
 
@@ -92,10 +90,11 @@ saturation indexes last — with oldest-mtime-first (reads bump mtime,
 so LRU) as the tie-break *within* a tier.  A 256 MiB cache under
 pressure therefore sheds cheap rendered results and keeps the shared
 Poststar that costs seconds to re-saturate.  A ``__sats__`` file's
-tier comes from the records that name it; evicting a file shared by
-several revisions stales each of their records.  Every compaction walk
+tier comes from the records that name it; evicting a file several
+indexes name stales each of their records.  Every compaction walk
 also garbage-collects the saturation indexes (records whose file is
-gone are pruned; ``gc_index_pruned``) and deletes ``__sats__`` files
+gone are pruned, ``gc_index_pruned``, and an index left with none is
+deleted) and deletes ``__sats__`` files
 that no index names once they are older than a grace period (a writer
 files a saturation before its record).  Any walk that evicted or
 pruned something bumps the lifetime counters persisted in the
@@ -126,7 +125,11 @@ MAGIC = b"RSLC"
 #: per-criterion result files became one ``results`` entry per call.
 #: v6: statement ids are positions, ``(procedure name, index)``, not
 #: process-counter ints; per-procedure parts no longer carry an AST.
-STORE_VERSION = 6
+#: v7: one saturation index per pushdown system, named by its layout
+#: signature, with footprints as procedure names and no layout; the
+#: keymap sidecar is retired; a ``Bin`` chain pickles as its bottom
+#: operand and a list of links.
+STORE_VERSION = 7
 
 _VERSION_STRUCT = struct.Struct(">H")
 _HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size + hashlib.sha256().digest_size
@@ -144,19 +147,14 @@ _SATS_DIR = "__sats__"
 #: the legacy compiled-PDS payload table (see the layout notes)
 _PDS_DIR = "__pds__"
 _SPECIAL_DIRS = frozenset([_PARTS_DIR, _SATS_DIR, _PDS_DIR])
-#: the content-addressed saturation table and the per-revision
+#: the content-addressed saturation table and the per-system
 #: saturation-index table (both files in __sats__)
 _SAT = "sat"
 _SAT_INDEX = "idx"
 #: the lifetime-counter sidecar, kept in __sats__ under a non-entry
-#: name (never evicted, invisible to _entries, removed only by clear())
+#: name (never evicted, invisible to _entries, removed only by clear(),
+#: which removes every non-entry file there, retired sidecars included)
 _META_NAME = "meta"
-#: the inverted revision index sidecar (same non-entry treatment):
-#: content key -> revision hashes, and layout shape signature ->
-#: revision hashes, so cross-revision discovery consults only the
-#: revisions that can possibly donate instead of scanning every
-#: ``idx-<hash>.slc`` in the store
-_KEYMAP_NAME = "keymap"
 #: orphaned temp files older than this are swept during eviction/clear,
 #: and unindexed ``__sats__`` files during the compaction walk
 _TMP_GRACE_SECONDS = 60
@@ -232,8 +230,6 @@ class SliceStore(object):
             "sat_misses": 0,
             "pds_hits": 0,
             "pds_misses": 0,
-            "index_hits": 0,
-            "index_misses": 0,
             "stores": 0,
             "evictions": 0,
             "invalid_dropped": 0,
@@ -417,178 +413,45 @@ class SliceStore(object):
         it (see the section comment)."""
         return self._has_valid_header(self._entry_path(_PDS_DIR, "pds", src_hash))
 
-    # -- the per-revision saturation index -------------------------------------
+    # -- the per-system saturation index ---------------------------------------
 
-    def get_sat_index(self, src_hash):
-        """The saturation index for one revision, or None: a dict with
+    def get_sat_index(self, signature):
+        """The saturation index of the pushdown system a layout
+        ``signature`` names, or None: saturation key digest -> ``(memo
+        key, kind, footprint, file name)`` for every saturation any
+        revision of that system filed (the footprint as procedure
+        names; the file a ``__sats__`` name).  Indexes ride the same
+        header/checksum format as entries, so a corrupt index degrades
+        to "nothing filed"."""
+        value, _ok = self._read(self._sat_index_path(signature))
+        return value if isinstance(value, dict) else None
 
-        * ``"layout"`` — one ``(name, content key, shape digest,
-          vertex ids, call-site labels)`` entry per procedure of the
-          revision, in program order (the coordinate system artifacts
-          are renumbered through), and
-        * ``"artifacts"`` — saturation key digest -> ``(memo key,
-          kind, footprint tuple, file name)`` for every saturation of
-          the revision (the file is a ``__sats__`` name, possibly
-          shared with other revisions).
-
-        Indexes ride the same header/checksum format as entries, so a
-        corrupt index degrades to "revision not discoverable"."""
-        value, _ok = self._read(self._sat_index_path(src_hash))
-        if isinstance(value, dict) and "layout" in value and "artifacts" in value:
-            return value
-        return None
-
-    def merge_sat_index(self, src_hash, layout=None, records=None):
+    def merge_sat_index(self, signature, records):
         """Merge ``records`` (key digest -> ``(memo key, kind,
-        footprint, file name)``) — and, the first time, the revision's
-        ``layout`` — into the revision's index file.  Read-modify-write
-        under the in-process lock; cross-process races are
-        last-writer-wins (a lost record only costs discoverability,
-        never correctness).  Callers merge once per saturation pass."""
+        footprint, file name)``) into the index of the pushdown system
+        ``signature`` names.  Read-modify-write under the in-process
+        lock; cross-process races are last-writer-wins (a lost record
+        only costs a recompute, never correctness).  Callers merge once
+        per saturation pass."""
         with self._index_lock:
-            index = self.get_sat_index(src_hash)
-            if index is None:
-                index = {"layout": (), "artifacts": {}}
-            if layout:
-                index["layout"] = tuple(layout)
-            if records:
-                index["artifacts"].update(records)
-            written = self._write(self._sat_index_path(src_hash), index)
-            if layout:
-                self._keymap_register(src_hash, index["layout"])
+            index = self.get_sat_index(signature) or {}
+            index.update(records)
+            written = self._write(self._sat_index_path(signature), index)
         self._note_written(written)
         return index
 
-    @staticmethod
-    def layout_signature(layout):
-        """The shape signature of a procedure layout: a digest over
-        everything *except* the content keys — procedure names, shape
-        digests, vertex ids, call-site labels, in program order.  Two
-        revisions are fast-equivalent with zero shared content keys
-        exactly when a label edit touched every procedure, and then
-        their shape signatures are equal — the second dimension the
-        inverted keymap indexes revisions by, so such donors stay
-        discoverable without a full index scan."""
-        try:
-            projected = tuple(
-                (name, shape, tuple(vids), tuple(sites))
-                for name, _key, shape, vids, sites in layout
-            )
-        except (TypeError, ValueError):
-            return None
-        return hashlib.sha256(repr(projected).encode("utf-8")).hexdigest()
-
-    def sat_indexes_for(self, content_keys, shape_sig):
-        """The readable ``(src_hash, index)`` pairs worth consulting
-        for a revision with the given content keys and layout shape
-        signature, most recently touched first — the exact candidate
-        set of :meth:`sat_indexes` restricted through the inverted
-        keymap.  Exactness: a donor record with a nonempty footprint
-        adoptable by footprint subset shares a content key with the
-        asker (its footprint is a subset of both layouts' key sets),
-        and a fast-equivalent donor either shares a key or matches the
-        shape signature; either way it is in the candidate set.  (A
-        donor sharing neither can only offer empty saturations, which
-        cost nothing to recompute.)  When the keymap sidecar is missing
-        or unreadable (an older store, a crashed writer) this falls
-        back to the full scan and rebuilds the sidecar from what it
-        finds."""
-        with self._index_lock:
-            keymap = self._read_keymap()
-        if keymap is None:
-            result = self.sat_indexes()
-            with self._index_lock:
-                self._rebuild_keymap(result)
-            return result
-        candidates = set()
-        keys_dim = keymap.get("keys") or {}
-        for content_key in content_keys:
-            candidates.update(keys_dim.get(content_key, ()))
-        if shape_sig is not None:
-            candidates.update((keymap.get("shapes") or {}).get(shape_sig, ()))
-        found = []
-        for src_hash in candidates:
-            path = self._sat_index_path(src_hash)
-            try:
-                mtime = os.stat(path).st_mtime
-            except OSError:
-                continue
-            found.append((mtime, src_hash))
-        found.sort(reverse=True)
-        result = []
-        for _mtime, src_hash in found:
-            index = self.get_sat_index(src_hash)
-            if index is not None:
-                result.append((src_hash, index))
-        return result
-
-    def _keymap_path(self):
-        return os.path.join(self.cache_dir, _SATS_DIR, _KEYMAP_NAME)
-
-    def _read_keymap(self):
-        """The keymap sidecar, or None when absent/corrupt.  Caller
-        holds ``_index_lock``."""
-        value, _ok = self._read(self._keymap_path())
-        if isinstance(value, dict) and "keys" in value and "shapes" in value:
-            return value
-        return None
-
-    def _keymap_register(self, src_hash, layout):
-        """Point the keymap at a revision under every content key of
-        its layout and under its shape signature; no-op (and no write)
-        when every pointer is already present.  Caller holds
-        ``_index_lock``."""
-        if not layout:
-            return
-        keymap = self._read_keymap()
-        if keymap is None:
-            keymap = {"keys": {}, "shapes": {}}
-        changed = False
-        keys_dim = keymap["keys"]
-        for entry in layout:
-            try:
-                content_key = entry[1]
-            except (TypeError, IndexError):
-                continue
-            hashes = keys_dim.setdefault(content_key, [])
-            if src_hash not in hashes:
-                hashes.append(src_hash)
-                changed = True
-        shape_sig = self.layout_signature(layout)
-        if shape_sig is not None:
-            hashes = keymap["shapes"].setdefault(shape_sig, [])
-            if src_hash not in hashes:
-                hashes.append(src_hash)
-                changed = True
-        if changed:
-            self._write(self._keymap_path(), keymap)
-
-    def _rebuild_keymap(self, indexes):
-        """Rewrite the keymap sidecar from a full ``(src_hash, index)``
-        listing — self-healing after corruption, version upgrades, and
-        the compaction walk's index GC.  Caller holds ``_index_lock``."""
-        keymap = {"keys": {}, "shapes": {}}
-        for src_hash, index in indexes:
-            layout = index.get("layout") or ()
-            for entry in layout:
-                try:
-                    content_key = entry[1]
-                except (TypeError, IndexError):
-                    continue
-                hashes = keymap["keys"].setdefault(content_key, [])
-                if src_hash not in hashes:
-                    hashes.append(src_hash)
-            shape_sig = self.layout_signature(layout)
-            if shape_sig is not None:
-                hashes = keymap["shapes"].setdefault(shape_sig, [])
-                if src_hash not in hashes:
-                    hashes.append(src_hash)
-        self._write(self._keymap_path(), keymap)
+    def sat_indexes_for(self, signature):
+        """``[(signature, index)]`` when an index is filed under the
+        layout signature, else ``[]``: :meth:`sat_indexes` narrowed to
+        one pushdown system.  No engine code calls it (a session reads
+        its one index through :meth:`get_sat_index`); it remains
+        because the benchmark's tracer wraps it by name."""
+        index = self.get_sat_index(signature)
+        return [] if index is None else [(signature, index)]
 
     def sat_indexes(self):
-        """Every readable ``(src_hash, index)`` pair, most recently
-        touched revision first — the candidate order cross-revision
-        discovery scans in."""
+        """Every readable ``(signature, index)`` pair, most recently
+        touched first — what the compaction walk garbage-collects."""
         sats_dir = os.path.join(self.cache_dir, _SATS_DIR)
         prefix = _SAT_INDEX + "-"
         found = []
@@ -603,16 +466,11 @@ class SliceStore(object):
             found.append((mtime, name[len(prefix):-len(_SUFFIX)]))
         found.sort(reverse=True)
         result = []
-        for _mtime, src_hash in found:
-            index = self.get_sat_index(src_hash)
+        for _mtime, signature in found:
+            index = self.get_sat_index(signature)
             if index is not None:
-                result.append((src_hash, index))
+                result.append((signature, index))
         return result
-
-    def count_index(self, hit):
-        """Count one cross-revision discovery attempt against the
-        index (``index_hits``/``index_misses``)."""
-        self._count("index_hits" if hit else "index_misses")
 
     # -- maintenance -----------------------------------------------------------
 
@@ -623,8 +481,13 @@ class SliceStore(object):
             if self._unlink(path):
                 removed += 1
         self._sweep_stale_temp()
-        _unlink_quiet(self._meta_path())
-        _unlink_quiet(self._keymap_path())
+        sats_dir = os.path.join(self.cache_dir, _SATS_DIR)
+        for name in _listdir(sats_dir):
+            # The sidecars: the lifetime counters, and the keymap that
+            # stores before version 7 kept (a young temp file may still
+            # belong to a live writer).
+            if not name.endswith(_TMP_SUFFIX):
+                _unlink_quiet(os.path.join(sats_dir, name))
         for name in _listdir(self.cache_dir):
             _rmdir(os.path.join(self.cache_dir, name))
         with self._lock:
@@ -676,8 +539,8 @@ class SliceStore(object):
         name = table if key_digest is None else "%s-%s" % (table, key_digest)
         return os.path.join(self.cache_dir, src_hash, name + _SUFFIX)
 
-    def _sat_index_path(self, src_hash):
-        return self._entry_path(_SATS_DIR, _SAT_INDEX, src_hash)
+    def _sat_index_path(self, signature):
+        return self._entry_path(_SATS_DIR, _SAT_INDEX, signature)
 
     def _sat_path(self, name):
         return self._entry_path(_SATS_DIR, _SAT, name)
@@ -836,10 +699,10 @@ class SliceStore(object):
 
     def _gc_sat_indexes(self, entries):
         """Prune index records whose saturation file is gone; drop an
-        index outright when it has no records left *and* its revision's
-        front half is gone too.  Returns ``(sat file name -> tier,
-        pruned record count)`` — the classification the evictor needs,
-        computed in the same pass; a file no record names is absent."""
+        index outright when it has no records left.  Returns ``(sat
+        file name -> tier, pruned record count)`` — the classification
+        the evictor needs, computed in the same pass; a file no record
+        names is absent."""
         live = set()
         for path, _size, _mtime in entries:
             name = _sat_file_name(path)
@@ -847,11 +710,9 @@ class SliceStore(object):
                 live.add(name)
         sat_tiers = {}
         pruned = 0
-        dropped_index = False
-        for src_hash, index in self.sat_indexes():
-            artifacts = index.get("artifacts") or {}
+        for signature, index in self.sat_indexes():
             stale = []
-            for key_digest, record in artifacts.items():
+            for key_digest, record in index.items():
                 try:
                     _key, kind, _footprint, file_name = record
                 except (TypeError, ValueError):
@@ -863,23 +724,16 @@ class SliceStore(object):
                 else:
                     stale.append(key_digest)
             for key_digest in stale:
-                artifacts.pop(key_digest, None)
+                del index[key_digest]
             pruned += len(stale)
-            if not artifacts and not self.has_program(src_hash):
-                # Nothing left to translate and no front half to pair
-                # with: the index is dead weight, even if it was
-                # already empty before this walk.
-                self._unlink(self._sat_index_path(src_hash))
-                dropped_index = True
+            if not index:
+                # Nothing left to load: the index is dead weight, even
+                # if it was already empty before this walk.
+                self._unlink(self._sat_index_path(signature))
             elif stale:
                 # Rewrite directly (no _note_written: we are inside the
                 # compaction walk already).
-                self._write(self._sat_index_path(src_hash), index)
-        if dropped_index:
-            # Dead revisions must leave the inverted keymap too, or
-            # discovery would keep stat-ing their unlinked indexes.
-            with self._index_lock:
-                self._rebuild_keymap(self.sat_indexes())
+                self._write(self._sat_index_path(signature), index)
         if pruned:
             with self._lock:
                 self._counters["gc_index_pruned"] += pruned

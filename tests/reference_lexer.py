@@ -102,7 +102,16 @@ class Lexer(object):
                 start = self.pos
                 while self.pos < len(self.source) and self._peek() in "0123456789":
                     self._advance()
-                result.append(Token("num", int(self.source[start : self.pos]), line, col))
+                digits = self.source[start : self.pos]
+                try:
+                    value = int(digits)
+                except ValueError:
+                    raise LexError(
+                        "number literal of %d digits is too long" % len(digits),
+                        line,
+                        col,
+                    ) from None
+                result.append(Token("num", value, line, col))
             elif ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
                 start = self.pos
                 while self.pos < len(self.source) and (

@@ -1,6 +1,6 @@
-"""Cache economics and cross-revision discovery.
+"""Cache economics and saturations filed by pushdown system.
 
-Two halves of one story (ISSUE 8):
+Two halves of one story:
 
 * **Cost-aware eviction** — under a tight ``max_bytes`` cap the store
   sheds entries cheapest-to-rebuild first (slim results, then
@@ -12,11 +12,14 @@ Two halves of one story (ISSUE 8):
   keeps — and that a warm reopen after real eviction answers without
   re-saturating it.
 
-* **Cross-revision discovery** — a cold process opening *edited*
-  source adopts the previous revision's saturation artifacts through
-  the footprint-indexed ``__sats__`` lookup, with no live donor
-  session, composing with the ``__procs__`` partial front-half path;
-  adopted artifacts must yield byte-identical results.
+* **One index per pushdown system** — saturations are filed under
+  the layout signature of the revision that computed them, which every
+  label edit of it shares: a cold process opening label-edited source
+  loads the saturations it answers with through that one index, with
+  no live donor session, composing with the ``__procs__`` partial
+  front-half path; one opening structurally edited source computes
+  its own.  Either way the answers are byte-identical to a storeless
+  session's.
 """
 
 import collections
@@ -30,6 +33,7 @@ import pytest
 from repro.cli import build_parser
 from repro.engine import SlicingSession, stable_key_digest
 from repro.engine.canonical import REACHABLE_KEY, SAT_PRESTAR
+from repro.engine.incremental import session_signature
 from repro.lang import pretty
 from repro.store import DEFAULT_MAX_BYTES, SliceStore, source_hash
 from repro.store.store import (
@@ -51,10 +55,10 @@ SOURCE = (
 )
 
 #: label-only edit (changed constant): dependence shape preserved, so
-#: every artifact transfers across the revisions
+#: both revisions are one pushdown system and share one index
 LABEL_EDIT = SOURCE.replace("acc + 5", "acc + 9")
-#: structural edit confined to ``noise`` (new vertex): artifacts whose
-#: footprint avoids ``noise`` survive, the rest do not
+#: structural edit confined to ``noise`` (new vertex): another pushdown
+#: system, whose index is its own
 STRUCTURAL_EDIT = SOURCE.replace(
     "acc = acc + 5;", "acc = acc + 5; int z = 1; acc = acc + z;"
 )
@@ -147,7 +151,7 @@ def test_flat_lru_would_have_dropped_the_poststar(tmp_path):
     session.slice(("print", 1))
     store = SliceStore(cache)
     groups = _by_table(store)
-    record = store.get_sat_index(session.source_hash)["artifacts"][POSTSTAR_DIGEST]
+    record = store.get_sat_index(session_signature(session))[POSTSTAR_DIGEST]
     poststar_path = store._entry_path("__sats__", "sat", record[3])
     _set_age(poststar_path, 7200)  # the LRU victim
     entries = store._entries()
@@ -256,52 +260,60 @@ def test_index_gc_prunes_stale_records_and_counts(tmp_path):
     session = SlicingSession(SOURCE, store=SliceStore(cache))
     session.slice(("print", 0))
     store = SliceStore(cache)
-    src_hash = session.source_hash
-    before = store.get_sat_index(src_hash)
-    assert len(before["artifacts"]) == 2
+    signature = session_signature(session)
+    assert len(store.get_sat_index(signature)) == 2
+    (prestar_path,) = [
+        path
+        for path, _size, _mtime in _by_table(store)["sat"]
+        if os.path.basename(path) != "sat-%s.slc" % store.get_sat_index(
+            signature
+        )[POSTSTAR_DIGEST][3]
+    ]
+    os.unlink(prestar_path)
+    store._evict()  # a compaction walk (under cap: GC only)
+    assert list(store.get_sat_index(signature)) == [POSTSTAR_DIGEST]
+    assert store.stats()["gc_index_pruned"] == 1
+    # With its last record gone, the index file itself is dropped.
     for path, _size, _mtime in _by_table(store)["sat"]:
         os.unlink(path)
-    store._evict()  # a compaction walk (under cap: GC only)
-    after = store.get_sat_index(src_hash)
-    assert after is not None and after["artifacts"] == {}
+    store._evict()
+    assert SliceStore(cache).get_sat_index(signature) is None
     assert store.stats()["gc_index_pruned"] == 2
     # The lifetime counters survive into a fresh store object.
     lifetime = SliceStore(cache).stats()["lifetime"]
     assert lifetime["gc_index_pruned"] == 2
-    assert lifetime["compactions"] >= 1
-    # With the records gone *and* the revision's front half gone, the
-    # index file itself is dropped on the next walk.
-    os.unlink(store._entry_path(src_hash, "fronthalf", None))
-    store._evict()
-    assert SliceStore(cache).get_sat_index(src_hash) is None
+    assert lifetime["compactions"] >= 2
 
 
-# -- cross-revision discovery ------------------------------------------------------
+# -- one index per pushdown system -------------------------------------------------
 
 
-def test_cold_process_adopts_after_label_edit(tmp_path):
-    """The tentpole scenario: a cold process opening a constant-edited
-    text adopts *every* artifact of the previous revision through the
-    footprint index — no live donor session, no saturation work — and
-    composes with the ``__procs__`` partial front-half path."""
+def test_label_edit_reopen_loads_through_the_shared_index(tmp_path):
+    """A cold process opening a constant-edited text — no live donor
+    session — loads each saturation it answers with from the index the
+    previous revision filed, computes none, and composes with the
+    ``__procs__`` partial front-half path."""
     cache = str(tmp_path / "cache")
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0))
     writer.slice(("print", 1))
 
     reader = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
+    assert session_signature(reader) == session_signature(writer)
     stats = reader.stats
     # Front half: bundle missed (new hash), parts hit for all but the
     # edited procedure.
     assert stats["front_half_from_store"] is False
     assert stats["front_half_parts_total"] == 3
     assert stats["front_half_parts_hits"] == 2
-    # Discovery: Poststar + both Prestars adopted.
-    assert stats["sats_adopted"] == 3
-    assert reader.store.stats()["index_hits"] == 3
+    # Opening loads nothing; the answers load what they use.
+    assert reader.store.stats()["sat_hits"] == 0
     reader.slice(("print", 0))
+    assert reader.stats["sat_persist_hits"] == 2  # the Poststar + one Prestar
     reader.slice(("print", 1))
-    assert stats["saturation_misses"] == 0  # memo-warm from adoption
+    stats = reader.stats
+    assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (3, 0)
+    assert stats["kernel_worklist_pops"] == 0
 
     cold = SlicingSession(LABEL_EDIT)
     for index in (0, 1):
@@ -310,34 +322,23 @@ def test_cold_process_adopts_after_label_edit(tmp_path):
         )
 
 
-def test_adoption_is_refiled_once_per_edit(tmp_path):
-    """Adoption re-files survivors (artifacts + index records) under
-    the new revision's hash, so the *next* cold open of the same text
-    skips discovery entirely and loads directly."""
-    cache = str(tmp_path / "cache")
-    SlicingSession(SOURCE, store=SliceStore(cache)).slice(("print", 0))
-    first = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
-    assert first.stats["sats_adopted"] >= 1
-
-    second = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
-    assert second.stats["sats_adopted"] == 0  # own index already warm
-    second.slice(("print", 0))
-    assert second.stats["sat_persist_misses"] == 0
-
-
-def test_structural_edit_adopts_only_surviving_footprints(tmp_path):
-    """Discovery replays ``update_source``'s survival rule: after a
-    structural edit inside ``noise``, the empty-contexts Prestar whose
-    cone avoids ``noise`` transfers; the Poststar (footprint touches
-    everything) does not."""
+def test_structural_edit_reopen_computes_its_own(tmp_path):
+    """A structural edit is another pushdown system: a cold process
+    opening it finds no index for its signature, loads nothing, and
+    files what it computes under its own."""
     cache = str(tmp_path / "cache")
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0), contexts="empty")
+    writer.slice(("print", 1))
 
     reader = SlicingSession(STRUCTURAL_EDIT, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 1
+    assert session_signature(reader) != session_signature(writer)
     result = reader.slice(("print", 0), contexts="empty")
-    assert reader.stats["saturation_misses"] == 0
+    reader.slice(("print", 1))
+    stats = reader.stats
+    assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (0, 3)
+    assert stats["saturation_misses"] == 3
+    assert len(SliceStore(cache).sat_indexes()) == 2
     cold = SlicingSession(STRUCTURAL_EDIT)
     assert pretty(
         reader.executable(("print", 0), contexts="empty").program
@@ -345,26 +346,32 @@ def test_structural_edit_adopts_only_surviving_footprints(tmp_path):
     assert result.version_counts() == cold.slice(
         ("print", 0), contexts="empty"
     ).version_counts()
+    assert pretty(reader.executable(("print", 1)).program) == pretty(
+        cold.executable(("print", 1)).program
+    )
 
 
-def test_reachable_prestar_adopted_when_its_criterion_is_unchanged(tmp_path):
-    """A reachable-contexts Prestar bakes the donor's Poststar language
-    into its query, so it transfers only when its criterion did not
-    change.  The edit inside ``noise`` changes the Poststar (whose
+def test_reachable_prestar_kept_when_its_criterion_is_unchanged():
+    """A reachable-contexts Prestar bakes the Poststar language into
+    its query, so a live update keeps it only when its criterion did
+    not change.  The edit inside ``noise`` changes the Poststar (whose
     footprint covers everything), but print 0's only context is main's
-    empty stack on both sides: its Prestar is adopted, and the answers
-    are the cold ones."""
-    cache = str(tmp_path / "cache")
-    writer = SlicingSession(SOURCE, store=SliceStore(cache))
-    writer.slice(("print", 0))  # reachable contexts (the default)
-
-    reader = SlicingSession(STRUCTURAL_EDIT, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 1
-    result = reader.slice(("print", 0))
-    # The Poststar the check compared against is the only saturation.
-    assert reader.stats["saturation_misses"] == 1
+    empty stack on both sides: its Prestar and its result are kept,
+    and the answers are the cold ones."""
+    live = SlicingSession(SOURCE)
+    live.slice(("print", 0))  # reachable contexts (the default)
+    summary = live.update_source(STRUCTURAL_EDIT)
+    assert summary["fast_path"] is False
+    assert (summary["saturations_kept"], summary["saturations_dropped"]) == (1, 1)
+    assert summary["results_kept"] == 1
+    # The Poststar the check compared against is the only saturation
+    # the update ran, and the answer runs none.
+    before = live.stats
+    assert before["saturation_misses"] == 3
+    result = live.slice(("print", 0))
+    assert live.stats["saturation_misses"] == 3
     cold = SlicingSession(STRUCTURAL_EDIT)
-    assert pretty(reader.executable(("print", 0)).program) == pretty(
+    assert pretty(live.executable(("print", 0)).program) == pretty(
         cold.executable(("print", 0)).program
     )
     assert result.version_counts() == cold.slice(("print", 0)).version_counts()
@@ -386,8 +393,9 @@ NEW_CONTEXT = CONTEXTS.replace("g = 1;", "g = 1; report(7);")
 def test_new_calling_context_drops_a_fitting_prestar(tmp_path):
     """The footprint of ``report``'s print Prestar, {main, report},
     fits the edited revision, but its criterion gained a context
-    through ``other``.  Both survival paths compare the criteria and
-    keep nothing; the answers are the cold ones."""
+    through ``other``.  A live update compares the criteria and keeps
+    nothing; a cold process on the edited text loads nothing (another
+    pushdown system); the answers are the cold ones."""
     live = SlicingSession(CONTEXTS)
     criteria = [("print", 0), ("print", 1)]
     live.slice_many(criteria)
@@ -403,7 +411,8 @@ def test_new_calling_context_drops_a_fitting_prestar(tmp_path):
     cache = str(tmp_path / "cache")
     SlicingSession(CONTEXTS, store=SliceStore(cache)).slice_many(criteria)
     reader = SlicingSession(NEW_CONTEXT, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 0
+    reader.slice_many(criteria)
+    assert reader.stats["sat_persist_hits"] == 0
 
     cold = SlicingSession(NEW_CONTEXT)
     for session in (live, reader):
@@ -420,13 +429,13 @@ def _print_key(session, index):
     return canonical_key(kind, payload, "reachable")
 
 
-def test_structural_edit_keeps_every_unchanged_criterion_on_both_paths(tmp_path):
+def test_structural_edit_keeps_every_unchanged_criterion(tmp_path):
     """Early cutoff, counted on wc48: one new local in ``count_cat_3``
     changes the shared Poststar and that category's print, and nothing
     else.  A live update keeps the other 50 Prestars and renames their
-    50 results; a store-backed reopen adopts the same 50 Prestars, and
-    answering every print then saturates only the Poststar and
-    ``count_cat_3``'s print."""
+    50 results.  A store-backed reopen is another pushdown system: it
+    loads nothing, and answering every print saturates all 52 in one
+    Poststar and one fused Prestar pass."""
     from repro.workloads.wc import scaled_wc_source
 
     base = scaled_wc_source(48)
@@ -450,9 +459,11 @@ def test_structural_edit_keeps_every_unchanged_criterion_on_both_paths(tmp_path)
     cache = str(tmp_path / "cache")
     SlicingSession(base, store=SliceStore(cache)).slice_many(criteria)
     reader = SlicingSession(edited, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 50
     reader.slice_many(criteria)
-    assert reader.stats["saturation_misses"] == 2
+    stats = reader.stats
+    assert stats["saturation_misses"] == 52
+    assert stats["sat_persist_hits"] == 0
+    assert stats["fused_batches"] == 1
 
 
 #: ``d`` and ``e`` are never called, so their prints are unreachable and
@@ -468,12 +479,11 @@ UNCALLED = (
 UNCALLED_EDIT = UNCALLED.replace('print("%d", 1);', 'int z = 1; print("%d", z);')
 
 
-def test_empty_footprint_carries_over_on_both_paths(tmp_path):
+def test_empty_footprint_carries_over():
     """An empty footprint is a subset of every key set, so a live
-    ``update_source`` and a cold process's discovery both keep the
-    empty Prestar of the uncalled ``e``'s print across an edit in
-    ``d``: the Poststar carried over, so that print is still
-    unreachable and its Prestar still empty."""
+    ``update_source`` keeps the empty Prestar of the uncalled ``e``'s
+    print across an edit in ``d``: the Poststar carried over, so that
+    print is still unreachable and its Prestar still empty."""
     live = SlicingSession(UNCALLED)
     criteria = [
         ("print", index) for index in range(len(live.sdg.print_call_vertices()))
@@ -482,11 +492,6 @@ def test_empty_footprint_carries_over_on_both_paths(tmp_path):
     # The Poststar, main's print Prestar, and e's empty Prestar.
     assert live.update_source(UNCALLED_EDIT)["saturations_kept"] == 3
 
-    cache = str(tmp_path / "cache")
-    SlicingSession(UNCALLED, store=SliceStore(cache)).slice_many(criteria)
-    reader = SlicingSession(UNCALLED_EDIT, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 3
-
     cold = SlicingSession(UNCALLED_EDIT)
     sdg = cold.sdg
     (e_print,) = [
@@ -494,34 +499,37 @@ def test_empty_footprint_carries_over_on_both_paths(tmp_path):
         for index, vid in enumerate(sdg.print_call_vertices())
         if sdg.vertices[vid].proc == "e"
     ]
-    assert pretty(reader.executable(("print", e_print)).program) == pretty(
+    before = live.stats["saturation_misses"]
+    assert pretty(live.executable(("print", e_print)).program) == pretty(
         cold.executable(("print", e_print)).program
     )
-    assert reader.stats["saturation_misses"] == 0
+    assert live.stats["saturation_misses"] == before
 
 
-def test_evicted_artifact_under_live_index_is_an_index_miss(tmp_path):
+def test_evicted_artifact_under_live_index_is_a_miss(tmp_path):
     """A record whose artifact file was evicted between indexing and
-    discovery counts as ``index_misses`` and falls through to an honest
-    recompute — never a crash, never a wrong answer."""
+    loading counts as a miss and falls through to an honest recompute
+    — never a crash, never a wrong answer."""
     cache = str(tmp_path / "cache")
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0), contexts="empty")
     store = SliceStore(cache)
     # Prime the size accounting so the reader's own front-half writes
     # don't trigger a compaction walk — the walk's index GC would
-    # otherwise prune the stale record before discovery ever reads it.
+    # otherwise prune the stale record before the reader reads it.
     store._evict()
     for path, _size, _mtime in _by_table(store)["sat"]:
         os.unlink(path)
 
-    reader = SlicingSession(STRUCTURAL_EDIT, store=store)
-    assert reader.stats["sats_adopted"] == 0
-    assert store.stats()["index_misses"] >= 1
-    cold = SlicingSession(STRUCTURAL_EDIT)
-    assert pretty(
-        reader.executable(("print", 0), contexts="empty").program
-    ) == pretty(cold.executable(("print", 0), contexts="empty").program)
+    reader = SlicingSession(LABEL_EDIT, store=store)
+    executable = reader.executable(("print", 0), contexts="empty")
+    assert reader.stats["sat_persist_hits"] == 0
+    assert reader.stats["sat_persist_misses"] == 1
+    assert store.stats()["sat_misses"] == 1
+    cold = SlicingSession(LABEL_EDIT)
+    assert pretty(executable.program) == pretty(
+        cold.executable(("print", 0), contexts="empty").program
+    )
 
 
 # -- content-addressed saturation files and batched writes --------------------------
@@ -531,38 +539,36 @@ def _sat_files(store):
     return sorted(path for path, _size, _mtime in _by_table(store).get("sat", ()))
 
 
-def _record_names(store, src_hash):
-    return sorted(record[3] for record in store.get_sat_index(src_hash)["artifacts"].values())
-
-
-def test_adopting_revisions_share_one_sat_file(tmp_path):
-    """A label-edit adoption names the donor's ``__sats__`` files
-    instead of copying them: two revisions, one file per saturation.
-    Dropping one revision's index leaves the files to the other."""
+def test_label_edit_revisions_share_one_index_and_its_files(tmp_path):
+    """Revisions a label edit separates share one index and one file per
+    saturation: the second revision's answers write neither, and the
+    orphan sweep keeps every file the shared index names."""
     cache = str(tmp_path / "cache")
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0))
     store = SliceStore(cache)
     files = _sat_files(store)
     assert len(files) == 2  # the shared Poststar and the Prestar
+    index = store.get_sat_index(session_signature(writer))
 
     reader = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
-    assert reader.stats["sats_adopted"] == 2
+    reader.slice(("print", 0))
+    assert reader.stats["sat_persist_hits"] == 2
     assert _sat_files(store) == files
-    assert _record_names(store, reader.source_hash) == _record_names(
-        store, writer.source_hash
-    )
+    assert [signature for signature, _index in store.sat_indexes()] == [
+        session_signature(reader)
+    ]
+    assert store.get_sat_index(session_signature(reader)) == index
 
-    # Old enough for the orphan sweep, yet still named by the edit's index.
-    os.unlink(store._sat_index_path(writer.source_hash))
+    # Old enough for the orphan sweep, yet still named by the index.
     for path in files:
         _set_age(path, 10 * _TMP_GRACE_SECONDS)
     store._evict()
     assert _sat_files(store) == files
     fresh = SlicingSession(LABEL_EDIT, store=SliceStore(cache))
-    fresh.slice(("print", 0))
-    assert fresh.stats["sat_persist_hits"] == 2
-    assert fresh.stats["sat_persist_misses"] == 0
+    fresh.slice(("print", 1))
+    assert fresh.stats["sat_persist_hits"] == 1  # the Poststar
+    assert fresh.stats["sat_persist_misses"] == 1  # print 1 was never filed
 
 
 def test_orphan_sat_files_are_swept_after_the_grace_period(tmp_path):
@@ -588,11 +594,10 @@ def test_corrupt_shared_sat_file_is_a_miss_on_every_revision(tmp_path):
 
     cache = str(tmp_path / "cache")
     criteria = [("print", 0), ("print", 1)]
-    SlicingSession(SOURCE, store=SliceStore(cache)).slice_many(criteria)
-    assert SlicingSession(LABEL_EDIT, store=SliceStore(cache)).stats["sats_adopted"] == 3
+    writer = SlicingSession(SOURCE, store=SliceStore(cache))
+    writer.slice_many(criteria)
     store = SliceStore(cache)
-    name = store.get_sat_index(source_hash(SOURCE))["artifacts"][POSTSTAR_DIGEST][3]
-    assert name in _record_names(store, source_hash(LABEL_EDIT))
+    name = store.get_sat_index(session_signature(writer))[POSTSTAR_DIGEST][3]
     path = store._entry_path("__sats__", "sat", name)
     for text in (SOURCE, LABEL_EDIT):
         # The previous revision's recompute re-filed the file; corrupt it
@@ -624,13 +629,12 @@ def test_sat_file_under_the_wrong_record_is_a_miss(tmp_path):
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0))
     store = SliceStore(cache)
-    records = store.get_sat_index(writer.source_hash)["artifacts"]
+    signature = session_signature(writer)
+    records = store.get_sat_index(signature)
     (prestar_digest,) = [digest for digest in records if digest != POSTSTAR_DIGEST]
     key, kind, footprint, _name = records[prestar_digest]
     poststar_file = records[POSTSTAR_DIGEST][3]
-    store.merge_sat_index(
-        writer.source_hash, records={prestar_digest: (key, kind, footprint, poststar_file)}
-    )
+    store.merge_sat_index(signature, {prestar_digest: (key, kind, footprint, poststar_file)})
     assert store.get_sat(poststar_file, key) is None
     assert store.stats()["sat_misses"] == 1
     assert store.has_sat(poststar_file)
@@ -651,11 +655,12 @@ def test_sat_file_under_the_wrong_record_is_a_miss(tmp_path):
 def test_first_write_reads_no_index(tmp_path, monkeypatch):
     """A fresh store object learns the store's size with a stat-only
     scan: under the cap, its first write reads no saturation index,
-    however many revisions the store holds.  An explicit compaction
-    walk still reads (and GCs) every one."""
+    however many the store holds.  An explicit compaction walk still
+    reads (and GCs) every one."""
     cache = str(tmp_path / "cache")
-    for value in range(12):
-        revision = SOURCE.replace("acc + 5", "acc + %d" % (value + 10))
+    for extra in range(12):
+        # Each revision adds statements: twelve pushdown systems.
+        revision = SOURCE.replace("acc + 5;", "acc + 5;" + " acc = acc + 1;" * extra)
         SlicingSession(revision, store=SliceStore(cache)).slice(("print", 0))
     assert len(SliceStore(cache).sat_indexes()) == 12
 
@@ -676,14 +681,96 @@ def test_first_write_reads_no_index(tmp_path, monkeypatch):
     assert len(index_reads) == 12
 
 
+def _counting_store_io(monkeypatch):
+    """Wrap the store's one read and one write function: returns the
+    lists of ``(table, path)`` each call sees."""
+    reads, writes = [], []
+    read, write = SliceStore._read, SliceStore._write
+
+    def counting_read(store, path):
+        reads.append((store._entry_table(path), path))
+        return read(store, path)
+
+    def counting_write(store, path, value):
+        writes.append((store._entry_table(path), path))
+        return write(store, path, value)
+
+    monkeypatch.setattr(SliceStore, "_read", counting_read)
+    monkeypatch.setattr(SliceStore, "_write", counting_write)
+    return reads, writes
+
+
+def _label_revision(text, value):
+    return text.replace("cat_3 = cat_3 + 1;", "cat_3 = cat_3 + %d;" % value)
+
+
+def test_label_edit_reopen_reads_what_it_answers(tmp_path, monkeypatch):
+    """On wc48, a label-edit reopen reads its pushdown system's one
+    index and exactly two saturation files — the print's Prestar and
+    the shared Poststar — before its first rendered slice, and writes
+    no ``__sats__`` file, saturation or index, while answering every
+    print."""
+    from repro.workloads.wc import scaled_wc_source
+
+    text = scaled_wc_source(48)
+    cache = str(tmp_path / "cache")
+    # An explicit cap: these counts pin the reads, not the evictor.
+    writer = SlicingSession(text, store=SliceStore(cache, max_bytes=DEFAULT_MAX_BYTES))
+    criteria = [("print", i) for i in range(len(writer.sdg.print_call_vertices()))]
+    writer.slice_many(criteria)
+
+    reads, writes = _counting_store_io(monkeypatch)
+    reader = SlicingSession(
+        _label_revision(text, 7), store=SliceStore(cache, max_bytes=DEFAULT_MAX_BYTES)
+    )
+    reader.executable(("print", 0))
+    sats_reads = [table for table, path in reads if "__sats__" in path]
+    assert sorted(sats_reads) == ["idx", "sat", "sat"]
+    reader.slice_many(criteria)
+    for criterion in criteria:
+        reader.executable(criterion)
+    assert [path for _table, path in writes if "__sats__" in path] == []
+    stats = reader.stats
+    assert stats["sat_persist_hits"] == len(criteria) + 1
+    assert stats["kernel_worklist_pops"] == 0
+
+
+def test_label_edit_reopens_read_the_same_at_any_revision(tmp_path, monkeypatch):
+    """A label-edit reopen reads as many store files at a store's 20th
+    revision as at its 2nd: it reads its own system's index, not those
+    of the revisions before it."""
+    from repro.workloads.wc import scaled_wc_source
+
+    text = scaled_wc_source(48)
+    cache = str(tmp_path / "cache")
+
+    def store():
+        # An explicit cap: these counts pin the reads, not the evictor.
+        return SliceStore(cache, max_bytes=DEFAULT_MAX_BYTES)
+
+    SlicingSession(text, store=store()).slice(("print", 0))
+    reads, _writes = _counting_store_io(monkeypatch)
+    counts = {}
+    for revision in range(2, 21):
+        del reads[:]
+        reader = SlicingSession(_label_revision(text, revision), store=store())
+        reader.executable(("print", 0))
+        counts[revision] = len(reads)
+        assert reader.stats["sat_persist_hits"] == 2, revision
+    assert counts[20] == counts[2]
+    assert len(SliceStore(cache).sat_indexes()) == 1
+
+
 def test_reopens_write_only_what_is_new(tmp_path, monkeypatch):
     """Write counts of the store-backed editor loop on scaled wc (32
-    categories, 35 prints): a cold batch writes the revision index once
+    categories, 35 prints): a cold batch writes its system's index once
     per saturation pass and its results as one entry; a label-edit
-    reopen names the donor's saturation files and writes at most six
-    files; a structural-edit reopen at most 45; reopening unchanged
-    text writes nothing.  (One file per entry, one index write per
-    saturation and re-filed adoptions wrote 36, 35, 75 and 111.)"""
+    reopen loads from the shared index and writes at most four files,
+    none in ``__sats__``; a structural-edit reopen, which computes its
+    own saturations, at most 45; reopening unchanged text writes
+    nothing.  (One file per entry, one index write per saturation and
+    re-filed adoptions wrote 36, 35, 75 and 111; re-filed adoptions
+    alone, 36, 6, 45 and 0.)"""
     from repro.workloads.wc import scaled_wc_source
 
     text = scaled_wc_source(32)
@@ -734,10 +821,10 @@ def test_reopens_write_only_what_is_new(tmp_path, monkeypatch):
         return session, dict(written)
 
     session, label_writes = reopen(label, "label")
-    assert session.stats["sats_adopted"] == len(criteria) + 1
+    assert session.stats["sat_persist_hits"] == len(criteria) + 1
     assert "sat" not in label_writes and pickled_sats == []
-    assert label_writes["idx"] == 1
-    assert sum(label_writes.values()) <= 6
+    assert "idx" not in label_writes
+    assert sum(label_writes.values()) <= 4
     _session, structural_writes = reopen(structural, "structural")
     assert sum(structural_writes.values()) <= 45
     _session, unchanged_writes = reopen(text, "unchanged")
@@ -754,9 +841,9 @@ def run_cli(argv):
 
 
 def test_cache_stats_surface_economics_counters(tmp_path):
-    """``repro cache stats`` (text and ``--json``) reports the new
-    economics counters: write/config errors, index hits/misses, and
-    the cross-process lifetime GC totals."""
+    """``repro cache stats`` (text and ``--json``) reports the
+    economics counters: write/config errors and the cross-process
+    lifetime GC totals."""
     import json
 
     cache = str(tmp_path / "cache")
@@ -771,8 +858,8 @@ def test_cache_stats_surface_economics_counters(tmp_path):
     assert "write errors" in text
 
     stats = json.loads(run_cli(["cache", "stats", "--json", "--cache-dir", cache]))
-    for counter in ("write_errors", "config_errors", "index_hits", "index_misses"):
+    for counter in ("write_errors", "config_errors"):
         assert counter in stats, counter
     assert stats["lifetime"]["gc_index_pruned"] == 2
     assert stats["lifetime"]["compactions"] >= 1
-    assert stats["tables"]["idx"] == 1
+    assert "idx" not in stats["tables"]  # an index with no records is deleted

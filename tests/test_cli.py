@@ -351,6 +351,60 @@ def test_flat_sum_runs_end_to_end(tmp_path, capsys, default_recursion_limit, ter
     assert "main:" in run("bta", file)
 
 
+@pytest.mark.parametrize("terms", [1000, 10000])
+def test_flat_sum_pickles(tmp_path, capsys, default_recursion_limit, terms):
+    """The store and a process pool pickle what they hold: a flat
+    ``g + g + … + g`` goes through ``slice-batch --cache-dir`` cold and
+    then from the front-half bundle, and through a two-worker
+    ``slice_many_programs``, with the storeless answers."""
+    import shutil
+
+    from repro.engine import SlicingSession, slice_many_programs
+
+    source = (
+        "int g;\nint main() {\n  g = input();\n  int s = %s;\n"
+        "  print(\"%%d\", s);\n  return 0;\n}\n" % " + ".join(["g"] * terms)
+    )
+    path = tmp_path / "flat.tc"
+    path.write_text(source)
+    file = str(path)
+
+    def answers(*argv):
+        assert main(["slice-batch", file] + list(argv)) == 0
+        out = capsys.readouterr().out
+        return out, [line for line in out.splitlines() if line.startswith("print #")]
+
+    _out, storeless = answers()
+    cache = str(tmp_path / "cache")
+    out, cold = answers("--cache-dir", cache)
+    assert "front half cold" in out and cold == storeless
+    warm_cache = str(tmp_path / "warm")  # another cache dir: a fresh session
+    shutil.copytree(cache, warm_cache)
+    out, warm = answers("--cache-dir", warm_cache)
+    assert "front half warm" in out and warm == storeless
+
+    reference = SlicingSession(source).slice(("print", 0))
+    jobs = [(source, [("print", 0)]), (source, ["prints"])]
+    for batch in slice_many_programs(jobs, max_workers=2):
+        (result,) = batch
+        assert result.version_counts() == reference.version_counts()
+        assert result.closure_elems() == reference.closure_elems()
+
+
+def test_long_number_literal_is_one_line_and_exit_2(tmp_path, capsys):
+    """CPython's ``int()`` refuses more than 4,300 digits: a longer
+    literal is a LexError at the literal, for every command."""
+    path = tmp_path / "long.tc"
+    path.write_text("int g = %s;\nint main() { return 0; }\n" % ("1" * 5000))
+    for command in (["info"], ["slice"], ["slice-batch"], ["run"]):
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "%s:1:9: number literal of 5000 digits is too long\n" % (
+            path
+        ), command
+
+
 def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys, fig1_file):
     missing = str(tmp_path / "nope.tc")
     for command in (

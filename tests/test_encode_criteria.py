@@ -4,8 +4,8 @@ from repro.core.criteria import (
     all_contexts_criterion,
     configs_criterion,
     empty_stack_criterion,
-    reachable_configs_automaton,
     reachable_contexts_criterion,
+    reachable_query_view,
 )
 from repro.pds import encode_sdg, prestar
 from repro.sdg import CALL, CONTROL, FLOW, PARAM_IN, PARAM_OUT, SUMMARY
@@ -93,7 +93,7 @@ def test_reachable_configs_fig1():
     finite set of Eqn. (1): p's vertices under C1/C2/C3 only."""
     _p, _i, sdg = load_fig1()
     encoding = encode_sdg(sdg)
-    reachable = reachable_configs_automaton(encoding)
+    reachable = reachable_query_view(encoding)
     entry_p = sdg.entry_vertex["p"]
     assert reachable.accepts_from("p", (entry_p, "C1"))
     assert reachable.accepts_from("p", (entry_p, "C2"))
@@ -107,7 +107,7 @@ def test_reachable_configs_recursive():
     """Fig. 2: r's entry is reachable under (C3)^n C1 for every n."""
     _p, _i, sdg = load_fig2()
     encoding = encode_sdg(sdg)
-    reachable = reachable_configs_automaton(encoding)
+    reachable = reachable_query_view(encoding)
     entry_r = sdg.entry_vertex["r"]
     recursive_site = next(
         s.label for s in sdg.call_sites.values() if s.caller == "r" and s.callee == "r"

@@ -426,8 +426,9 @@ def test_cross_revision_discovery_byte_identical_to_cold(
     """The cross-process variant of the differential: a session on the
     *base* text files its artifacts in a store and exits; a brand-new
     store-backed session on the *edited* text (no ``update_source``, no
-    live donor) discovers whatever survives through the footprint index
-    — and every slice it serves must still be byte-identical to a
+    live donor) loads whatever the index of its pushdown system holds
+    — every base saturation after a label edit, none after a structural
+    one — and every slice it serves must still be byte-identical to a
     storeless cold session."""
     from repro.store import SliceStore
 
@@ -483,12 +484,16 @@ def test_chained_updates_stay_faithful():
         current = edited
 
 
-def _warm(session):
-    """The state both survival paths are fed: every print sliced (up to
-    the cap) plus one feature removal, so the memo holds the shared
-    Poststar, reachable-contexts Prestars, and a feature-cone Poststar."""
+def _warmed_criteria(session):
     prints = len(session.sdg.print_call_vertices())
-    session.slice_many([("print", index) for index in range(min(prints, MAX_CRITERIA))])
+    return [("print", index) for index in range(min(prints, MAX_CRITERIA))]
+
+
+def _warm(session):
+    """The state an update and a store are fed: every print sliced (up
+    to the cap) plus one feature removal, so the memo holds the shared
+    Poststar, reachable-contexts Prestars, and a feature-cone Poststar."""
+    session.slice_many(_warmed_criteria(session))
     session.remove_features_many([("print", 0)])
 
 
@@ -502,12 +507,15 @@ def _saturation_bytes(session):
     }
 
 
-def test_update_and_discovery_carry_over_the_same_saturations(tmp_path):
-    """``update_source`` and cross-revision discovery apply one survival
-    rule: over the whole mutation corpus, the saturations an updated
-    session keeps are exactly the ones a cold store-backed session on
-    the edited text adopts from the base revision's store — same keys,
-    same pickled bytes.  The tallies pin that the agreement is not
+def test_update_carries_and_reopen_loads_over_the_corpus(tmp_path):
+    """Over the whole mutation corpus, a live ``update_source`` and a
+    fresh store-backed session on the edited text agree with cold
+    sessions.  After a fast-equivalent edit the base revision's index
+    is the edited revision's: the fresh session loads every base
+    saturation through it, each pickling to cold bytes and to the bytes
+    the update kept.  After a structural edit it is another pushdown
+    system: the fresh session loads none.  Either way its answers are
+    a storeless cold session's.  The tallies pin that the corpus is not
     vacuous (both label-only and structural edits occur, and feature
     cones survive some of them)."""
     from repro.engine.canonical import SAT_POSTSTAR
@@ -522,15 +530,30 @@ def test_update_and_discovery_carry_over_the_same_saturations(tmp_path):
         updated = _saturation_bytes(session)
 
         cache = str(tmp_path / ("cache%d" % number))
-        _warm(SlicingSession(base, store=SliceStore(cache)))
-        adopted = _saturation_bytes(SlicingSession(edited, store=SliceStore(cache)))
-
-        if updated != adopted:
-            mismatches.append((label, sorted(updated, key=repr), sorted(adopted, key=repr)))
+        writer = SlicingSession(base, store=SliceStore(cache))
+        _warm(writer)
+        filed = len(_saturation_bytes(writer))
+        reader = SlicingSession(edited, store=SliceStore(cache))
+        _warm(reader)
+        loaded = reader.stats["sat_persist_hits"]
+        cold = SlicingSession(edited)
         if summary["fast_path"]:
             fast += 1
+            reopened = _saturation_bytes(reader)
+            if loaded != filed or reopened != updated:
+                mismatches.append((label, "loaded", loaded, filed))
+            for key, blob in reopened.items():
+                if blob != _cold_saturation_bytes(cold, key):
+                    mismatches.append((label, "cold bytes", key))
         else:
             slow += 1
+            if loaded != 0:
+                mismatches.append((label, "structural load", loaded))
+        for criterion in _warmed_criteria(reader):
+            if pretty(reader.executable(criterion).program) != pretty(
+                cold.executable(criterion).program
+            ):
+                mismatches.append((label, "answer", criterion))
         cones_kept += sum(
             1 for key in updated if len(key) == 2 and key[0] == SAT_POSTSTAR
         )
@@ -578,32 +601,25 @@ def _cold_saturation_bytes(cold, key):
     return pickle.dumps(cold._saturation(sat_kind, key[1], kind, payload, contexts))
 
 
-def test_carried_saturations_are_cold_bytes(tmp_path):
+def test_carried_saturations_are_cold_bytes():
     """Relocation renames the vertex ids embedded in states as well as
-    in symbols, so every saturation either survival path holds after
-    an edit — carried over, or the new Poststar the criterion check
-    computed — pickles to the bytes a cold session computes for its
-    key, over the whole mutation corpus."""
-    from repro.store import SliceStore
-
+    in symbols, so every saturation a live update holds after an edit —
+    carried over, or the new Poststar the criterion check computed —
+    pickles to the bytes a cold session computes for its key, over the
+    whole mutation corpus."""
     mismatches = []
-    carried = {"update": 0, "discovery": 0}
-    for number, (label, base, edited) in enumerate(CORPUS):
+    carried = {"update": 0}
+    for label, base, edited in CORPUS:
         live = SlicingSession(base)
         _warm(live)
         carried["update"] += live.update_source(edited)["saturations_kept"]
-        cache = str(tmp_path / ("cache%d" % number))
-        _warm(SlicingSession(base, store=SliceStore(cache)))
-        reader = SlicingSession(edited, store=SliceStore(cache))
-        carried["discovery"] += reader.stats["sats_adopted"]
         cold = SlicingSession(edited)
-        for path, session in (("update", live), ("discovery", reader)):
-            for key, blob in _saturation_bytes(session).items():
-                if blob != _cold_saturation_bytes(cold, key):
-                    mismatches.append((label, path, key))
+        for key, blob in _saturation_bytes(live).items():
+            if blob != _cold_saturation_bytes(cold, key):
+                mismatches.append((label, key))
     assert mismatches == []
-    # Not vacuous: 154 saturations cross the corpus's edits on each path.
-    assert min(carried.values()) >= 154
+    # Not vacuous: 154 saturations cross the corpus's edits.
+    assert carried["update"] >= 154
 
 
 def _stmt_positions(executable, program):

@@ -260,10 +260,10 @@ def test_racing_kernel_calls_compile_once():
 
 @pytest.mark.parametrize("edit", ["none", "label"])
 def test_adopting_reopen_compiles_nothing(edit, tmp_path):
-    """A store-backed reopen whose saturations are all loaded (same
-    text) or adopted by cross-revision discovery (a label-only edit)
-    never compiles the PDS, and leaves no ``__pds__`` entry either
-    way."""
+    """A store-backed reopen whose answers are all loaded (same text:
+    results; a label-only edit: saturations, through the index both
+    revisions share) never compiles the PDS, and leaves no ``__pds__``
+    entry either way."""
     base = scaled_wc_source(4)
     cache = str(tmp_path / "cache")
     writer = SlicingSession(base, store=SliceStore(cache))
@@ -277,7 +277,7 @@ def test_adopting_reopen_compiles_nothing(edit, tmp_path):
     reader.slice_many(criteria)
     stats = reader.stats
     if edit == "label":
-        assert stats["sats_adopted"] == len(criteria) + 1
+        assert stats["sat_persist_hits"] == len(criteria) + 1
     assert stats["kernel_worklist_pops"] == 0
     assert stats["kernel_compile_misses"] == 0
     assert stats["kernel_compile_hits"] == 0

@@ -1,5 +1,7 @@
 """Lexer unit tests."""
 
+import sys
+
 import pytest
 
 from repro.lang.errors import LexError
@@ -86,6 +88,16 @@ def test_unexpected_character():
     assert lex_error("1 + ¹") == ("unexpected character '¹'", 1, 5)
     assert lex_error("int\fx") == ("unexpected character '\\x0c'", 1, 4)
     assert lex_error("x = ٣;") == ("unexpected character '٣'", 1, 5)
+
+
+def test_number_literal_too_long():
+    # CPython converts at most 4,300 digits by default; past that the
+    # literal is an error at its first digit, not a ValueError.
+    limit = sys.get_int_max_str_digits()
+    assert tokenize("x = " + "9" * limit)[2].value == int("9" * limit)
+    assert lex_error("x;\n  y = " + "1" * (limit + 1)) == (
+        "number literal of %d digits is too long" % (limit + 1), 2, 7,
+    )
 
 
 def positions(source):

@@ -79,6 +79,20 @@ def test_same_tokens_as_the_oracle(name):
     assert tokens == stream(reference_tokenize, text)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_same_error_on_a_number_literal_past_the_digit_limit(extra):
+    """The interpreter's digit limit on ``int()`` is a LexError at the
+    literal in both, from one digit past it."""
+    import sys
+
+    text = "int g = %s;\nint main() { return g; }\n" % (
+        "7" * (sys.get_int_max_str_digits() + extra)
+    )
+    tokens = stream(tokenize, text)
+    assert isinstance(tokens, list) == (extra == 0)
+    assert tokens == stream(reference_tokenize, text)
+
+
 @pytest.mark.parametrize(
     "name", sorted(name for name in SOURCES if name.startswith("golden/"))
 )

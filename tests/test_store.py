@@ -4,7 +4,7 @@ Covers the store's own durability edge cases — corrupted, truncated,
 and version-mismatched entry files, concurrent writers, eviction under
 a tight cap — plus configuration/filesystem degradation (malformed
 ``REPRO_CACHE_MAX_BYTES``, ENOSPC-style write failures), the
-per-revision saturation index, and the session integration: warm
+per-system saturation index, and the session integration: warm
 front-half loads, disk-served slices with zero saturation work,
 store-backed ``open_session``, ``slice_many_programs`` in process and
 on a process pool, and the ``repro cache`` CLI.
@@ -238,10 +238,8 @@ def test_write_failure_degrades_to_counted_noop(tmp_path, monkeypatch):
     store.put(HASH, "slice", "other", "dropped")
     store.put_program(HASH, {"front": "half"})
     assert store.put_sat("artifact") is None  # no file, so no name to record
-    store.merge_sat_index(HASH, layout=(("main", "k", "s", (1,), ()),), records={})
-    # merge_sat_index attempts two writes: the index entry and the
-    # inverted keymap sidecar.
-    assert store.stats()["write_errors"] == 5
+    store.merge_sat_index("e" * 64, {"d": (("k",), "prestar", ("main",), "0" * 64)})
+    assert store.stats()["write_errors"] == 4
     # Reads are unaffected: the pre-existing entry still answers.
     assert store.get(HASH, "slice", KEY) == "kept"
     assert store.get(HASH, "slice", "other") is None
@@ -317,29 +315,39 @@ def test_update_refiles_survivor_over_stale_version_file(tmp_path):
     """The end-to-end lost-survivor regression: ``update_source`` must
     re-persist a surviving artifact over a stale-version file at its
     new location (the old existence-only ``has_sat`` skipped the write,
-    and the next read dropped the file — survivor gone).  A label edit
-    keeps the Poststar's bytes, so its new location is the file the
-    base revision's record names."""
+    and the next read dropped the file — survivor gone).  A procedure
+    added after ``main`` is a structural edit that renumbers nothing
+    the slice touches, so the renamed Poststar keeps its bytes and its
+    new location is the file the base revision's record names."""
+    import glob
+
     from repro.engine.canonical import REACHABLE_KEY
+    from repro.engine.incremental import session_signature
 
     cache = str(tmp_path / "cache")
     session = SlicingSession(FIG1_SOURCE, store=SliceStore(cache))
     session.slice()
-    edited = FIG1_SOURCE.replace("p(g2, 3)", "p(g2, 4)")
+    edited = FIG1_SOURCE + "void unused() { g1 = 0; }\n"
     store = session.store
-    record = store.get_sat_index(HASH)["artifacts"][stable_key_digest(REACHABLE_KEY)]
-    stale = store._entry_path("__sats__", "sat", record[3])
+    records = store.get_sat_index(session_signature(session))
+    stale = store._entry_path(
+        "__sats__", "sat", records[stable_key_digest(REACHABLE_KEY)][3]
+    )
     open(stale, "wb").write(MAGIC + struct.pack(">H", STORE_VERSION + 7) + b"junk")
 
     summary = session.update_source(edited)
-    assert summary["fast_path"] is True and summary["saturations_kept"] >= 1
+    assert summary["fast_path"] is False and summary["saturations_kept"] == 2
     # The stale file was overwritten with a valid entry: a fresh
-    # process loads the survivor (zero saturations computed) instead
-    # of dropping it.
+    # process loads both survivors (zero saturations computed) instead
+    # of dropping the Poststar.  Its results are dropped first, so the
+    # answer needs the saturations.
+    for path in glob.glob(os.path.join(cache, source_hash(edited), "results-*.slc")):
+        os.unlink(path)
     reader = SlicingSession(edited, store=SliceStore(cache))
     reader.slice()
     assert reader.stats["sat_persist_hits"] == 2
     assert reader.stats["sat_persist_misses"] == 0
+    assert reader.stats["kernel_worklist_pops"] == 0
 
 
 def test_version_4_store_reopens_cold(tmp_path, monkeypatch):
@@ -372,7 +380,6 @@ def test_version_4_store_reopens_cold(tmp_path, monkeypatch):
             records[digest] = (key, artifact.kind, tuple(sorted(artifact.footprint)))
         layout = session_layout(live)
         old._write(old._sat_index_path(HASH), {"layout": layout, "artifacts": records})
-        old._rebuild_keymap([(HASH, {"layout": layout})])
     assert SliceStore(cache).stats()["tables"]["sat"] == 2
 
     for number, text in enumerate(
@@ -385,42 +392,108 @@ def test_version_4_store_reopens_cold(tmp_path, monkeypatch):
         assert pretty(reader.executable().program) == expected
         stats = reader.stats
         assert stats["front_half_from_store"] is False
-        assert stats["sats_adopted"] == 0
         assert stats["persist_hits"] == 0 and stats["sat_persist_hits"] == 0
 
 
-# -- the per-revision saturation index ---------------------------------------------
+def _version_6_store(cache, monkeypatch):
+    """A store in the ``STORE_VERSION`` 6 layout, as that version wrote
+    it for FIG1: per-revision index files holding the revision's layout
+    beside records whose footprints are content keys, and the inverted
+    ``keymap`` sidecar in ``__sats__``."""
+    import repro.store.store as store_module
+    from repro.engine.incremental import session_layout
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "STORE_VERSION", 6)
+        writer = SlicingSession(FIG1_SOURCE, store=SliceStore(cache))
+        writer.slice()
+        old = SliceStore(cache)
+        records = {}
+        for (kind, key), future in writer._futures.items():
+            if kind == "saturation":
+                artifact = future.result()
+                name = old.put_sat(artifact.without_footprint())
+                records[stable_key_digest(key)] = (
+                    key, artifact.kind, tuple(sorted(artifact.footprint)), name
+                )
+        for path in _entry_files(old):
+            if "/idx-" in path.replace(os.sep, "/"):
+                os.unlink(path)
+        layout = session_layout(writer)
+        old._write(old._sat_index_path(HASH), {"layout": layout, "artifacts": records})
+        keymap = {"keys": {entry[1]: [HASH] for entry in layout}, "shapes": {}}
+        old._write(os.path.join(cache, "__sats__", "keymap"), keymap)
+        old._bump_lifetime(evictions=1)
+
+
+def test_version_6_store_reopens_cold(tmp_path, monkeypatch):
+    """A version-6 store reopens cold, on its own text and on a label
+    edit, and answers exactly as a storeless session."""
+    cache = str(tmp_path / "cache")
+    _version_6_store(cache, monkeypatch)
+    for number, text in enumerate(
+        (FIG1_SOURCE, FIG1_SOURCE.replace("p(g2, 3)", "p(g2, 4)"))
+    ):
+        copy = str(tmp_path / ("copy%d" % number))
+        shutil.copytree(cache, copy)
+        reader = SlicingSession(text, store=SliceStore(copy))
+        expected = pretty(SlicingSession(text).executable().program)
+        assert pretty(reader.executable().program) == expected
+        stats = reader.stats
+        assert stats["front_half_from_store"] is False
+        assert stats["front_half_parts_hits"] == 0
+        assert stats["persist_hits"] == 0 and stats["sat_persist_hits"] == 0
+
+
+def test_cache_clear_empties_a_version_6_store(tmp_path, monkeypatch):
+    """``repro cache clear`` on a version-6 store leaves no file behind:
+    entries, the lifetime sidecar and the retired keymap sidecar."""
+    cache = str(tmp_path / "cache")
+    _version_6_store(cache, monkeypatch)
+    assert os.path.exists(os.path.join(cache, "__sats__", "keymap"))
+    assert os.path.exists(os.path.join(cache, "__sats__", "meta"))
+    assert "removed" in run_cli(["cache", "clear", "--cache-dir", cache])
+    assert _entry_files(SliceStore(cache)) == []
+
+
+# -- the per-system saturation index -----------------------------------------------
 
 
 def test_sat_index_records_filed_artifacts(tmp_path):
-    """Every artifact a session files lands in its revision's index
-    with its memo key, kind, and footprint, beside the revision's
-    symbol layout."""
+    """Every artifact a session files lands in the index named by its
+    revision's layout signature, with its memo key, kind, and footprint
+    as procedure names."""
+    from repro.engine.incremental import session_signature
+
     store = _store(tmp_path)
     session = SlicingSession(FIG1_SOURCE, store=store)
     session.slice()
-    index = store.get_sat_index(HASH)
+    signature = session_signature(session)
+    index = store.get_sat_index(signature)
     assert index is not None
-    names = [entry[0] for entry in index["layout"]]
-    assert names == [proc.name for proc in session.program.procs]
-    kinds = sorted(kind for _key, kind, _fp, _name in index["artifacts"].values())
+    assert store.sat_indexes_for(signature) == [(signature, index)]
+    assert store.sat_indexes_for("0" * 64) == []
+    kinds = sorted(kind for _key, kind, _fp, _name in index.values())
     assert kinds == ["poststar", "prestar"]
-    for _key, _kind, footprint, name in index["artifacts"].values():
-        assert footprint  # ownership known, non-empty
+    procs = set(proc.name for proc in session.program.procs)
+    for _key, _kind, footprint, name in index.values():
+        assert footprint and set(footprint) <= procs  # ownership, by name
+        assert list(footprint) == sorted(footprint)
         assert store.has_sat(name)  # the record names a filed saturation
     # The index file itself is a versioned entry: corruption degrades
-    # to "revision not discoverable", never an exception.
+    # to "nothing filed", never an exception.
     (idx_path,) = [p for p in _entry_files(store) if "/idx-" in p.replace(os.sep, "/")]
+    assert os.path.basename(idx_path) == "idx-%s.slc" % signature
     blob = bytearray(open(idx_path, "rb").read())
     blob[-1] ^= 0xFF
     open(idx_path, "wb").write(bytes(blob))
-    assert store.get_sat_index(HASH) is None
+    assert store.get_sat_index(signature) is None
 
 
 def test_sat_index_stable_across_processes(tmp_path):
-    """Cross-process footprint-index stability: a fresh interpreter
-    (fresh hash seed) writes the same layout and the same records for
-    the same source."""
+    """Cross-process index stability: a fresh interpreter (fresh hash
+    seed) names the index by the same signature and writes the same
+    records for the same source."""
     import subprocess
     import sys
 
@@ -441,11 +514,9 @@ def test_sat_index_stable_across_processes(tmp_path):
     subprocess.check_output(
         [sys.executable, "-c", script], input=FIG1_SOURCE, env=env, text=True
     )
-    here = SliceStore(cache_here).get_sat_index(HASH)
-    there = SliceStore(cache_there).get_sat_index(HASH)
-    assert here is not None and there is not None
-    assert here["layout"] == there["layout"]
-    assert here["artifacts"] == there["artifacts"]
+    (here,) = SliceStore(cache_here).sat_indexes()
+    (there,) = SliceStore(cache_there).sat_indexes()
+    assert here[1] and here == there
 
 
 def test_cache_dir_tilde_expands(tmp_path, monkeypatch):
@@ -495,7 +566,7 @@ def test_stored_entries_are_slim(tmp_path):
     for path in _entry_files(store):
         name = os.path.basename(path)
         if not name.endswith(".slc"):
-            continue  # non-entry sidecars (meta, keymap) are not entries
+            continue  # the non-entry sidecar (meta) is not an entry
         sizes[name.split("-")[0].replace(".slc", "")] = max(
             os.path.getsize(path),
             sizes.get(name.split("-")[0].replace(".slc", ""), 0),
@@ -858,9 +929,7 @@ def test_update_bundle_never_holds_the_cached_poststar(tmp_path):
     assert session.encoding is encoding
     bundle = store.get_program(session.source_hash)
     filed = bundle._pds_encoding
-    assert not hasattr(filed, "_reachable_configs")
     assert not hasattr(filed, "_reachable_view")
-    assert encoding._reachable_configs is not None
     assert encoding._reachable_view is not None
 
 
@@ -1005,109 +1074,37 @@ def test_cli_slice_batch_reuse_from(tmp_path):
         run_cli(["slice-batch", str(previous), "--reuse-from", str(bad)])
 
 
-# -- the inverted keymap sidecar ---------------------------------------------------
+# -- layout signatures ---------------------------------------------------------------
 
 LAYOUT_A = (
     ("main", "key-main-1", "shape-main", (1, 2), ("s1",)),
     ("helper", "key-help-1", "shape-help", (3,), ()),
 )
 # Same shape as LAYOUT_A, different content keys in every procedure —
-# the fast-equivalent "label edit everywhere" donor.
+# a label edit everywhere.
 LAYOUT_B = (
     ("main", "key-main-2", "shape-main", (1, 2), ("s1",)),
     ("helper", "key-help-2", "shape-help", (3,), ()),
 )
 # A different program entirely.
 LAYOUT_C = (("other", "key-other", "shape-other", (9,), ()),)
-
-
-def test_keymap_narrows_discovery_to_plausible_donors(tmp_path):
-    """``sat_indexes_for`` returns exactly the revisions that share a
-    content key or the layout shape signature — donors adoptable by
-    footprint subset or fast equivalence are always in the set, and
-    unrelated revisions never are."""
-    store = _store(tmp_path)
-    # Front halves keep the synthetic indexes alive through the GC
-    # walk (an index with no live records and no front half is dead
-    # weight and gets dropped).
-    store.put_program("revA", {"front": "A"})
-    store.put_program("revC", {"front": "C"})
-    store.merge_sat_index("revA", layout=LAYOUT_A, records={})
-    store.merge_sat_index("revC", layout=LAYOUT_C, records={})
-
-    # Shared content key (footprint-subset adoption).
-    found = store.sat_indexes_for(frozenset(["key-main-1", "key-new"]), None)
-    assert [src for src, _index in found] == ["revA"]
-    # Zero shared keys but the same shape (fast-equivalent label edit).
-    found = store.sat_indexes_for(
-        frozenset(["key-main-2", "key-help-2"]), store.layout_signature(LAYOUT_B)
-    )
-    assert [src for src, _index in found] == ["revA"]
-    # Neither dimension matches: not a candidate.
-    found = store.sat_indexes_for(
-        frozenset(["key-main-2"]), store.layout_signature(LAYOUT_C)
-    )
-    assert [src for src, _index in found] == ["revC"]
-    assert store.sat_indexes_for(frozenset(["nowhere"]), "no-such-shape") == []
+# LAYOUT_A with a structural edit in ``helper``: new key, new shape.
+LAYOUT_D = LAYOUT_A[:1] + (("helper", "key-help-3", "shape-help-2", (3,), ()),)
+# LAYOUT_A renumbered: the same shapes at other vertex ids.
+LAYOUT_E = LAYOUT_A[:1] + (("helper", "key-help-1", "shape-help", (4,), ()),)
 
 
 def test_layout_signature_ignores_content_keys(tmp_path):
-    assert SliceStore.layout_signature(LAYOUT_A) == SliceStore.layout_signature(
-        LAYOUT_B
-    )
-    assert SliceStore.layout_signature(LAYOUT_A) != SliceStore.layout_signature(
-        LAYOUT_C
-    )
-    # Malformed layouts answer None (and sat_indexes_for tolerates it).
-    assert SliceStore.layout_signature(("not-a-5-tuple",)) is None
+    """Two layouts share a signature (and so a store index) exactly
+    when the fast-path check proves them one pushdown system."""
+    from repro.engine.incremental import _fast_translation, layout_signature
 
-
-def test_keymap_missing_or_corrupt_falls_back_and_self_heals(tmp_path):
-    store = _store(tmp_path)
-    store.put_program("revA", {"front": "A"})
-    store.put_program("revC", {"front": "C"})
-    store.merge_sat_index("revA", layout=LAYOUT_A, records={})
-    store.merge_sat_index("revC", layout=LAYOUT_C, records={})
-    keymap_path = store._keymap_path()
-    assert os.path.exists(keymap_path)
-
-    full = {src for src, _index in store.sat_indexes()}
-    for corruption in ("remove", b"not json {"):
-        if corruption == "remove":
-            os.unlink(keymap_path)
-        else:
-            with open(keymap_path, "wb") as handle:
-                handle.write(corruption)
-        # Degrades to the full scan...
-        found = {src for src, _index in store.sat_indexes_for(frozenset(), None)}
-        assert found == full == {"revA", "revC"}
-        # ...and rebuilds the sidecar from what the scan found.
-        assert os.path.exists(keymap_path)
-        found = store.sat_indexes_for(frozenset(["key-other"]), None)
-        assert [src for src, _index in found] == ["revC"]
-
-
-def test_keymap_survives_clear_and_index_gc(tmp_path):
-    store = _store(tmp_path)
-    store.put_program(HASH, {"front": "half"})
-    store.merge_sat_index(HASH, layout=LAYOUT_A, records={})
-    store.merge_sat_index("ghost", layout=LAYOUT_C, records={})
-    assert os.path.exists(store._keymap_path())
-
-    # GC drops the record-less, front-half-less "ghost" index and
-    # rebuilds the keymap without it.
-    store._evict()
-    assert {src for src, _index in store.sat_indexes()} == {HASH}
-    found = store.sat_indexes_for(
-        frozenset(["key-other"]), store.layout_signature(LAYOUT_C)
-    )
-    assert found == []
-    found = store.sat_indexes_for(frozenset(["key-main-1"]), None)
-    assert [src for src, _index in found] == [HASH]
-
-    store.clear()
-    assert not os.path.exists(store._keymap_path())
-    assert store.sat_indexes_for(frozenset(["key-main-1"]), None) == []
+    layouts = (LAYOUT_A, LAYOUT_B, LAYOUT_C, LAYOUT_D, LAYOUT_E)
+    assert layout_signature(LAYOUT_A) == layout_signature(LAYOUT_B)
+    for old in layouts:
+        for new in layouts:
+            same = layout_signature(old) == layout_signature(new)
+            assert same == (_fast_translation(old, new) is not None), (old, new)
 
 
 def test_has_is_an_uncounted_peek(tmp_path):
