@@ -19,6 +19,7 @@ print-statement vertex criterion, exercising the
 :class:`repro.engine.SlicingSession` batch path along the way.
 """
 
+import pickle
 import random
 
 import pytest
@@ -210,6 +211,16 @@ def test_sats_served_results_byte_identical(seed, tmp_path):
     assert stats["sat_persist_misses"] == 1
     assert stats["fused_criteria"] == 1
     assert stats["kernel_compile_misses"] == 1
+
+    # Every saturation the reader loaded or computed, footprint
+    # included (the index names procedures; the reader resolves them
+    # to its own content keys), pickles to the cold bytes.
+    saturations = [key for kind, key in reader._futures if kind == "saturation"]
+    assert len(saturations) == len(criteria) + 2
+    for key in saturations:
+        assert pickle.dumps(reader._futures[("saturation", key)].result()) == (
+            pickle.dumps(fresh._futures[("saturation", key)].result())
+        ), key
 
     for criterion, a, b in zip(asked, fresh_results, stored_results):
         assert automaton_to_payload(a.a1) == automaton_to_payload(b.a1), criterion
