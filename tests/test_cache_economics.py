@@ -288,11 +288,12 @@ def test_index_gc_prunes_stale_records_and_counts(tmp_path):
 # -- one index per pushdown system -------------------------------------------------
 
 
-def test_label_edit_reopen_loads_through_the_shared_index(tmp_path):
+def test_cold_process_adopts_after_label_edit(tmp_path):
     """A cold process opening a constant-edited text — no live donor
-    session — loads each saturation it answers with from the index the
-    previous revision filed, computes none, and composes with the
-    ``__procs__`` partial front-half path."""
+    session — adopts the previous revision's saturations through the
+    index the two revisions share: it loads each one it answers with,
+    computes none, and composes with the ``__procs__`` partial
+    front-half path."""
     cache = str(tmp_path / "cache")
     writer = SlicingSession(SOURCE, store=SliceStore(cache))
     writer.slice(("print", 0))
@@ -320,6 +321,58 @@ def test_label_edit_reopen_loads_through_the_shared_index(tmp_path):
         assert pretty(reader.executable(("print", index)).program) == pretty(
             cold.executable(("print", index)).program
         )
+
+
+def _drop_results(store):
+    """Delete every stored result, as eviction's cheapest tier does, so
+    that a reopen answers from saturations."""
+    for path, _size, _mtime in _by_table(store).get("results", ()):
+        os.unlink(path)
+
+
+def test_adoption_is_refiled_once_per_edit(tmp_path, monkeypatch):
+    """A label edit files nothing: its revisions share one index, so
+    every cold open of the edited text loads from it directly.  A live
+    structural ``update_source`` re-files its survivors once, with one
+    index write under the edited revision's signature, and every cold
+    open of that text then loads them and files nothing."""
+    cache = str(tmp_path / "cache")
+    SlicingSession(SOURCE, store=SliceStore(cache)).slice(("print", 0))
+    store = SliceStore(cache)
+    files = _sat_files(store)
+    _reads, writes = _counting_store_io(monkeypatch)
+
+    def reopen_twice(text, store):
+        for _ in range(2):
+            _drop_results(store)
+            reader = SlicingSession(text, store=SliceStore(store.cache_dir))
+            reader.slice(("print", 0))
+            stats = reader.stats
+            # The shared Poststar and the print's Prestar.
+            assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (2, 0)
+
+    reopen_twice(LABEL_EDIT, store)
+    assert [path for _table, path in writes if "__sats__" in path] == []
+    assert _sat_files(store) == files
+
+    live_store = SliceStore(str(tmp_path / "live"))
+    live = SlicingSession(SOURCE, store=live_store)
+    live.slice(("print", 0))
+    del writes[:]
+    summary = live.update_source(STRUCTURAL_EDIT)
+    assert summary["fast_path"] is False
+    # The kept Prestar, renamed, and the Poststar the criterion check
+    # computed: two files and one index write.
+    assert sorted(table for table, path in writes if "__sats__" in path) == [
+        "idx",
+        "sat",
+        "sat",
+    ]
+    files = _sat_files(live_store)
+    del writes[:]
+    reopen_twice(STRUCTURAL_EDIT, live_store)
+    assert [path for _table, path in writes if "__sats__" in path] == []
+    assert _sat_files(live_store) == files
 
 
 def test_structural_edit_reopen_computes_its_own(tmp_path):
@@ -351,13 +404,49 @@ def test_structural_edit_reopen_computes_its_own(tmp_path):
     )
 
 
-def test_reachable_prestar_kept_when_its_criterion_is_unchanged():
+def test_structural_edit_adopts_only_surviving_footprints(tmp_path):
+    """A live store-backed ``update_source`` files only what survives a
+    structural edit inside ``noise``: the empty-contexts Prestar of
+    print 0, whose cone avoids ``noise``, and not print 1's, which
+    reads ``acc``.  A cold process opening the edited text adopts the
+    first and computes the second; the answers are the cold ones."""
+    cache = str(tmp_path / "cache")
+    live = SlicingSession(SOURCE, store=SliceStore(cache))
+    live.slice(("print", 0), contexts="empty")
+    live.slice(("print", 1), contexts="empty")
+    summary = live.update_source(STRUCTURAL_EDIT)
+    assert (summary["saturations_kept"], summary["saturations_dropped"]) == (1, 1)
+    store = SliceStore(cache)
+    assert len(store.get_sat_index(session_signature(live))) == 1
+    _drop_results(store)
+
+    reader = SlicingSession(STRUCTURAL_EDIT, store=SliceStore(cache))
+    result = reader.slice(("print", 0), contexts="empty")
+    stats = reader.stats
+    assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (1, 0)
+    reader.slice(("print", 1), contexts="empty")
+    stats = reader.stats
+    assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (1, 1)
+    cold = SlicingSession(STRUCTURAL_EDIT)
+    for index in (0, 1):
+        assert pretty(
+            reader.executable(("print", index), contexts="empty").program
+        ) == pretty(cold.executable(("print", index), contexts="empty").program)
+    assert result.version_counts() == cold.slice(
+        ("print", 0), contexts="empty"
+    ).version_counts()
+
+
+def test_reachable_prestar_adopted_when_its_criterion_is_unchanged(tmp_path):
     """A reachable-contexts Prestar bakes the Poststar language into
     its query, so a live update keeps it only when its criterion did
     not change.  The edit inside ``noise`` changes the Poststar (whose
     footprint covers everything), but print 0's only context is main's
     empty stack on both sides: its Prestar and its result are kept,
-    and the answers are the cold ones."""
+    and the answers are the cold ones.  With a store, the update files
+    the Prestar and the new Poststar under the edited revision's
+    signature, and a cold process opening the edited text adopts both:
+    it answers with no saturation work."""
     live = SlicingSession(SOURCE)
     live.slice(("print", 0))  # reachable contexts (the default)
     summary = live.update_source(STRUCTURAL_EDIT)
@@ -375,6 +464,19 @@ def test_reachable_prestar_kept_when_its_criterion_is_unchanged():
         cold.executable(("print", 0)).program
     )
     assert result.version_counts() == cold.slice(("print", 0)).version_counts()
+
+    cache = str(tmp_path / "cache")
+    writer = SlicingSession(SOURCE, store=SliceStore(cache))
+    writer.slice(("print", 0))
+    assert writer.update_source(STRUCTURAL_EDIT)["saturations_kept"] == 1
+    _drop_results(SliceStore(cache))
+    reader = SlicingSession(STRUCTURAL_EDIT, store=SliceStore(cache))
+    assert pretty(reader.executable(("print", 0)).program) == pretty(
+        cold.executable(("print", 0)).program
+    )
+    stats = reader.stats
+    assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (2, 0)
+    assert stats["kernel_worklist_pops"] == 0
 
 
 #: ``report``'s print sees one calling context, through main
@@ -429,7 +531,7 @@ def _print_key(session, index):
     return canonical_key(kind, payload, "reachable")
 
 
-def test_structural_edit_keeps_every_unchanged_criterion(tmp_path):
+def test_structural_edit_keeps_every_unchanged_criterion_on_both_paths(tmp_path):
     """Early cutoff, counted on wc48: one new local in ``count_cat_3``
     changes the shared Poststar and that category's print, and nothing
     else.  A live update keeps the other 50 Prestars and renames their
@@ -479,11 +581,13 @@ UNCALLED = (
 UNCALLED_EDIT = UNCALLED.replace('print("%d", 1);', 'int z = 1; print("%d", z);')
 
 
-def test_empty_footprint_carries_over():
+def test_empty_footprint_carries_over_on_both_paths(tmp_path):
     """An empty footprint is a subset of every key set, so a live
     ``update_source`` keeps the empty Prestar of the uncalled ``e``'s
     print across an edit in ``d``: the Poststar carried over, so that
-    print is still unreachable and its Prestar still empty."""
+    print is still unreachable and its Prestar still empty.  With a
+    store, the update files the three survivors, and a cold process
+    opening the edited text adopts that Prestar and the Poststar."""
     live = SlicingSession(UNCALLED)
     criteria = [
         ("print", index) for index in range(len(live.sdg.print_call_vertices()))
@@ -505,8 +609,22 @@ def test_empty_footprint_carries_over():
     )
     assert live.stats["saturation_misses"] == before
 
+    cache = str(tmp_path / "cache")
+    writer = SlicingSession(UNCALLED, store=SliceStore(cache))
+    writer.slice_many(criteria)
+    assert writer.update_source(UNCALLED_EDIT)["saturations_kept"] == 3
+    store = SliceStore(cache)
+    assert len(store.get_sat_index(session_signature(writer))) == 3
+    _drop_results(store)
+    reader = SlicingSession(UNCALLED_EDIT, store=SliceStore(cache))
+    assert pretty(reader.executable(("print", e_print)).program) == pretty(
+        cold.executable(("print", e_print)).program
+    )
+    stats = reader.stats
+    assert (stats["sat_persist_hits"], stats["sat_persist_misses"]) == (2, 0)
 
-def test_evicted_artifact_under_live_index_is_a_miss(tmp_path):
+
+def test_evicted_artifact_under_live_index_is_an_index_miss(tmp_path):
     """A record whose artifact file was evicted between indexing and
     loading counts as a miss and falls through to an honest recompute
     — never a crash, never a wrong answer."""
@@ -539,7 +657,7 @@ def _sat_files(store):
     return sorted(path for path, _size, _mtime in _by_table(store).get("sat", ()))
 
 
-def test_label_edit_revisions_share_one_index_and_its_files(tmp_path):
+def test_adopting_revisions_share_one_sat_file(tmp_path):
     """Revisions a label edit separates share one index and one file per
     saturation: the second revision's answers write neither, and the
     orphan sweep keeps every file the shared index names."""

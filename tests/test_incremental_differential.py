@@ -507,7 +507,7 @@ def _saturation_bytes(session):
     }
 
 
-def test_update_carries_and_reopen_loads_over_the_corpus(tmp_path):
+def test_update_and_discovery_carry_over_the_same_saturations(tmp_path):
     """Over the whole mutation corpus, a live ``update_source`` and a
     fresh store-backed session on the edited text agree with cold
     sessions.  After a fast-equivalent edit the base revision's index
