@@ -20,11 +20,15 @@ smoke:
 test-economics:
 	REPRO_CACHE_MAX_BYTES=1000000 $(PYTHON) -m pytest tests/test_store.py tests/test_cache_economics.py -q
 
-# Every store-backed suite, whole (not only its smoke-marked tests), at
-# the default cache cap (an empty REPRO_CACHE_MAX_BYTES means the
-# default): about 25 s on 2 cores.
+# The store-backed suites, whole (not only their smoke-marked tests),
+# at the default cache cap (an empty REPRO_CACHE_MAX_BYTES means the
+# default): about 30 s on 2 cores.  The others run in other CI jobs:
+# tests/test_incremental_differential.py and
+# tests/test_kernel_differential.py in the differential job, and
+# tests/test_cli.py, smoke-marked as a whole, in the smoke job.
 STORE_SUITES = tests/test_store.py tests/test_cache_economics.py \
 	tests/test_artifacts.py tests/test_fused_saturation.py \
+	tests/test_differential_baselines.py tests/test_parallel.py \
 	benchmarks/test_store_warm.py benchmarks/test_saturation_store.py \
 	benchmarks/test_cross_revision.py
 test-store:

@@ -57,7 +57,7 @@ from repro.core import (
 from repro.engine.canonical import resolve_criterion_spec
 from repro.lang import pretty
 from repro.lang.errors import TinyCError
-from repro.lang.interp import ExecutionLimitExceeded, run_program
+from repro.lang.interp import ExecutionLimitExceeded, OutputLimitExceeded, run_program
 
 
 class UserError(SystemExit):
@@ -311,9 +311,9 @@ def cmd_run(args):
     program, _info, _sdg = _load(args.file)
     try:
         result = run_program(program, inputs, max_steps=args.max_steps)
-    except ExecutionLimitExceeded as exc:
+        out = result.render()
+    except (ExecutionLimitExceeded, OutputLimitExceeded) as exc:
         raise UserError("%s: %s" % (args.file, exc))
-    out = result.render()
     out += "[%d steps]" % result.steps
     if result.exit_code is not None:
         out += " [exit %d]" % result.exit_code

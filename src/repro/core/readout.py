@@ -74,7 +74,7 @@ def read_out_sdg(source_sdg, a6, encoding):
       callee state, in :func:`ordered_bindings` order (the order
       :func:`specialized_sdg` numbers the specialized call sites in).
     """
-    # The object trim: an int-codec trim measured 10-27% slower here.
+    # The object trim: an int-codec trim measured 12-27% slower here.
     a6 = a6.trim()
     if not a6.states:
         return {}, {}

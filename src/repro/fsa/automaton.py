@@ -3,6 +3,8 @@
 States and symbols are arbitrary hashable values; the symbol ``None`` is
 reserved for epsilon transitions.  Automata may be nondeterministic and
 may have several initial states (reversal produces those).
+Transitions are stored once, by source state; the one pass that needs
+predecessors (:meth:`FiniteAutomaton.trim`) builds them itself.
 """
 
 EPSILON = None
@@ -16,7 +18,6 @@ class FiniteAutomaton(object):
         self.initials = set()
         self.finals = set()
         self._out = {}  # state -> {symbol -> set(states)}
-        self._in = {}  # state -> {symbol -> set(states)}
         for state in initials:
             self.add_initial(state)
         for state in finals:
@@ -28,7 +29,6 @@ class FiniteAutomaton(object):
         if state not in self.states:
             self.states.add(state)
             self._out[state] = {}
-            self._in[state] = {}
         return state
 
     def add_initial(self, state):
@@ -47,7 +47,6 @@ class FiniteAutomaton(object):
         if dst in bucket:
             return False
         bucket.add(dst)
-        self._in[dst].setdefault(symbol, set()).add(src)
         return True
 
     def has_transition(self, src, symbol, dst):
@@ -57,9 +56,6 @@ class FiniteAutomaton(object):
 
     def targets(self, src, symbol):
         return set(self._out.get(src, {}).get(symbol, ()))
-
-    def sources(self, dst, symbol):
-        return set(self._in.get(dst, {}).get(symbol, ()))
 
     def out_symbols(self, src):
         return set(self._out.get(src, {}))
@@ -169,7 +165,10 @@ class FiniteAutomaton(object):
 
     def trim(self):
         """A copy restricted to states both reachable from an initial
-        state and co-reachable to a final state."""
+        state and co-reachable to a final state.  The backward pass
+        walks predecessor lists built here for the forward-reachable
+        states only, as :func:`repro.fsa.intcodec.trim_bits` does."""
+        out = self._out
         forward = set()
         stack = list(self.initials)
         while stack:
@@ -177,9 +176,15 @@ class FiniteAutomaton(object):
             if state in forward:
                 continue
             forward.add(state)
-            for buckets in (self._out.get(state, {}),):
-                for dsts in buckets.values():
-                    stack.extend(dsts - forward)
+            for dsts in out[state].values():
+                stack.extend(dsts - forward)
+        # Forward reachability is closed under successors, so every
+        # target of a forward state has a list here.
+        preds = {state: [] for state in forward}
+        for src in forward:
+            for dsts in out[src].values():
+                for dst in dsts:
+                    preds[dst].append(src)
         backward = set()
         stack = [s for s in self.finals if s in forward]
         while stack:
@@ -187,8 +192,7 @@ class FiniteAutomaton(object):
             if state in backward:
                 continue
             backward.add(state)
-            for symbol, srcs in self._in.get(state, {}).items():
-                stack.extend((srcs & forward) - backward)
+            stack.extend(preds[state])
         keep = forward & backward
         result = FiniteAutomaton()
         for state in self.initials & keep:

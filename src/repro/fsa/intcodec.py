@@ -181,24 +181,19 @@ def assemble_automaton(states, initials, finals, triples):
     membership on every edge).  ``initials``/``finals`` must be subsets
     of ``states`` and every triple endpoint must be listed in
     ``states`` — true for all codec callers, which enumerate states
-    first.  Keeps the class invariant that ``_out``/``_in`` carry an
-    entry for every state."""
+    first.  Builds the one transition table, ``_out``, with an entry
+    for every state (the class invariant)."""
     automaton = FiniteAutomaton()
     state_set = set(states)
     automaton.states = state_set
     automaton.initials = set(initials)
     automaton.finals = set(finals)
     out = automaton._out = {state: {} for state in state_set}
-    into = automaton._in = {state: {} for state in state_set}
     for src, symbol, dst in triples:
         bucket = out[src].get(symbol)
         if bucket is None:
             bucket = out[src][symbol] = set()
         bucket.add(dst)
-        bucket = into[dst].get(symbol)
-        if bucket is None:
-            bucket = into[dst][symbol] = set()
-        bucket.add(src)
     return automaton
 
 

@@ -19,12 +19,20 @@ Semantics notes:
 * Function-pointer values are procedure names.
 """
 
+import sys
+
 from repro.lang import ast_nodes as A
 
 
 class ExecutionLimitExceeded(Exception):
     """Raised when a run exceeds its step budget (defends against
     non-terminating generated programs)."""
+
+
+class OutputLimitExceeded(Exception):
+    """Raised by :meth:`RunResult.render` when a printed value has more
+    digits than CPython converts to text (``sys.get_int_max_str_digits()``,
+    4,300 by default; the process-wide limit is left alone)."""
 
 
 class _ExitSignal(Exception):
@@ -76,14 +84,36 @@ class RunResult(object):
         return [(uid, args) for uid, _fmt, args in self.prints if uid in wanted]
 
     def render(self):
-        """Human-readable output text, mimicking printf."""
+        """Human-readable output text, mimicking printf.  Raises
+        :class:`OutputLimitExceeded` when a printed value is too long
+        to convert to text."""
         chunks = []
         for _uid, fmt, args in self.prints:
-            if fmt is not None:
-                chunks.append(fmt % tuple(args) if args else fmt)
-            else:
-                chunks.append(" ".join(str(value) for value in args) + "\n")
+            try:
+                if fmt is not None:
+                    chunks.append(fmt % tuple(args) if args else fmt)
+                else:
+                    chunks.append(" ".join(str(value) for value in args) + "\n")
+            except ValueError:
+                if not any(_too_long_for_text(value) for value in args):
+                    raise
+                raise OutputLimitExceeded(
+                    "printed value is too long (more than %d digits)"
+                    % sys.get_int_max_str_digits()
+                )
         return "".join(chunks)
+
+
+def _too_long_for_text(value):
+    """Whether ``str`` refuses ``value``: an int past the interpreter's
+    int-to-text digit limit."""
+    if not isinstance(value, int):
+        return False
+    try:
+        str(value)
+    except ValueError:
+        return True
+    return False
 
 
 class Interpreter(object):

@@ -54,6 +54,31 @@ from repro.fsa.automaton import EPSILON, FiniteAutomaton
 from repro.fsa.reference import remove_epsilon_reference
 
 
+def _prestar_indexes(pds):
+    """Prestar matches rules by their right-hand side: the pop rules,
+    and the internal and push rules keyed by ``(p', w[0])``.  Built
+    from ``pds.rules`` per saturation; the PDS keeps no indexes."""
+    pop_rules = []
+    internal_by_rhs = {}  # (p2, w0) -> [rule]
+    push_by_rhs_head = {}  # (p2, w0) -> [rule]
+    for rule in pds.rules:
+        if not rule.w:
+            pop_rules.append(rule)
+        elif len(rule.w) == 1:
+            internal_by_rhs.setdefault((rule.p2, rule.w[0]), []).append(rule)
+        else:
+            push_by_rhs_head.setdefault((rule.p2, rule.w[0]), []).append(rule)
+    return pop_rules, internal_by_rhs, push_by_rhs_head
+
+
+def _poststar_index(pds):
+    """Poststar matches rules by their left-hand side ``(p, γ)``."""
+    by_lhs = {}  # (p, gamma) -> [rule]
+    for rule in pds.rules:
+        by_lhs.setdefault((rule.p, rule.gamma), []).append(rule)
+    return by_lhs
+
+
 def prestar_reference(pds, automaton, trim=False, stats=None):
     """Saturate ``automaton`` with pre* transitions; returns a new
     :class:`FiniteAutomaton` (the input is not modified).  Same contract
@@ -61,6 +86,7 @@ def prestar_reference(pds, automaton, trim=False, stats=None):
     epsilon-free with no transitions into control locations; ``trim``
     restricts the result to its useful part; ``stats`` accumulates
     ``kernel_worklist_pops``."""
+    pop_rules, internal_by_rhs, push_by_rhs_head = _prestar_indexes(pds)
     rel = set()
     by_source_symbol = {}  # (q, γ) -> set of q2 with (q, γ, q2) ∈ rel
     pending = {}  # (q, γ) -> list of (p, γp) waiting for (q, γ, ·)
@@ -68,7 +94,7 @@ def prestar_reference(pds, automaton, trim=False, stats=None):
 
     for triple in automaton.transitions():
         trans.append(triple)
-    for rule in pds.pop_rules:
+    for rule in pop_rules:
         # <p,γ> ↪ <p',ε>:  p' -ε->* p'  =>  (p, γ, p')
         trans.append((rule.p, rule.gamma, rule.p2))
 
@@ -82,11 +108,11 @@ def prestar_reference(pds, automaton, trim=False, stats=None):
         by_source_symbol.setdefault((q, gamma), set()).add(q1)
 
         # Internal rules <p,γp> ↪ <q,γ>: new transition (p, γp, q1).
-        for rule in pds.internal_by_rhs.get((q, gamma), ()):
+        for rule in internal_by_rhs.get((q, gamma), ()):
             trans.append((rule.p, rule.gamma, q1))
 
         # Push rules <p,γp> ↪ <q, γ γ2>: need q1 -γ2-> q2.
-        for rule in pds.push_by_rhs_head.get((q, gamma), ()):
+        for rule in push_by_rhs_head.get((q, gamma), ()):
             gamma2 = rule.w[1]
             pending.setdefault((q1, gamma2), []).append((rule.p, rule.gamma))
             for q2 in by_source_symbol.get((q1, gamma2), ()):
@@ -120,6 +146,7 @@ def poststar_reference(pds, automaton, trim=False, stats=None):
     """Saturate ``automaton`` with post* transitions; returns a new,
     epsilon-free :class:`FiniteAutomaton`.  Same contract as
     :func:`repro.pds.kernel.poststar_csr`."""
+    by_lhs = _poststar_index(pds)
     mid_state = {}
 
     def mid(p2, gamma1):
@@ -156,7 +183,7 @@ def poststar_reference(pds, automaton, trim=False, stats=None):
         if gamma is not EPSILON:
             if not add_rel(p, gamma, q):
                 continue
-            for rule in pds.by_lhs.get((p, gamma), ()):
+            for rule in by_lhs.get((p, gamma), ()):
                 if rule.kind == "pop":
                     trans.append((rule.p2, EPSILON, q))
                 elif rule.kind == "internal":

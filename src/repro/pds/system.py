@@ -42,19 +42,17 @@ class Rule(object):
 
 
 class PushdownSystem(object):
-    """A PDS: control locations, stack symbols, rules, with the indexes
-    the saturation procedures need."""
+    """A PDS: control locations, stack symbols and rules, nothing else.
+    The runtime kernel compiles the rules into its own int indexes
+    (:class:`repro.pds.kernel.CompiledPDS`), and the reference oracle
+    (:mod:`repro.pds.reference`) indexes them when a saturation starts,
+    so a live session keeps no per-rule lists for the collector to
+    scan."""
 
     def __init__(self):
         self.control_locations = set()
         self.stack_symbols = set()
         self.rules = []
-        # Indexes for Prestar: match rules by their *right-hand side*.
-        self.internal_by_rhs = {}  # (p2, w0) -> [rule]
-        self.push_by_rhs_head = {}  # (p2, w0) -> [rule]
-        self.pop_rules = []
-        # Indexes for Poststar: match rules by their *left-hand side*.
-        self.by_lhs = {}  # (p, gamma) -> [rule]
 
     def add_rule(self, p, gamma, p2, w):
         rule = Rule(p, gamma, p2, w)
@@ -63,13 +61,6 @@ class PushdownSystem(object):
         self.control_locations.add(p2)
         self.stack_symbols.add(gamma)
         self.stack_symbols.update(rule.w)
-        if rule.kind == "pop":
-            self.pop_rules.append(rule)
-        elif rule.kind == "internal":
-            self.internal_by_rhs.setdefault((p2, rule.w[0]), []).append(rule)
-        else:
-            self.push_by_rhs_head.setdefault((p2, rule.w[0]), []).append(rule)
-        self.by_lhs.setdefault((p, gamma), []).append(rule)
         return rule
 
     def rule_count(self):
@@ -77,17 +68,18 @@ class PushdownSystem(object):
 
     def step(self, config):
         """All one-step successors of a configuration ``(p, stack)``
-        where ``stack`` is a tuple with the top at index 0.  Used by
-        tests to cross-check saturation results against brute-force
-        reachability."""
+        where ``stack`` is a tuple with the top at index 0, in rule
+        order.  Used by tests to cross-check saturation results against
+        brute-force reachability."""
         p, stack = config
         if not stack:
             return []
         gamma, rest = stack[0], stack[1:]
-        result = []
-        for rule in self.by_lhs.get((p, gamma), ()):
-            result.append((rule.p2, rule.w + rest))
-        return result
+        return [
+            (rule.p2, rule.w + rest)
+            for rule in self.rules
+            if rule.p == p and rule.gamma == gamma
+        ]
 
     def __repr__(self):
         return "PushdownSystem(%d locations, %d symbols, %d rules)" % (

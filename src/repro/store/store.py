@@ -129,7 +129,12 @@ MAGIC = b"RSLC"
 #: signature, with footprints as procedure names and no layout; the
 #: keymap sidecar is retired; a ``Bin`` chain pickles as its bottom
 #: operand and a list of links.
-STORE_VERSION = 7
+#: v8: a ``FiniteAutomaton`` pickles its successor table alone (the
+#: mirrored predecessor table is gone) and a ``PushdownSystem`` its
+#: rules, locations and symbols alone (no rule indexes), so the
+#: front-half bundle and the automata inside ``results`` entries
+#: changed; ``__sats__`` payloads did not.
+STORE_VERSION = 8
 
 _VERSION_STRUCT = struct.Struct(">H")
 _HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size + hashlib.sha256().digest_size

@@ -405,6 +405,27 @@ def test_long_number_literal_is_one_line_and_exit_2(tmp_path, capsys):
         ), command
 
 
+@pytest.mark.parametrize("fmt", ['"%d\\n", ', ""], ids=["format", "bare"])
+def test_run_printing_a_value_too_long_for_text_is_one_line_and_exit_2(
+    tmp_path, capsys, fmt
+):
+    """A value a program computes past CPython's int-to-text limit
+    (4,300 digits by default) stops ``repro run`` with one line, not a
+    ``ValueError`` traceback, whether or not the print has a format."""
+    path = tmp_path / "square.tc"
+    path.write_text(
+        "int g;\nint main() { g = %s; print(%sg * g); return 0; }\n"
+        % ("9" * 4000, fmt)
+    )
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "%s: printed value is too long (more than %d digits)\n" % (
+        path,
+        sys.get_int_max_str_digits(),
+    )
+
+
 def test_missing_file_is_one_line_and_exit_2(tmp_path, capsys, fig1_file):
     missing = str(tmp_path / "nope.tc")
     for command in (

@@ -9,8 +9,10 @@ downstream all hang off the exact state objects and transition sets.
 These tests pin the three layers of that promise:
 
 * the codec: encode -> decode is the identity (as
-  :func:`repro.fsa.serialize.structurally_equal` sees it), and the
-  bitset primitives agree with Python set semantics;
+  :func:`repro.fsa.serialize.structurally_equal` sees it), the bitset
+  primitives agree with Python set semantics, and the object
+  ``FiniteAutomaton.trim`` keeps exactly what the codec's ``trim_bits``
+  keeps;
 * the FSA ops: each ``*_int`` operation is structurally equal to its
   reference, on epsilon-free and epsilon-heavy inputs, mixed int/string
   alphabets included;
@@ -31,7 +33,13 @@ from hypothesis import strategies as st
 
 from repro.fsa import FiniteAutomaton, reverse
 from repro.fsa.automaton import EPSILON
-from repro.fsa.intcodec import bits_of, decode_automaton, encode_automaton, iter_bits
+from repro.fsa.intcodec import (
+    bits_of,
+    decode_automaton,
+    encode_automaton,
+    iter_bits,
+    trim_bits,
+)
 from repro.fsa.intops import (
     determinize_int,
     minimize_int,
@@ -177,6 +185,38 @@ def test_encode_decode_empty_and_degenerate():
     assert structurally_equal(empty, decode_automaton(encode_automaton(empty)))
     lonely = FiniteAutomaton(initials=["a"], finals=["a"])
     assert structurally_equal(lonely, decode_automaton(encode_automaton(lonely)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_object_trim_matches_codec_trim(seed):
+    """``FiniteAutomaton.trim`` (predecessors built per call) keeps the
+    states ``trim_bits`` keeps, with the same initials, finals and
+    transitions, on random NFAs with epsilons and several initial
+    states, grown by states no initial reaches and states that reach
+    no final."""
+    rng = random.Random(seed)
+    automaton = random_automaton(
+        seed, n_states=rng.randint(3, 9), density=0.15, eps=0.5
+    )
+    states = sorted(automaton.states)
+    for state in rng.sample(states, 2):
+        automaton.add_initial(state)
+    labels = [0, "g0", EPSILON]
+    for i in range(rng.randint(1, 3)):
+        unreachable = "u%d" % i
+        automaton.add_transition(unreachable, rng.choice(labels), rng.choice(states))
+        automaton.add_transition(unreachable, rng.choice(labels), unreachable)
+    for i in range(rng.randint(1, 3)):
+        dead = "d%d" % i
+        automaton.add_transition(rng.choice(states), rng.choice(labels), dead)
+        automaton.add_transition(dead, rng.choice(labels), "d%d" % rng.randint(0, 2))
+
+    trimmed = automaton.trim()
+    enc = encode_automaton(automaton)
+    keep = trim_bits(enc)
+    assert trimmed.states == {enc.states[sid] for sid in iter_bits(keep)}
+    assert structurally_equal(trimmed, decode_automaton(enc, keep_bits=keep))
+    assert not any(str(state)[0] in "ud" for state in trimmed.states)
 
 
 # -- int FSA ops vs the references -------------------------------------------------

@@ -426,23 +426,36 @@ def _version_6_store(cache, monkeypatch):
         old._bump_lifetime(evictions=1)
 
 
+def _version_7_store(cache, monkeypatch):
+    """A store written with ``STORE_VERSION`` at 7, holding every table a
+    session writes for FIG1."""
+    import repro.store.store as store_module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "STORE_VERSION", 7)
+        SlicingSession(FIG1_SOURCE, store=SliceStore(cache)).slice()
+    tables = SliceStore(cache).stats()["tables"]
+    assert all(tables.get(name) for name in ("fronthalf", "results", "proc", "sat", "idx"))
+
+
 def test_version_6_store_reopens_cold(tmp_path, monkeypatch):
-    """A version-6 store reopens cold, on its own text and on a label
-    edit, and answers exactly as a storeless session."""
-    cache = str(tmp_path / "cache")
-    _version_6_store(cache, monkeypatch)
-    for number, text in enumerate(
-        (FIG1_SOURCE, FIG1_SOURCE.replace("p(g2, 3)", "p(g2, 4)"))
-    ):
-        copy = str(tmp_path / ("copy%d" % number))
-        shutil.copytree(cache, copy)
-        reader = SlicingSession(text, store=SliceStore(copy))
-        expected = pretty(SlicingSession(text).executable().program)
-        assert pretty(reader.executable().program) == expected
-        stats = reader.stats
-        assert stats["front_half_from_store"] is False
-        assert stats["front_half_parts_hits"] == 0
-        assert stats["persist_hits"] == 0 and stats["sat_persist_hits"] == 0
+    """Version-6 and version-7 stores reopen cold, on their own text and
+    on a label edit, and answer exactly as a storeless session."""
+    for old_store in (_version_6_store, _version_7_store):
+        cache = str(tmp_path / old_store.__name__)
+        old_store(cache, monkeypatch)
+        for number, text in enumerate(
+            (FIG1_SOURCE, FIG1_SOURCE.replace("p(g2, 3)", "p(g2, 4)"))
+        ):
+            copy = "%s-copy%d" % (cache, number)
+            shutil.copytree(cache, copy)
+            reader = SlicingSession(text, store=SliceStore(copy))
+            expected = pretty(SlicingSession(text).executable().program)
+            assert pretty(reader.executable().program) == expected
+            stats = reader.stats
+            assert stats["front_half_from_store"] is False
+            assert stats["front_half_parts_hits"] == 0
+            assert stats["persist_hits"] == 0 and stats["sat_persist_hits"] == 0
 
 
 def test_cache_clear_empties_a_version_6_store(tmp_path, monkeypatch):
